@@ -1,17 +1,13 @@
 /**
  * @file
- * Sampler ablations.  Two axes:
+ * Sampler ablations.  Three axes:
  *
  *  - batched Pauli-frame sampling vs exact tableau simulation (the
  *    frame sampler is what makes paper-scale experiments affordable);
- *  - the compiled, bit-packed frame pipeline vs the legacy op-list
- *    interpreter (the packed path is what the production experiments
- *    run; the reference interpreter survives as the equivalence
- *    oracle).
- *
- * The packed-vs-reference arm also cross-checks bit-for-bit sample
- * equality on a fixed seed — the speedup is only meaningful because
- * the outputs are identical.
+ *  - where block sampling spends its time: noise resolution (RNG
+ *    contract v2's geometric-gap draws) vs frame replay, at Fig. 6 and
+ *    sub-threshold noise, with the generator words drawn per shot;
+ *  - word-parallel blocks vs 1-word blocks.
  */
 
 #include <benchmark/benchmark.h>
@@ -33,14 +29,16 @@ namespace {
 using namespace hetarch;
 using namespace hetarch::units;
 
+/** Fig. 6 noise; @p scale = 0.1 with 5x coherence is sub-threshold. */
 qec::CircuitNoise
-noiseModel()
+noiseModel(double scale = 1.0)
 {
     qec::CircuitNoise noise;
-    noise.p2 = 1e-2;
-    noise.p1 = 1e-3;
-    noise.dataT1 = noise.dataT2 = 0.1 * ms;
-    noise.ancT1 = noise.ancT2 = 0.1 * ms;
+    noise.p2 = 1e-2 * scale;
+    noise.p1 = 1e-3 * scale;
+    const double t = (scale < 1.0 ? 0.5 : 0.1) * ms;
+    noise.dataT1 = noise.dataT2 = t;
+    noise.ancT1 = noise.ancT2 = t;
     return noise;
 }
 
@@ -60,21 +58,21 @@ BM_FrameSampler(benchmark::State& state)
 BENCHMARK(BM_FrameSampler)->Arg(3)->Arg(5)->Arg(9)->Arg(13);
 
 void
-BM_FrameSamplerReference(benchmark::State& state)
+BM_FrameResolveTape(benchmark::State& state)
 {
-    // The legacy per-batch op-list interpreter, for comparison with
-    // the compiled program BM_FrameSampler runs.
+    // Noise resolution alone (contract v2 geometric gaps) over one
+    // 8-word block, at Fig. 6 noise.
     const auto d = static_cast<std::size_t>(state.range(0));
     const auto circ = qec::surfaceMemoryZ(d, d, noiseModel());
-    stab::FrameSimulator sim(circ);
+    const auto prog = stab::FrameProgram::compile(circ);
+    stab::FrameBlockScratch scratch;
     Rng rng(3);
     for (auto _ : state) {
-        auto s = sim.sampleDetectorsReference(64, rng);
-        benchmark::DoNotOptimize(s);
+        benchmark::DoNotOptimize(prog->resolveNoiseTape(scratch, 8, rng));
     }
-    state.SetItemsProcessed(state.iterations() * 64);
+    state.SetItemsProcessed(state.iterations() * 8 * 64);
 }
-BENCHMARK(BM_FrameSamplerReference)->Arg(3)->Arg(5)->Arg(9)->Arg(13);
+BENCHMARK(BM_FrameResolveTape)->Arg(3)->Arg(5)->Arg(9)->Arg(13);
 
 void
 BM_FrameReplayBlock(benchmark::State& state)
@@ -153,36 +151,48 @@ main(int argc, char** argv)
     }
     t.print(std::cout);
 
-    std::cout << "\n=== Ablation: compiled packed sampler vs op-list "
-                 "interpreter ===\n";
-    TextTable p({"distance", "shots", "packed(ms)", "reference(ms)",
-                 "speedup", "bit-identical"});
-    for (std::size_t d : {3ul, 5ul, 9ul, 13ul}) {
-        const auto circ = qec::surfaceMemoryZ(d, d, noiseModel());
-        const std::size_t shots = 2048;
-        stab::FrameSimulator frame(circ);
-
-        Rng rng_p(1);
-        const auto p0 = clock::now();
-        const auto packed = frame.sampleDetectors(shots, rng_p);
-        const auto p1 = clock::now();
-
-        Rng rng_r(1);
-        const auto r0 = clock::now();
-        const auto reference =
-            frame.sampleDetectorsReference(shots, rng_r);
-        const auto r1 = clock::now();
-
-        const bool identical = packed.detWords == reference.detWords &&
-                               packed.obsWords == reference.obsWords;
-        const double p_ms =
-            std::chrono::duration<double, std::milli>(p1 - p0).count();
-        const double r_ms =
-            std::chrono::duration<double, std::milli>(r1 - r0).count();
-        p.addRow({std::to_string(d), std::to_string(shots),
-                  formatFixed(p_ms, 2), formatFixed(r_ms, 2),
-                  formatFixed(r_ms / p_ms, 1) + "x",
-                  identical ? "yes" : "NO"});
+    std::cout << "\n=== Ablation: noise resolution vs frame replay "
+                 "(RNG contract v2) ===\n";
+    // Resolution draws one uniform per noise op per 64 shots plus a
+    // gap and a Pauli pick per error event, so its cost follows the
+    // event count; replay walks every op whatever the noise.
+    TextTable p({"distance", "noise", "shots", "resolve(ms)", "replay(ms)",
+                 "draws/shot", "flips/shot"});
+    for (const double scale : {1.0, 0.1}) {
+        for (std::size_t d : {3ul, 5ul, 9ul, 13ul}) {
+            const auto circ = qec::surfaceMemoryZ(d, d, noiseModel(scale));
+            const auto prog = stab::FrameProgram::compile(circ);
+            const std::size_t blocks = 4;
+            const std::size_t shots = blocks * 8 * 64;
+            stab::FrameBlockScratch scratch;
+            Rng warm(0);
+            prog->resolveNoiseTape(scratch, 8, warm); // page in the tape
+            Rng rng(1);
+            std::uint64_t flips = 0;
+            double resolve_ms = 0.0, replay_ms = 0.0;
+            for (std::size_t b = 0; b < blocks; ++b) {
+                const auto r0 = clock::now();
+                flips += prog->resolveNoiseTape(scratch, 8, rng);
+                const auto r1 = clock::now();
+                prog->replayBlock(scratch);
+                const auto r2 = clock::now();
+                resolve_ms +=
+                    std::chrono::duration<double, std::milli>(r1 - r0)
+                        .count();
+                replay_ms +=
+                    std::chrono::duration<double, std::milli>(r2 - r1)
+                        .count();
+            }
+            const auto per_shot = [&](std::uint64_t n) {
+                return formatFixed(static_cast<double>(n) /
+                                       static_cast<double>(shots),
+                                   1);
+            };
+            p.addRow({std::to_string(d), scale < 1.0 ? "sub" : "fig6",
+                      std::to_string(shots), formatFixed(resolve_ms, 2),
+                      formatFixed(replay_ms, 2), per_shot(rng.draws()),
+                      per_shot(flips)});
+        }
     }
     p.print(std::cout);
 

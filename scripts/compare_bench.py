@@ -81,9 +81,11 @@ REQUIRED_COMPANIONS = {
     # word-block pipeline falling back to per-shot decoding.
     "qec.decode.batch_blocks": ("qec.decode.batch_shots",
                                 "qec.decode.batch_dedup_hits"),
-    # The word-parallel sampler's noise-tape accounting must stay live
-    # wherever the packed sampler runs.
-    "stab.sampler.batches": ("stab.sampler.noise_words",),
+    # The word-parallel sampler's noise-tape accounting, and the
+    # generator words its noise resolution drew (RNG contract v2's
+    # work count), must stay live wherever the packed sampler runs.
+    "stab.sampler.batches": ("stab.sampler.noise_words",
+                             "stab.sampler.rng_draws"),
 }
 
 
@@ -235,6 +237,7 @@ def self_test():
                      "qec.decode.batch_dedup_hits": 700,
                      "stab.sampler.batches": 64,
                      "stab.sampler.noise_words": 35840,
+                     "stab.sampler.rng_draws": 22400,
                      "stab.sampler.simd_width": 4},
         "histograms": {},
         "spans": [],
@@ -350,11 +353,15 @@ def self_test():
     checks.append(("batch rule dormant without key counter",
                    result(no_batch_all, no_batch_all, bench) == 0))
 
-    # And for the sampler's noise-tape accounting.
+    # And for the sampler's noise-tape accounting and its draw count.
     no_tape = json.loads(json.dumps(metrics))
     del no_tape["counters"]["stab.sampler.noise_words"]
     checks.append(("noise-word companion dropped from both sides",
                    result(no_tape, no_tape, bench) == 1))
+    no_draws = json.loads(json.dumps(metrics))
+    del no_draws["counters"]["stab.sampler.rng_draws"]
+    checks.append(("rng-draw companion dropped from both sides",
+                   result(no_draws, no_draws, bench) == 1))
 
     # Machine-dependent counters never gate: differing values and
     # one-sided presence both compare clean.

@@ -19,12 +19,6 @@ splitmix64(std::uint64_t& x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -32,46 +26,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto& word : s)
         word = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::uniformInt(std::uint64_t bound)
-{
-    HETARCH_ASSERT(bound > 0, "uniformInt bound must be positive");
-    // Lemire's multiply-shift with rejection to remove modulo bias.
-    std::uint64_t x = next();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    auto low = static_cast<std::uint64_t>(m);
-    if (low < bound) {
-        const std::uint64_t threshold = -bound % bound;
-        while (low < threshold) {
-            x = next();
-            m = static_cast<__uint128_t>(x) * bound;
-            low = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
 }
 
 bool
@@ -111,35 +65,6 @@ Rng::normal()
     cachedNormal = r * std::sin(theta);
     haveCachedNormal = true;
     return r * std::cos(theta);
-}
-
-std::uint64_t
-Rng::biasedWord(double p)
-{
-    if (p <= 0.0)
-        return 0;
-    if (p >= 1.0)
-        return ~0ull;
-    // Lane-parallel comparison r < p, processing p's binary digits from
-    // the most significant.  A lane is decided at the first digit where
-    // its uniform bit differs from p's digit.
-    std::uint64_t result = 0;
-    std::uint64_t undecided = ~0ull;
-    double frac = p;
-    for (int i = 0; i < 48 && undecided; ++i) {
-        frac *= 2.0;
-        const bool digit = frac >= 1.0;
-        if (digit)
-            frac -= 1.0;
-        const std::uint64_t u = next();
-        if (digit) {
-            result |= undecided & ~u; // r-bit 0 < p-bit 1 -> accept
-            undecided &= u;
-        } else {
-            undecided &= ~u; // r-bit 1 > p-bit 0 -> reject
-        }
-    }
-    return result;
 }
 
 Rng

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 
+#include "core/logging.hh"
+
 namespace hetarch {
 
 /**
@@ -34,11 +36,30 @@ class Rng
     /** Next raw 64-bit draw. */
     result_type operator()() { return next(); }
 
-    /** Uniform in [0, 1). */
-    double uniform();
+    /** Uniform in [0, 1): the 53 high bits of one draw. */
+    double uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound) using Lemire's rejection method. */
-    std::uint64_t uniformInt(std::uint64_t bound);
+    std::uint64_t uniformInt(std::uint64_t bound)
+    {
+        HETARCH_ASSERT(bound > 0, "uniformInt bound must be positive");
+        // Lemire's multiply-shift with rejection to remove modulo bias.
+        std::uint64_t x = next();
+        __uint128_t m = static_cast<__uint128_t>(x) * bound;
+        auto low = static_cast<std::uint64_t>(m);
+        if (low < bound) {
+            const std::uint64_t threshold = -bound % bound;
+            while (low < threshold) {
+                x = next();
+                m = static_cast<__uint128_t>(x) * bound;
+                low = static_cast<std::uint64_t>(m);
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /** Bernoulli trial with success probability p. */
     bool bernoulli(double p);
@@ -50,12 +71,11 @@ class Rng
     double normal();
 
     /**
-     * 64 independent Bernoulli(p) bits packed into one word, generated
-     * by bit-serial comparison of p against 64 lane-parallel uniform
-     * draws (exact to 2^-48).  This is what makes the batched Pauli
-     * frame sampler fast: one call covers 64 Monte-Carlo shots.
+     * 64-bit words drawn since construction.  A deterministic work
+     * count: callers difference it around a computation to report how
+     * much randomness that computation consumed.
      */
-    std::uint64_t biasedWord(double p);
+    std::uint64_t draws() const { return nDraws; }
 
     /**
      * Split off an independent child generator.  Used to give each
@@ -77,9 +97,33 @@ class Rng
                                       std::uint64_t stream);
 
   private:
-    std::uint64_t next();
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
+    /**
+     * One xoshiro256** step.  The draw paths are inline so a local
+     * copy of the generator can stay in registers through a hot loop:
+     * the frame sampler's noise resolution draws once per noise op per
+     * 64 shots.
+     */
+    std::uint64_t next()
+    {
+        ++nDraws;
+        const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+        const std::uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+        return result;
+    }
 
     std::uint64_t s[4];
+    std::uint64_t nDraws = 0;
     bool haveCachedNormal = false;
     double cachedNormal = 0.0;
 };

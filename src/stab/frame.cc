@@ -19,149 +19,16 @@ namespace {
 // of a shot budget and any worker count.  noise_words counts resolved
 // noise-tape rows (tape slots x 64-shot batches) — a function of the
 // program and the shot budget alone, so it too is invariant under
-// worker count AND under the sampler's SIMD block width.
+// worker count AND under the sampler's SIMD block width.  rng_draws
+// counts the generator words noise resolution consumed; each chunk's
+// draws are fixed by its seed and RNG contract v2, whatever the width
+// or the worker count.
 obs::Counter& cSamplerCalls = obs::counter("stab.sampler.calls");
 obs::Counter& cSamplerShots = obs::counter("stab.sampler.shots");
 obs::Counter& cSamplerBatches = obs::counter("stab.sampler.batches");
 obs::Counter& cFrameFlips = obs::counter("stab.sampler.frame_flips");
 obs::Counter& cNoiseWords = obs::counter("stab.sampler.noise_words");
-
-/** Legacy interpreter: run the circuit once over a 64-shot batch. */
-void
-runBatchReference(const Circuit& circ, FrameScratch& b, Rng& rng,
-                  std::uint64_t& flips)
-{
-    b.x.assign(circ.numQubits(), 0);
-    b.z.assign(circ.numQubits(), 0);
-    b.meas.clear();
-    b.meas.reserve(circ.numMeasurements());
-    for (const auto& op : circ.ops()) {
-        switch (op.code) {
-          case OpCode::H:
-            std::swap(b.x[op.targets[0]], b.z[op.targets[0]]);
-            break;
-          case OpCode::S:
-          case OpCode::SDG:
-            // S X S^dag = Y, S Z S^dag = Z: frame z picks up x.
-            b.z[op.targets[0]] ^= b.x[op.targets[0]];
-            break;
-          case OpCode::X:
-          case OpCode::Y:
-          case OpCode::Z:
-            break; // Paulis commute with the frame (up to sign)
-          case OpCode::CX: {
-            const auto c = op.targets[0], t = op.targets[1];
-            b.x[t] ^= b.x[c];
-            b.z[c] ^= b.z[t];
-            break;
-          }
-          case OpCode::CZ: {
-            const auto a = op.targets[0], t = op.targets[1];
-            b.z[a] ^= b.x[t];
-            b.z[t] ^= b.x[a];
-            break;
-          }
-          case OpCode::SWAP: {
-            const auto a = op.targets[0], t = op.targets[1];
-            std::swap(b.x[a], b.x[t]);
-            std::swap(b.z[a], b.z[t]);
-            break;
-          }
-          case OpCode::M:
-            b.meas.push_back(b.x[op.targets[0]]);
-            // Measurement collapse randomizes the frame phase.
-            b.z[op.targets[0]] ^= rng();
-            break;
-          case OpCode::R:
-            b.x[op.targets[0]] = 0;
-            b.z[op.targets[0]] = 0;
-            break;
-          case OpCode::MR:
-            b.meas.push_back(b.x[op.targets[0]]);
-            b.x[op.targets[0]] = 0;
-            b.z[op.targets[0]] = 0;
-            break;
-          case OpCode::X_ERROR: {
-            const std::uint64_t err = rng.biasedWord(op.params[0]);
-            b.x[op.targets[0]] ^= err;
-            flips += simd::popcountWord(err);
-            break;
-          }
-          case OpCode::Z_ERROR: {
-            const std::uint64_t err = rng.biasedWord(op.params[0]);
-            b.z[op.targets[0]] ^= err;
-            flips += simd::popcountWord(err);
-            break;
-          }
-          case OpCode::PAULI1: {
-            const double px = op.params[0];
-            const double py = op.params[1];
-            const double pz = op.params[2];
-            const double ptot = px + py + pz;
-            if (ptot <= 0.0)
-                break;
-            const std::uint64_t err = rng.biasedWord(ptot);
-            const std::uint64_t pick_x = rng.biasedWord(px / ptot);
-            const double rest = py + pz;
-            const std::uint64_t pick_y =
-                rng.biasedWord(rest > 0.0 ? py / rest : 0.0);
-            const std::uint64_t mx = err & pick_x;
-            const std::uint64_t my = err & ~pick_x & pick_y;
-            const std::uint64_t mz = err & ~pick_x & ~pick_y;
-            b.x[op.targets[0]] ^= mx | my;
-            b.z[op.targets[0]] ^= mz | my;
-            flips += simd::popcountWord(err);
-            break;
-          }
-          case OpCode::DEPOL1: {
-            const double p = op.params[0];
-            const std::uint64_t err = rng.biasedWord(p);
-            const std::uint64_t pick_x = rng.biasedWord(1.0 / 3.0);
-            const std::uint64_t pick_y = rng.biasedWord(0.5);
-            const std::uint64_t mx = err & pick_x;
-            const std::uint64_t my = err & ~pick_x & pick_y;
-            const std::uint64_t mz = err & ~pick_x & ~pick_y;
-            b.x[op.targets[0]] ^= mx | my;
-            b.z[op.targets[0]] ^= mz | my;
-            flips += simd::popcountWord(err);
-            break;
-          }
-          case OpCode::DEPOL2: {
-            const auto qa = op.targets[0], qb = op.targets[1];
-            const std::uint64_t err = rng.biasedWord(op.params[0]);
-            if (!err)
-                break;
-            // Uniform non-identity two-qubit Pauli per erring lane:
-            // draw 4 random bits and reject the all-zero combination.
-            std::uint64_t v0 = rng(), v1 = rng(), v2 = rng(), v3 = rng();
-            for (int tries = 0; tries < 12; ++tries) {
-                const std::uint64_t zero = err & ~(v0 | v1 | v2 | v3);
-                if (!zero)
-                    break;
-                const std::uint64_t r0 = rng(), r1 = rng(), r2 = rng(),
-                                    r3 = rng();
-                v0 = (v0 & ~zero) | (r0 & zero);
-                v1 = (v1 & ~zero) | (r1 & zero);
-                v2 = (v2 & ~zero) | (r2 & zero);
-                v3 = (v3 & ~zero) | (r3 & zero);
-            }
-            // Any lane still all-zero after the retries (prob 16^-12)
-            // is forced to X on qubit a.
-            const std::uint64_t still = err & ~(v0 | v1 | v2 | v3);
-            v0 |= still;
-            b.x[qa] ^= err & v0;
-            b.z[qa] ^= err & v1;
-            b.x[qb] ^= err & v2;
-            b.z[qb] ^= err & v3;
-            flips += simd::popcountWord(err);
-            break;
-          }
-          case OpCode::DETECTOR:
-          case OpCode::OBSERVABLE:
-            break; // handled from the measurement-flip record
-        }
-    }
-}
+obs::Counter& cRngDraws = obs::counter("stab.sampler.rng_draws");
 
 } // namespace
 
@@ -270,6 +137,7 @@ DetectorStream::next(Rng& rng, SyndromeBlock& block)
             cSamplerBatches.add(nBatches);
             cFrameFlips.add(flips);
             cNoiseWords.add(prog->tapeWords() * nBatches);
+            cRngDraws.add(draws);
         }
         return false;
     }
@@ -280,7 +148,9 @@ DetectorStream::next(Rng& rng, SyndromeBlock& block)
     const auto& info = prog->sliceInfo(curSlice);
     const std::size_t lanes =
         std::min<std::size_t>(64, nShots - curBatch * 64);
+    const std::uint64_t draws0 = rng.draws();
     flips += prog->runSlice(curSlice, scratch, rng);
+    draws += rng.draws() - draws0;
 
     block.batch = curBatch;
     block.slice = curSlice;
@@ -304,7 +174,7 @@ DetectorStream::next(Rng& rng, SyndromeBlock& block)
 }
 
 FrameSimulator::FrameSimulator(const Circuit& circuit)
-    : circ(&circuit), prog(FrameProgram::compile(circuit))
+    : prog(FrameProgram::compile(circuit))
 {
 }
 
@@ -323,6 +193,7 @@ FrameSimulator::sampleDetectors(std::size_t shots, Rng& rng) const
     // Batched locally, flushed as single adds after the loop.
     std::uint64_t batches = 0;
     std::uint64_t flips = 0;
+    const std::uint64_t draws0 = rng.draws();
 
     // Word-parallel blocks: up to frameBlockWords() 64-shot batches are
     // propagated per program walk.  Noise is resolved word-by-word in
@@ -350,63 +221,7 @@ FrameSimulator::sampleDetectors(std::size_t shots, Rng& rng) const
     cSamplerBatches.add(batches);
     cFrameFlips.add(flips);
     cNoiseWords.add(prog->tapeWords() * batches);
-    return out;
-}
-
-DetectorSamples
-FrameSimulator::sampleDetectorsReference(std::size_t shots, Rng& rng) const
-{
-    HETARCH_ASSERT(circ,
-                   "reference sampling needs a Circuit-constructed "
-                   "FrameSimulator");
-    DetectorSamples out;
-    out.resize(shots, circ->numDetectors(), circ->numObservables());
-
-    std::uint64_t batches = 0;
-    std::uint64_t flips = 0;
-
-    FrameScratch batch;
-    std::size_t done = 0;
-    while (done < shots) {
-        const std::size_t lanes = std::min<std::size_t>(64, shots - done);
-        runBatchReference(*circ, batch, rng, flips);
-        ++batches;
-
-        // Fold measurement-flip words into detector/observable values
-        // by re-scanning the op list, exactly like the pre-compiled
-        // sampler did — bit by bit through the packed layout.
-        const std::size_t word = done / 64;
-        std::size_t det_idx = 0;
-        for (const auto& op : circ->ops()) {
-            if (op.code == OpCode::DETECTOR) {
-                std::uint64_t w = 0;
-                for (auto m : op.targets)
-                    w ^= batch.meas[m];
-                for (std::size_t lane = 0; lane < lanes; ++lane) {
-                    out.detWords[det_idx * out.numWords + word] |=
-                        ((w >> lane) & 1) << lane;
-                }
-                ++det_idx;
-            } else if (op.code == OpCode::OBSERVABLE) {
-                std::uint64_t w = 0;
-                for (auto m : op.targets)
-                    w ^= batch.meas[m];
-                for (std::size_t lane = 0; lane < lanes; ++lane) {
-                    out.obsWords[op.id * out.numWords + word] ^=
-                        ((w >> lane) & 1) << lane;
-                }
-            }
-        }
-        done += lanes;
-    }
-    cSamplerCalls.add();
-    cSamplerShots.add(shots);
-    cSamplerBatches.add(batches);
-    cFrameFlips.add(flips);
-    // The reference interpreter draws the same noise words inline that
-    // the packed path resolves onto its tape; count them identically so
-    // the two paths stay counter-parity as well as bit-parity.
-    cNoiseWords.add(prog->tapeWords() * batches);
+    cRngDraws.add(rng.draws() - draws0);
     return out;
 }
 

@@ -17,6 +17,14 @@
  * boundary.  The sampler itself runs a FrameProgram (the circuit
  * lowered once, see frame_program.hh) rather than re-interpreting the
  * op list per batch.
+ *
+ * Noise follows RNG contract v2 (frame_program.hh): error lanes are
+ * drawn by geometric gaps, so a word costs one draw per noise op plus
+ * its error events.  What a seed samples is pinned bit for bit across
+ * block widths, worker counts and the streaming path; that it samples
+ * the circuit's noise correctly is checked statistically, against the
+ * channel definitions, the DEM and the tableau simulator
+ * (tests/statistical, tests/stab/frame_test.cc).
  */
 
 #pragma once
@@ -146,9 +154,10 @@ struct SyndromeBlock
  * count.
  *
  * RNG and telemetry parity with FrameSimulator::sampleDetectors: the
- * stream consumes the generator identically (sliced execution shares
- * the batch interpreter) and flushes the same stab.sampler.* counter
- * totals exactly once, when the stream is exhausted.
+ * stream consumes the generator identically (sliced execution resolves
+ * noise through the same per-op resolver as the block path, under RNG
+ * contract v2) and flushes the same stab.sampler.* counter totals
+ * exactly once, when the stream is exhausted.
  */
 class DetectorStream
 {
@@ -175,6 +184,7 @@ class DetectorStream
     std::size_t curSlice = 0;
     FrameStreamScratch scratch;
     std::uint64_t flips = 0;
+    std::uint64_t draws = 0;
     bool flushed = false;
 };
 
@@ -192,21 +202,13 @@ class FrameSimulator
 
     /**
      * Sample @p shots Monte-Carlo shots of all detectors/observables,
-     * bit-packed.  Shots are processed in batches of 64.
+     * bit-packed.  Shots are processed in batches of 64, resolved under
+     * RNG contract v2 (frame_program.hh): a fixed seed gives the same
+     * bits at every block width and worker count and through
+     * DetectorStream.  Agreement with the tableau simulator and the
+     * DEM is statistical (tests/statistical).
      */
     DetectorSamples sampleDetectors(std::size_t shots, Rng& rng) const;
-
-    /**
-     * Reference implementation: interpret the circuit op list per
-     * batch (the pre-FrameProgram path) and unpack each shot into the
-     * packed layout through the public accessor contract.  Consumes
-     * the RNG stream identically to sampleDetectors, so fixed seeds
-     * must produce bit-identical samples — the cross-validation tests
-     * and the ablation benches pin and measure exactly that.  Requires
-     * construction from a Circuit.
-     */
-    DetectorSamples sampleDetectorsReference(std::size_t shots,
-                                             Rng& rng) const;
 
     /**
      * Single-shot sampling of raw measurement *flips* relative to the
@@ -217,7 +219,6 @@ class FrameSimulator
     const FrameProgram& program() const { return *prog; }
 
   private:
-    const Circuit* circ = nullptr; ///< only for the reference path
     std::shared_ptr<const FrameProgram> prog;
 };
 

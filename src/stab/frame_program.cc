@@ -1,9 +1,12 @@
 #include "stab/frame_program.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
+#include <map>
 #include <utility>
 
 #include "core/logging.hh"
@@ -41,19 +44,127 @@ tapeSlotsOf(FrameOpCode code)
 }
 
 /**
+ * The clean-lane run before the next erring lane for a draw
+ * @p r < ch.erring[limit]: the largest k with ch.erring[k] <= r, which
+ * is below limit.  The bucket of r's leading bits gives the run at the
+ * bucket's lower edge; buckets are fine enough that one branchless
+ * step almost always finishes it, and the exact scan after it rarely
+ * runs.
+ */
+[[gnu::always_inline]] inline unsigned
+cleanRun(const NoiseChannel& ch, std::uint64_t r)
+{
+    unsigned k = ch.runStart[r >> ch.bucketShift];
+    k += ch.erring[k + 1] <= r;
+    while (ch.erring[k + 1] <= r)
+        ++k;
+    return k;
+}
+
+/**
+ * Visit the erring lanes of one 64-lane word of @p ch's Bernoulli
+ * trials in increasing order, drawing exactly what contract v2 says
+ * (see frame_program.hh).  Returns the erring-lane mask.
+ */
+template <typename Visit>
+[[gnu::always_inline]] inline std::uint64_t
+forEachErringLane(const NoiseChannel& ch, Rng& rng, Visit&& visit)
+{
+    if (ch.certain) {
+        for (unsigned lane = 0; lane < 64; ++lane)
+            visit(lane);
+        return ~std::uint64_t{0};
+    }
+    std::uint64_t r = rng();
+    if (r >= ch.erring[64])
+        return 0;
+    std::uint64_t err = 0;
+    unsigned lane = cleanRun(ch, r);
+    for (;;) {
+        err |= std::uint64_t{1} << lane;
+        visit(lane);
+        if (lane == 63)
+            break;
+        r = rng();
+        if (r >= ch.erring[63 - lane]) // the lanes after this one
+            break;
+        lane += 1 + cleanRun(ch, r);
+    }
+    return err;
+}
+
+/**
+ * Resolve noise op @p op over one 64-lane word.  The single resolver
+ * behind both interpretOps (1-word and sliced execution) and
+ * resolveNoiseTape (block execution), so the paths cannot drift.
+ * Returns the erring-lane mask; when it is non-zero, @p m holds the
+ * op's flip masks in tape-slot order (X_ERROR/Z_ERROR: the error
+ * mask; PAULI1/DEPOL1: X then Z flips of qubit a; DEPOL2: X_a, Z_a,
+ * X_b, Z_b).  Forced inline, like the helpers above, so the callers'
+ * generator copies never leave registers.
+ */
+[[gnu::always_inline]] inline std::uint64_t
+resolveNoise(const FrameOp& op, const NoiseChannel& ch, Rng& rng,
+             std::uint64_t (&m)[4])
+{
+    std::uint64_t fx = 0, fz = 0, gx = 0, gz = 0;
+    const std::uint64_t err =
+        forEachErringLane(ch, rng, [&](unsigned lane) {
+            const std::uint64_t bit = std::uint64_t{1} << lane;
+            switch (op.code) {
+              case FrameOpCode::Depol1: {
+                const std::uint64_t k = rng.uniformInt(3); // X, Y, Z
+                fx |= k != 2 ? bit : 0;
+                fz |= k != 0 ? bit : 0;
+                break;
+              }
+              case FrameOpCode::Pauli1: {
+                const double u = rng.uniform(); // X | Y | Z
+                fx |= u < ch.pickXY ? bit : 0;
+                fz |= u >= ch.pickX ? bit : 0;
+                break;
+              }
+              case FrameOpCode::Depol2: {
+                // Bits of 1..15 are (X_a, Z_a, X_b, Z_b); 0 is II.
+                const std::uint64_t v = 1 + rng.uniformInt(15);
+                fx |= (v & 1) << lane;
+                fz |= ((v >> 1) & 1) << lane;
+                gx |= ((v >> 2) & 1) << lane;
+                gz |= ((v >> 3) & 1) << lane;
+                break;
+              }
+              default:
+                break; // X_ERROR / Z_ERROR: the error mask is the flip
+            }
+        });
+    if (!err)
+        return 0;
+    if (op.code == FrameOpCode::XError || op.code == FrameOpCode::ZError)
+        fx = err;
+    m[0] = fx;
+    m[1] = fz;
+    m[2] = gx;
+    m[3] = gz;
+    return err;
+}
+
+/**
  * Interpret ops in [begin, end) over the frame words, delivering each
  * measurement word through @p record.  Shared by the whole-batch and
- * sliced entry points so both consume the RNG stream identically — the
- * op order, the draw sites and the pre-resolved probabilities are the
- * same instructions either way.
+ * sliced entry points, and resolving noise through resolveNoise like
+ * the block path, so every path consumes the RNG stream identically.
  */
 template <typename MeasSink>
 std::uint64_t
-interpretOps(const FrameOp* op, const FrameOp* end, std::uint64_t* x,
-             std::uint64_t* z, int depol2_retries, Rng& rng,
-             MeasSink&& record)
+interpretOps(const FrameOp* op, const FrameOp* end,
+             const NoiseChannel* channels, std::uint64_t* x,
+             std::uint64_t* z, Rng& generator, MeasSink&& record)
 {
+    // A local copy of the generator can live in registers; the frame
+    // stores below could alias the caller's.
+    Rng rng = generator;
     std::uint64_t flips = 0;
+    std::uint64_t m[4] = {};
     for (; op != end; ++op) {
         switch (op->code) {
           case FrameOpCode::H:
@@ -88,87 +199,91 @@ interpretOps(const FrameOp* op, const FrameOp* end, std::uint64_t* x,
             x[op->a] = 0;
             z[op->a] = 0;
             break;
-          case FrameOpCode::XError: {
-            const std::uint64_t err = rng.biasedWord(op->p0);
-            x[op->a] ^= err;
-            flips += simd::popcountWord(err);
-            break;
-          }
-          case FrameOpCode::ZError: {
-            const std::uint64_t err = rng.biasedWord(op->p0);
-            z[op->a] ^= err;
-            flips += simd::popcountWord(err);
-            break;
-          }
-          case FrameOpCode::Pauli1: {
-            const std::uint64_t err = rng.biasedWord(op->p0);
-            const std::uint64_t pick_x = rng.biasedWord(op->p1);
-            const std::uint64_t pick_y = rng.biasedWord(op->p2);
-            const std::uint64_t mx = err & pick_x;
-            const std::uint64_t my = err & ~pick_x & pick_y;
-            const std::uint64_t mz = err & ~pick_x & ~pick_y;
-            x[op->a] ^= mx | my;
-            z[op->a] ^= mz | my;
-            flips += simd::popcountWord(err);
-            break;
-          }
-          case FrameOpCode::Depol1: {
-            const std::uint64_t err = rng.biasedWord(op->p0);
-            const std::uint64_t pick_x = rng.biasedWord(1.0 / 3.0);
-            const std::uint64_t pick_y = rng.biasedWord(0.5);
-            const std::uint64_t mx = err & pick_x;
-            const std::uint64_t my = err & ~pick_x & pick_y;
-            const std::uint64_t mz = err & ~pick_x & ~pick_y;
-            x[op->a] ^= mx | my;
-            z[op->a] ^= mz | my;
-            flips += simd::popcountWord(err);
-            break;
-          }
+          case FrameOpCode::XError:
+          case FrameOpCode::ZError:
+          case FrameOpCode::Pauli1:
+          case FrameOpCode::Depol1:
           case FrameOpCode::Depol2: {
-            const std::uint64_t err = rng.biasedWord(op->p0);
+            const std::uint64_t err =
+                resolveNoise(*op, channels[op->channel], rng, m);
             if (!err)
                 break;
-            // Uniform non-identity two-qubit Pauli per erring lane:
-            // draw 4 random bits and reject the all-zero combination.
-            std::uint64_t v0 = rng(), v1 = rng(), v2 = rng(), v3 = rng();
-            for (int tries = 0; tries < depol2_retries; ++tries) {
-                const std::uint64_t zero = err & ~(v0 | v1 | v2 | v3);
-                if (!zero)
-                    break;
-                const std::uint64_t r0 = rng(), r1 = rng(), r2 = rng(),
-                                    r3 = rng();
-                v0 = (v0 & ~zero) | (r0 & zero);
-                v1 = (v1 & ~zero) | (r1 & zero);
-                v2 = (v2 & ~zero) | (r2 & zero);
-                v3 = (v3 & ~zero) | (r3 & zero);
-            }
-            // Any lane still all-zero after the retries (prob 16^-12
-            // at the default budget) is forced to X on qubit a.
-            const std::uint64_t still = err & ~(v0 | v1 | v2 | v3);
-            v0 |= still;
-            x[op->a] ^= err & v0;
-            z[op->a] ^= err & v1;
-            x[op->b] ^= err & v2;
-            z[op->b] ^= err & v3;
             flips += simd::popcountWord(err);
+            if (op->code == FrameOpCode::ZError) {
+                z[op->a] ^= m[0];
+                break;
+            }
+            x[op->a] ^= m[0];
+            z[op->a] ^= m[1]; // zero for X_ERROR
+            if (op->code == FrameOpCode::Depol2) {
+                x[op->b] ^= m[2];
+                z[op->b] ^= m[3];
+            }
             break;
           }
         }
     }
+    generator = rng;
     return flips;
+}
+
+/** Constants of one distinct channel; see NoiseChannel. */
+NoiseChannel
+makeChannel(double p, double pick_x, double pick_xy)
+{
+    NoiseChannel ch;
+    ch.certain = p >= 1.0;
+    ch.pickX = pick_x;
+    ch.pickXY = pick_xy;
+    if (ch.certain || !(p > 0.0))
+        return ch; // erring stays all-zero: no draw ever errs
+    // 1 - (1-p)^k through expm1/log1p keeps tiny p at full double
+    // precision; the running max keeps the table non-decreasing.
+    const double log_clean = std::log1p(-p);
+    for (unsigned k = 1; k <= 64; ++k) {
+        const double e = -std::expm1(static_cast<double>(k) * log_clean);
+        const std::uint64_t t =
+            e >= 1.0 ? ~std::uint64_t{0}
+                     : static_cast<std::uint64_t>(std::ldexp(e, 64));
+        ch.erring[k] = std::max(ch.erring[k - 1], t);
+    }
+    // Buckets of width 2^bucketShift cover every erring draw
+    // [0, erring[64]); each starts at the run of its lower edge.
+    const std::uint64_t top = ch.erring[64] - 1;
+    while ((top >> ch.bucketShift) >= ch.runStart.size())
+        ++ch.bucketShift;
+    unsigned k = 0;
+    for (std::size_t b = 0; b < ch.runStart.size(); ++b) {
+        const std::uint64_t edge = std::uint64_t{b} << ch.bucketShift;
+        while (k < 64 && ch.erring[k + 1] <= edge)
+            ++k;
+        ch.runStart[b] = static_cast<std::uint8_t>(k);
+    }
+    return ch;
 }
 
 } // namespace
 
 std::shared_ptr<const FrameProgram>
-FrameProgram::compile(const Circuit& circuit, int depol2_retries)
+FrameProgram::compile(const Circuit& circuit)
 {
     auto prog = std::make_shared<FrameProgram>();
     prog->nQubits = circuit.numQubits();
     prog->nMeas = circuit.numMeasurements();
     prog->nDets = circuit.numDetectors();
     prog->nObs = circuit.numObservables();
-    prog->depol2Retries = depol2_retries;
+
+    // One NoiseChannel per distinct (p, PAULI1 split): a d=13 memory
+    // circuit has ~20k noise ops but only a handful of channels.
+    std::map<std::array<double, 3>, std::uint32_t> channel_ids;
+    const auto channel = [&](double p, double pick_x, double pick_xy) {
+        const auto [it, fresh] = channel_ids.try_emplace(
+            {p, pick_x, pick_xy},
+            static_cast<std::uint32_t>(prog->channels.size()));
+        if (fresh)
+            prog->channels.push_back(makeChannel(p, pick_x, pick_xy));
+        return it->second;
+    };
 
     // Observable includes are concatenated per id; XOR-folding the
     // combined list equals XOR-accumulating the individual includes.
@@ -236,11 +351,11 @@ FrameProgram::compile(const Circuit& circuit, int depol2_retries)
             break;
           case OpCode::X_ERROR:
             f.code = FrameOpCode::XError;
-            f.p0 = op.params[0];
+            f.channel = channel(op.params[0], 0.0, 0.0);
             break;
           case OpCode::Z_ERROR:
             f.code = FrameOpCode::ZError;
-            f.p0 = op.params[0];
+            f.channel = channel(op.params[0], 0.0, 0.0);
             break;
           case OpCode::PAULI1: {
             const double px = op.params[0];
@@ -248,21 +363,18 @@ FrameProgram::compile(const Circuit& circuit, int depol2_retries)
             const double pz = op.params[2];
             const double ptot = px + py + pz;
             if (ptot <= 0.0)
-                continue; // interpreter breaks before any rng draw
-            const double rest = py + pz;
+                continue; // the identity channel: no effect, no draw
             f.code = FrameOpCode::Pauli1;
-            f.p0 = ptot;
-            f.p1 = px / ptot;
-            f.p2 = rest > 0.0 ? py / rest : 0.0;
+            f.channel = channel(ptot, px / ptot, (px + py) / ptot);
             break;
           }
           case OpCode::DEPOL1:
             f.code = FrameOpCode::Depol1;
-            f.p0 = op.params[0];
+            f.channel = channel(op.params[0], 0.0, 0.0);
             break;
           case OpCode::DEPOL2:
             f.code = FrameOpCode::Depol2;
-            f.p0 = op.params[0];
+            f.channel = channel(op.params[0], 0.0, 0.0);
             break;
           case OpCode::DETECTOR:
             for (auto m : op.targets)
@@ -370,14 +482,14 @@ FrameProgram::runBatch(FrameScratch& scratch, Rng& rng) const
     scratch.meas.clear();
     scratch.meas.reserve(nMeas);
     return interpretOps(stream.data(), stream.data() + stream.size(),
-                        scratch.x.data(), scratch.z.data(), depol2Retries,
+                        channels.data(), scratch.x.data(), scratch.z.data(),
                         rng,
                         [&](std::uint64_t w) { scratch.meas.push_back(w); });
 }
 
 std::uint64_t
 FrameProgram::resolveNoiseTape(FrameBlockScratch& scratch,
-                               std::size_t words, Rng& rng) const
+                               std::size_t words, Rng& generator) const
 {
     HETARCH_ASSERT(words >= 1 && words <= kMaxFrameBlockWords,
                    "block width ", words, " out of range");
@@ -385,103 +497,36 @@ FrameProgram::resolveNoiseTape(FrameBlockScratch& scratch,
     scratch.x.assign(nQubits * words, 0);
     scratch.z.assign(nQubits * words, 0);
     scratch.meas.assign(nMeas * words, 0);
-    scratch.tape.resize(nTapeSlots * words);
+    scratch.tape.assign(nTapeSlots * words, 0);
     scratch.fold.resize(words);
-    if (words > 1)
-        scratch.stage.resize(nTapeSlots * words);
 
     // Word-by-word, op-by-op: exactly the draw order W sequential
-    // runBatch calls consume.  No frame state is read — every branch
-    // below (including the DEPOL2 retry loop) depends only on drawn
-    // values, which is what makes the two-pass split sound.
-    //
-    // Each batch resolves into a batch-major staging row (contiguous
-    // writes); a single blocked transpose below produces the
-    // slot-major layout replayBlock consumes.  Writing slot-major
-    // directly would stride the tape by `words` words per slot — one
-    // cache line per write at width 8 — multiplying resolution write
-    // traffic by the width.  At width 1 the two layouts coincide, so
-    // the tape is written in place.
+    // runBatch calls consume.  Errors are rare, so the tape starts
+    // zeroed and only erring ops (and the collapse words) write their
+    // slot-major rows; a clean op costs one draw and one compare.  The
+    // generator is copied so its state stays in registers (tape stores
+    // could alias the caller's).
+    Rng rng = generator;
     std::uint64_t flips = 0;
     auto* tape = scratch.tape.data();
+    std::uint64_t m[4] = {};
     for (std::size_t w = 0; w < words; ++w) {
-        auto* row = words == 1 ? tape
-                               : scratch.stage.data() + w * nTapeSlots;
         for (const auto& op : rngOps) {
-            auto* slot = row + op.tape;
-            switch (op.code) {
-              case FrameOpCode::M:
-                slot[0] = rng();
-                break;
-              case FrameOpCode::XError:
-              case FrameOpCode::ZError: {
-                const std::uint64_t err = rng.biasedWord(op.p0);
-                slot[0] = err;
-                flips += simd::popcountWord(err);
-                break;
-              }
-              case FrameOpCode::Pauli1:
-              case FrameOpCode::Depol1: {
-                const bool depol = op.code == FrameOpCode::Depol1;
-                const std::uint64_t err = rng.biasedWord(op.p0);
-                const std::uint64_t pick_x =
-                    rng.biasedWord(depol ? 1.0 / 3.0 : op.p1);
-                const std::uint64_t pick_y =
-                    rng.biasedWord(depol ? 0.5 : op.p2);
-                const std::uint64_t mx = err & pick_x;
-                const std::uint64_t my = err & ~pick_x & pick_y;
-                const std::uint64_t mz = err & ~pick_x & ~pick_y;
-                slot[0] = mx | my;
-                slot[1] = mz | my;
-                flips += simd::popcountWord(err);
-                break;
-              }
-              case FrameOpCode::Depol2: {
-                const std::uint64_t err = rng.biasedWord(op.p0);
-                if (!err) {
-                    // The interpreter breaks before any v-draw; zero
-                    // tape rows make the replay XORs no-ops.
-                    slot[0] = slot[1] = slot[2] = slot[3] = 0;
-                    break;
-                }
-                std::uint64_t v0 = rng(), v1 = rng(), v2 = rng(),
-                              v3 = rng();
-                for (int tries = 0; tries < depol2Retries; ++tries) {
-                    const std::uint64_t zero =
-                        err & ~(v0 | v1 | v2 | v3);
-                    if (!zero)
-                        break;
-                    const std::uint64_t r0 = rng(), r1 = rng(),
-                                        r2 = rng(), r3 = rng();
-                    v0 = (v0 & ~zero) | (r0 & zero);
-                    v1 = (v1 & ~zero) | (r1 & zero);
-                    v2 = (v2 & ~zero) | (r2 & zero);
-                    v3 = (v3 & ~zero) | (r3 & zero);
-                }
-                const std::uint64_t still = err & ~(v0 | v1 | v2 | v3);
-                v0 |= still;
-                slot[0] = err & v0;
-                slot[1] = err & v1;
-                slot[2] = err & v2;
-                slot[3] = err & v3;
-                flips += simd::popcountWord(err);
-                break;
-              }
-              default:
-                break; // zero-slot ops never land in rngOps
+            auto* slot = tape + op.tape * words + w;
+            if (op.code == FrameOpCode::M) {
+                *slot = rng();
+                continue;
             }
+            const std::uint64_t err =
+                resolveNoise(op, channels[op.channel], rng, m);
+            if (!err)
+                continue;
+            flips += simd::popcountWord(err);
+            for (std::uint32_t j = 0; j < tapeSlotsOf(op.code); ++j)
+                slot[j * words] = m[j];
         }
     }
-
-    // stage[w * slots + s] -> tape[s * words + w].  Slot-outer order
-    // keeps the tape writes contiguous; the reads advance `words`
-    // sequential streams, one per batch row.
-    if (words > 1) {
-        const auto* stage = scratch.stage.data();
-        for (std::size_t s = 0; s < nTapeSlots; ++s)
-            for (std::size_t w = 0; w < words; ++w)
-                tape[s * words + w] = stage[w * nTapeSlots + s];
-    }
+    generator = rng;
     return flips;
 }
 
@@ -619,8 +664,8 @@ FrameProgram::runSlice(std::size_t s, FrameStreamScratch& scratch,
     const std::size_t mask = ringCapacity - 1;
     auto* ring = scratch.measRing.data();
     return interpretOps(stream.data() + info.opBegin,
-                        stream.data() + info.opEnd, scratch.x.data(),
-                        scratch.z.data(), depol2Retries, rng,
+                        stream.data() + info.opEnd, channels.data(),
+                        scratch.x.data(), scratch.z.data(), rng,
                         [&](std::uint64_t w) {
                             ring[scratch.measCursor++ & mask] = w;
                         });

@@ -9,27 +9,50 @@
  * A FrameProgram hoists all of that out of the hot loop:
  *
  *   - unitary/noise/measure ops become a dense array of compact
- *     FrameOps with pre-resolved noise plans (e.g. the PAULI1 channel's
- *     conditional branch probabilities are divided out at compile
- *     time), and ops that neither touch the frame nor consume
+ *     FrameOps, and ops that neither touch the frame nor consume
  *     randomness (bare Paulis, annotations, zero-probability PAULI1)
  *     are dropped entirely;
+ *   - every distinct noise channel gets one NoiseChannel of
+ *     precomputed constants that its ops index, so the per-op cost of
+ *     a d=13 circuit's ~20k noise ops is one index, not one table;
  *   - DETECTOR/OBSERVABLE annotations become CSR lists of
  *     measurement-record indices, so folding a batch is one sparse XOR
  *     pass over packed words instead of an op-list scan.
  *
- * The compiled program consumes the RNG stream *identically* to the
- * legacy interpreter: every op that draws randomness is kept (even
- * no-op ones like X_ERROR(p=0), whose biasedWord call returns without
- * drawing — dropping it would be safe, but keeping the call sites
- * aligned makes the equivalence argument local to each opcode), the op
- * order is unchanged, and pre-resolved probabilities are the same IEEE
- * doubles the interpreter would compute per batch.  This is what lets
- * fixed-seed artifacts survive the migration bit-for-bit.
+ * Noise is resolved under RNG contract v2, which fixes what every
+ * generator word means and so what a seed samples:
+ *
+ *   - 64-shot words are resolved one after another, and within a word
+ *     the RNG-consuming ops run in stream order;
+ *   - M draws one word, the collapse mask of the frame's Z component;
+ *   - a noise op with error probability p < 1 draws one 64-bit word r,
+ *     read as the uniform u = 1 - r / 2^64 on (0, 1].  No lane errs iff
+ *     u <= (1-p)^64, the common case below threshold, which costs one
+ *     integer compare against a precomputed threshold.  Otherwise the
+ *     first erring lane is the largest k with u <= (1-p)^k (the
+ *     geometric gap's inverse CDF), and each later erring lane comes
+ *     from one more word by the same rule over the lanes that remain
+ *     (Gidney's sparse Bernoulli sampling, Quantum 5, 497, 2021).  The
+ *     gap after lane 63 is never drawn.  Thresholds carry full double
+ *     precision, no logarithm is taken per draw, and u is never 0;
+ *   - p >= 1 errs every lane without drawing a gap;
+ *   - each erring lane of a Pauli channel then picks its Pauli with
+ *     one exact draw: DEPOL1 uniformInt(3) over X, Y, Z; DEPOL2
+ *     1 + uniformInt(15) over the non-identity two-qubit Paulis;
+ *     PAULI1 one uniform against the channel's cumulative X, X+Y
+ *     thresholds.
+ *
+ * Cost per 64-shot word is one draw per noise op plus O(error events).
+ * No resolution step reads frame state, so the draws of a word are fixed
+ * before any frame update; that is what lets the block path resolve a
+ * whole tape first and replay it afterwards, and what makes samples
+ * bit-identical across block widths, worker counts and the streaming
+ * path.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -51,14 +74,14 @@ enum class FrameOpCode : std::uint8_t
     M,       ///< record x[a]; one rng draw collapses the z frame
     R,       ///< clear x/z on qubit a
     MR,      ///< record x[a], then clear (no rng draw)
-    XError,  ///< p0 = probability
-    ZError,  ///< p0 = probability
-    Pauli1,  ///< p0 = ptot, p1 = P(X | error), p2 = P(Y | error, not X)
-    Depol1,  ///< p0 = probability
-    Depol2,  ///< qubits a/b, p0 = probability
+    XError,  ///< X flip on erring lanes
+    ZError,  ///< Z flip on erring lanes
+    Pauli1,  ///< X/Y/Z per the channel's pick thresholds
+    Depol1,  ///< uniform X/Y/Z on erring lanes
+    Depol2,  ///< qubits a/b, uniform non-identity two-qubit Pauli
 };
 
-/** One compiled op.  Noise plans are pre-resolved into p0/p1/p2. */
+/** One compiled op. */
 struct FrameOp
 {
     FrameOpCode code;
@@ -71,9 +94,34 @@ struct FrameOp
      * into the frame.  Zero-slot ops (pure Cliffords, R) never read it.
      */
     std::uint32_t tape = 0;
-    double p0 = 0.0;
-    double p1 = 0.0;
-    double p2 = 0.0;
+    /** Noise ops: index into FrameProgram::noiseChannels(). */
+    std::uint32_t channel = 0;
+};
+
+/**
+ * Precomputed constants of one distinct noise channel (an error
+ * probability p plus, for PAULI1, its component split), shared by
+ * every op of the program that applies it.
+ */
+struct NoiseChannel
+{
+    /**
+     * erring[k] = (1 - (1-p)^k) * 2^64, rounded: a uniform 64-bit draw
+     * lies below it with the probability that at least one of k lanes
+     * errs.  Non-decreasing, erring[0] = 0; all zero when p <= 0.
+     */
+    std::array<std::uint64_t, 65> erring{};
+    /**
+     * Search accelerator for the inverse CDF: runStart[b] is the
+     * clean-lane run of the draw b << bucketShift, the lower edge of
+     * bucket b; the buckets cover every draw below erring[64].
+     */
+    std::array<std::uint8_t, 256> runStart{};
+    unsigned bucketShift = 0;
+    /** p >= 1: every lane errs and no gap is drawn. */
+    bool certain = false;
+    double pickX = 0.0;  ///< PAULI1: P(X | error)
+    double pickXY = 0.0; ///< PAULI1: P(X or Y | error)
 };
 
 /** Reusable per-thread frame state for 64-shot batches. */
@@ -99,9 +147,6 @@ struct FrameBlockScratch
     std::vector<std::uint64_t> z;
     std::vector<std::uint64_t> meas;
     std::vector<std::uint64_t> tape; ///< resolved noise masks, slot-major
-    /// Batch-major resolution staging (transposed into `tape`; see
-    /// resolveNoiseTape) — untouched at width 1.
-    std::vector<std::uint64_t> stage;
     std::vector<std::uint64_t> fold; ///< annotation-fold accumulator row
 };
 
@@ -148,17 +193,9 @@ struct FrameStreamScratch
 class FrameProgram
 {
   public:
-    /**
-     * Lower @p circuit.  @p depol2_retries is the rejection-sampling
-     * retry budget of the DEPOL2 channel; the default matches the
-     * legacy interpreter and must not be changed outside tests (the
-     * RNG-consumption contract pins it).
-     */
+    /** Lower @p circuit. */
     static std::shared_ptr<const FrameProgram>
-    compile(const Circuit& circuit, int depol2_retries = kDepol2Retries);
-
-    /** Legacy interpreter's DEPOL2 retry budget. */
-    static constexpr int kDepol2Retries = 12;
+    compile(const Circuit& circuit);
 
     std::size_t numQubits() const { return nQubits; }
     std::size_t numMeasurements() const { return nMeas; }
@@ -166,6 +203,11 @@ class FrameProgram
     std::size_t numObservables() const { return nObs; }
 
     const std::vector<FrameOp>& ops() const { return stream; }
+    /** Distinct noise channels, indexed by FrameOp::channel. */
+    const std::vector<NoiseChannel>& noiseChannels() const
+    {
+        return channels;
+    }
 
     /** Measurement indices of detector @p d (CSR view). */
     const std::uint32_t* detMeasBegin(std::size_t d) const
@@ -215,12 +257,12 @@ class FrameProgram
     // same generator, including the generator's post-state.  The
     // equivalence rests on two facts:
     //
-    //   1. RNG consumption is *frame-independent*: every draw site —
-    //      including the DEPOL2 rejection retries, which depend only on
-    //      previously drawn values — consumes the stream without
-    //      looking at x/z.  So the resolution pass can draw word w's
-    //      entire noise tape before word w+1's (the exact sequential
-    //      order runBatch uses) while deferring all frame updates.
+    //   1. RNG consumption is *frame-independent*: every draw of
+    //      contract v2 (gap, Pauli pick, collapse word) depends only on
+    //      earlier draws, never on x/z.  So the resolution pass can
+    //      draw word w's entire noise tape before word w+1's (the exact
+    //      sequential order runBatch uses) while deferring all frame
+    //      updates.  Both passes call the same per-op resolver.
     //   2. Frame propagation is bitwise per lane: with the draws fixed
     //      on the tape, replaying the op stream over W-word rows
     //      computes each word exactly as the 1-word interpreter would.
@@ -236,7 +278,9 @@ class FrameProgram
      * Pass 1: size @p scratch for a @p words-word block and resolve
      * the whole block's noise tape, drawing word-by-word in the exact
      * sequential runBatch order.  Frame and measurement rows are
-     * zeroed.  Returns the applied error-lane popcount over all words
+     * zeroed, the tape is zeroed and then written only where a lane
+     * errs (plus every collapse word), straight into its slot-major
+     * rows.  Returns the applied error-lane popcount over all words
      * (the frame_flips contribution, identical to the sum of W
      * runBatch returns).
      */
@@ -327,8 +371,8 @@ class FrameProgram
     std::size_t nMeas = 0;
     std::size_t nDets = 0;
     std::size_t nObs = 0;
-    int depol2Retries = kDepol2Retries;
     std::vector<FrameOp> stream;
+    std::vector<NoiseChannel> channels;
     /** RNG-consuming ops only (tape slots assigned), resolution order. */
     std::vector<FrameOp> rngOps;
     std::size_t nTapeSlots = 0;

@@ -21,14 +21,14 @@ TEST(Sweep, GridSizeAndOrder)
     s.parameter("a", {1, 2, 3}).parameter("b", {10, 20});
     EXPECT_EQ(s.size(), 6u);
 
-    std::vector<std::pair<double, double>> visited;
-    s.run([&](const DesignPoint& p) -> Metrics {
-        visited.push_back({p.at("a"), p.at("b")});
+    // run() evaluates points on any worker, in any order, but returns
+    // them in grid order.
+    const auto results = s.run([](const DesignPoint& p) -> Metrics {
         return {{"sum", p.at("a") + p.at("b")}};
     });
-    ASSERT_EQ(visited.size(), 6u);
-    EXPECT_EQ(visited.front(), (std::pair<double, double>{1, 10}));
-    EXPECT_EQ(visited.back(), (std::pair<double, double>{3, 20}));
+    ASSERT_EQ(results.size(), 6u);
+    EXPECT_EQ(results.front().first, (DesignPoint{{"a", 1}, {"b", 10}}));
+    EXPECT_EQ(results.back().first, (DesignPoint{{"a", 3}, {"b", 20}}));
 }
 
 TEST(Sweep, ArgminFindsOptimum)

@@ -170,16 +170,15 @@ TEST(PackedDecode, PackedSamplesMatchReferenceAcrossWorkerCounts)
     const std::uint64_t base = 0xfeedbeefcafe1234ull;
     const exec::ShotScheduler sched(shots);
 
-    // Reference: the legacy op-list interpreter, run serially chunk by
-    // chunk with the production chunk streams.
+    // Reference: the sampler run serially chunk by chunk, outside the
+    // pool, with the production chunk streams.
     const stab::FrameSimulator frame(circuit);
     stab::DetectorSamples reference;
     reference.resize(0, circuit.numDetectors(), circuit.numObservables());
     for (std::size_t i = 0; i < sched.numChunks(); ++i) {
         const auto chunk = sched.chunk(i);
         Rng chunk_rng = exec::ShotScheduler::chunkRng(base, chunk.index);
-        reference.append(
-            frame.sampleDetectorsReference(chunk.count, chunk_rng));
+        reference.append(frame.sampleDetectors(chunk.count, chunk_rng));
     }
     ASSERT_EQ(reference.shots, shots);
 
