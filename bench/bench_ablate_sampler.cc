@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 
 #include "core/table.hh"
@@ -23,6 +24,7 @@
 #include "stab/tableau.hh"
 
 #include "bench_util.hh"
+#include "support/packed_samples.hh"
 
 namespace {
 
@@ -77,8 +79,8 @@ BENCHMARK(BM_FrameResolveTape)->Arg(3)->Arg(5)->Arg(9)->Arg(13);
 void
 BM_FrameReplayBlock(benchmark::State& state)
 {
-    // Pure frame propagation (the vectorized replay pass) at a given
-    // block width; the noise tape is resolved once outside the loop.
+    // Pure frame propagation (the replay pass) at a given block width;
+    // the noise tape is resolved once outside the loop.
     const auto words = static_cast<std::size_t>(state.range(0));
     const auto circ = qec::surfaceMemoryZ(9, 9, noiseModel());
     const auto prog = stab::FrameProgram::compile(circ);
@@ -198,29 +200,28 @@ main(int argc, char** argv)
 
     std::cout << "\n=== Ablation: word-parallel blocks (W=8) vs 1-word "
                  "blocks ===\n";
-    // Two arms per distance: "sample" is end-to-end sampleDetectors
-    // (sequential noise-tape resolution + vectorized replay), "replay"
-    // is the frame-propagation pass alone.  Samples are bit-identical
-    // at every width by the RNG-order invariant, so the speedup is a
-    // pure throughput delta.
+    // Two arms per distance: "sample" is end-to-end sampling (noise
+    // resolution, replay and fold) through sampleDetectors at W=8
+    // against the same block calls at W=1; "replay" is the
+    // frame-propagation pass alone.  Samples are bit-identical at every
+    // width by the RNG-order invariant, so the speedup is a pure
+    // throughput delta.
     TextTable w({"distance", "arm", "w=8(ms)", "w=1(ms)", "speedup",
                  "bit-identical"});
-    const std::size_t saved_width = stab::frameBlockWords();
     for (std::size_t d : {3ul, 5ul, 9ul, 13ul}) {
         const auto circ = qec::surfaceMemoryZ(d, d, noiseModel());
         const std::size_t shots = 2048;
         stab::FrameSimulator frame(circ);
 
-        stab::setFrameBlockWords(8);
         Rng rng_w(1);
         const auto s0 = clock::now();
         const auto wide = frame.sampleDetectors(shots, rng_w);
         const auto s1 = clock::now();
 
-        stab::setFrameBlockWords(1);
         Rng rng_n(1);
         const auto n0 = clock::now();
-        const auto narrow = frame.sampleDetectors(shots, rng_n);
+        const auto narrow =
+            stab::sampleAtWidth(frame.program(), shots, 1, rng_n);
         const auto n1 = clock::now();
 
         const bool identical = wide.detWords == narrow.detWords &&
@@ -262,7 +263,6 @@ main(int argc, char** argv)
                   formatFixed(o_ms, 2),
                   formatFixed(o_ms / b_ms, 1) + "x", "-"});
     }
-    stab::setFrameBlockWords(saved_width);
     w.print(std::cout);
     std::cout.flush();
 

@@ -13,10 +13,6 @@
  *   --threads=N            same as HETARCH_THREADS, takes precedence
  *   HETARCH_METRICS_OUT=F  write the obs snapshot (JSON) to F
  *   --metrics-out=F        same, takes precedence
- *   HETARCH_SIMD_WIDTH=N   sampler block width in 64-shot words
- *                          (1..8, default 8); results are
- *                          bit-identical for any value
- *   --simd-width=N         same as HETARCH_SIMD_WIDTH, takes precedence
  *
  * The metrics snapshot is taken after the artifact but before the
  * microbenchmarks: google-benchmark picks iteration counts adaptively,
@@ -32,12 +28,10 @@
 #include <cstring>
 #include <iostream>
 
-#include "core/simd.hh"
 #include "dse/experiments.hh"
 #include "exec/thread_pool.hh"
 #include "obs/json.hh"
 #include "obs/obs.hh"
-#include "stab/frame.hh"
 
 namespace hetarch {
 namespace bench {
@@ -76,59 +70,23 @@ configureThreads(int& argc, char** argv)
     argc = out;
 }
 
-/**
- * Consume a leading --simd-width=N argument (if any) into
- * stab::setFrameBlockWords, leaving the remaining argv for
- * google-benchmark.
- */
-inline void
-configureSimdWidth(int& argc, char** argv)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        constexpr const char* kFlag = "--simd-width=";
-        if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0) {
-            const long n = std::strtol(argv[i] + std::strlen(kFlag),
-                                       nullptr, 10);
-            if (n >= 1)
-                ::hetarch::stab::setFrameBlockWords(
-                    static_cast<std::size_t>(n));
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-}
-
-/**
- * Consume the bench-harness flags (--threads, --simd-width,
- * --metrics-out) and record the detected SIMD backend width as the
- * machine-dependent stab.sampler.simd_width counter.  Recording from
- * the harness — never from library paths — keeps per-job counter
- * deltas machine-independent for the service determinism contract.
- */
+/** Consume the bench-harness flags (--threads, --metrics-out). */
 inline void
 configure(int& argc, char** argv)
 {
     configureThreads(argc, argv);
-    configureSimdWidth(argc, argv);
     obs::configureMetricsFromArgs(argc, argv);
-    stab::recordSimdTelemetry();
 }
 
 /**
- * Print the run configuration header: worker count plus the active
- * SIMD backend and sampler block width.  Custom bench mains call this
- * right after configure(); HETARCH_BENCH_MAIN does it for the rest.
+ * Print the run configuration header: the worker count.  Custom bench
+ * mains call this right after configure(); HETARCH_BENCH_MAIN does it
+ * for the rest.
  */
 inline void
 printRunHeader()
 {
     std::cout << "exec threads: " << exec::threadCount() << "\n";
-    std::cout << "simd backend: " << simd::backendName() << " ("
-              << simd::vectorWords()
-              << " words/vector), sampler block: "
-              << stab::frameBlockWords() << " words\n";
 }
 
 /** Print one experiment table under a banner. */

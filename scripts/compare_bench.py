@@ -37,14 +37,6 @@ TIMING_TOLERANCE = 0.5
 
 SCHEMA = "hetarch-obs-v1"
 
-# Machine-dependent counters: recorded for provenance (which SIMD
-# backend produced an artifact), excluded from exact comparison so a
-# baseline generated on an AVX2 host still compares clean on a
-# scalar-only or NEON runner.  Everything else stays exactly gated —
-# the pipelines' own counters are bit-identical across backends by the
-# scalar-fallback guarantee.
-MACHINE_DEPENDENT = {"stab.sampler.simd_width"}
-
 # Companion-counter rules: when the key counter appears in a snapshot,
 # every listed companion must appear too.  Exact comparison alone can't
 # catch instrumentation that silently vanishes from BOTH sides when a
@@ -127,8 +119,6 @@ def compare_counters(name, baseline, current):
     base = baseline.get("counters", {})
     cur = current.get("counters", {})
     for counter in sorted(set(base) | set(cur)):
-        if counter in MACHINE_DEPENDENT:
-            continue
         if counter not in cur:
             failures.append(f"{name}: counter '{counter}' missing from "
                             f"current run (baseline={base[counter]})")
@@ -237,8 +227,7 @@ def self_test():
                      "qec.decode.batch_dedup_hits": 700,
                      "stab.sampler.batches": 64,
                      "stab.sampler.noise_words": 35840,
-                     "stab.sampler.rng_draws": 22400,
-                     "stab.sampler.simd_width": 4},
+                     "stab.sampler.rng_draws": 22400},
         "histograms": {},
         "spans": [],
     }
@@ -362,19 +351,6 @@ def self_test():
     del no_draws["counters"]["stab.sampler.rng_draws"]
     checks.append(("rng-draw companion dropped from both sides",
                    result(no_draws, no_draws, bench) == 1))
-
-    # Machine-dependent counters never gate: differing values and
-    # one-sided presence both compare clean.
-    other_width = json.loads(json.dumps(metrics))
-    other_width["counters"]["stab.sampler.simd_width"] = 1
-    checks.append(("differing simd_width is not gated",
-                   result(metrics, other_width, bench) == 0))
-    no_width = json.loads(json.dumps(metrics))
-    del no_width["counters"]["stab.sampler.simd_width"]
-    checks.append(("one-sided simd_width is not gated",
-                   result(metrics, no_width, bench) == 0))
-    checks.append(("one-sided simd_width is not gated (baseline)",
-                   result(no_width, metrics, bench) == 0))
 
     # A wrong schema tag must fail.
     bad_schema = json.loads(json.dumps(metrics))

@@ -9,17 +9,14 @@
 #
 # Usage:
 #   scripts/run_bench.sh [--build-dir build] [--out-dir bench-results]
-#                        [--quick] [--threads N|auto] [--simd-width N]
+#                        [--quick] [--threads N|auto]
 #                        [--no-micro] [bench_name...]
 #
 # With no bench names, every bench_* binary in <build-dir>/bench runs.
-# HETARCH_QUICK / HETARCH_THREADS / HETARCH_SIMD_WIDTH in the
-# environment are honored.  --threads auto resolves to the machine's
-# core count (1 when nproc is unavailable).  --simd-width N sets the
-# sampler's block width in 64-shot words (1..8; artifacts are
-# bit-identical at every width, only throughput changes).  --no-micro
-# skips the google-benchmark microbenchmarks and only produces the
-# deterministic artifact + metrics snapshot.
+# HETARCH_QUICK / HETARCH_THREADS in the environment are honored.
+# --threads auto resolves to the machine's core count (1 when nproc is
+# unavailable).  --no-micro skips the google-benchmark microbenchmarks
+# and only produces the deterministic artifact + metrics snapshot.
 #
 # Outputs are staged in a temp directory and moved into --out-dir only
 # after the binary exits cleanly: a crashed benchmark leaves no partial
@@ -31,7 +28,6 @@ build_dir=build
 out_dir=bench-results
 threads="${HETARCH_THREADS:-}"
 quick="${HETARCH_QUICK:-}"
-simd_width="${HETARCH_SIMD_WIDTH:-}"
 no_micro=
 benches=()
 
@@ -41,7 +37,6 @@ while [[ $# -gt 0 ]]; do
         --out-dir)   out_dir=$2; shift 2 ;;
         --quick)     quick=1; shift ;;
         --threads)   threads=$2; shift 2 ;;
-        --simd-width) simd_width=$2; shift 2 ;;
         --no-micro)  no_micro=1; shift ;;
         -h|--help)   grep '^#' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
         *)           benches+=("$1"); shift ;;
@@ -58,10 +53,6 @@ if [[ "$threads" == "auto" ]]; then
 fi
 if [[ -n "$threads" && ! "$threads" =~ ^[0-9]+$ ]]; then
     echo "error: --threads expects a positive integer or 'auto', got '$threads'" >&2
-    exit 1
-fi
-if [[ -n "$simd_width" && ! "$simd_width" =~ ^[1-8]$ ]]; then
-    echo "error: --simd-width expects an integer in 1..8, got '$simd_width'" >&2
     exit 1
 fi
 
@@ -88,7 +79,6 @@ trap 'rm -rf "$staging"' EXIT
 env_args=()
 [[ -n "$quick" ]] && env_args+=("HETARCH_QUICK=1")
 [[ -n "$threads" ]] && env_args+=("HETARCH_THREADS=$threads")
-[[ -n "$simd_width" ]] && env_args+=("HETARCH_SIMD_WIDTH=$simd_width")
 
 bench_args=()
 # '^$' matches no benchmark name: artifact + metrics only.  Without
@@ -103,7 +93,7 @@ for name in "${benches[@]}"; do
         echo "error: benchmark binary $bin not found" >&2
         exit 1
     fi
-    echo ">>> $name (threads=${threads:-auto}, quick=${quick:-0}, simd-width=${simd_width:-default}, micro=$([[ -n "$no_micro" ]] && echo no || echo yes))"
+    echo ">>> $name (threads=${threads:-auto}, quick=${quick:-0}, micro=$([[ -n "$no_micro" ]] && echo no || echo yes))"
     out_args=(--benchmark_format=console)
     if [[ -z "$no_micro" ]]; then
         out_args+=("--benchmark_out=$staging/BENCH_$name.json"

@@ -210,10 +210,9 @@ void flowFindings(const FlowAnalysis& analysis, LintReport& report);
 
 /**
  * Process-wide memoization of flow analyses, keyed on (circuit
- * content, timing model content, options content) — the
- * ScheduleCache discipline: build-once via shared futures, wholesale
- * eviction over capacity, deterministic hit/miss telemetry
- * (`lint.flow.cache_hits` / `lint.flow.cache_misses`).
+ * content, timing model content, options content) in a BuildOnceCache
+ * like ScheduleCache's (`lint.flow.cache_hits` /
+ * `lint.flow.cache_misses`).
  */
 class FlowCache
 {

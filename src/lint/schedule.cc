@@ -1,11 +1,9 @@
 #include "lint/schedule.hh"
 
 #include <algorithm>
-#include <future>
-#include <mutex>
 #include <sstream>
-#include <unordered_map>
 
+#include "core/build_once_cache.hh"
 #include "core/logging.hh"
 #include "exec/thread_pool.hh"
 #include "obs/obs.hh"
@@ -411,39 +409,10 @@ scheduleFindings(const ScheduleAnalysis& analysis, LintReport& report)
 
 struct ScheduleCache::Impl
 {
-    struct Key
-    {
-        std::uint64_t circuitHash;
-        std::uint64_t numOps;
-        std::uint64_t modelHash;
-        std::uint64_t faultsHash;
-
-        bool operator==(const Key& o) const
-        {
-            return circuitHash == o.circuitHash && numOps == o.numOps &&
-                   modelHash == o.modelHash &&
-                   faultsHash == o.faultsHash;
-        }
-    };
-
-    struct KeyHash
-    {
-        std::size_t operator()(const Key& k) const
-        {
-            return static_cast<std::size_t>(
-                k.circuitHash ^ (k.numOps * 0x9e3779b97f4a7c15ull) ^
-                (k.modelHash * 0xff51afd7ed558ccdull) ^ k.faultsHash);
-        }
-    };
-
-    /** Whole-cache eviction threshold; sweeps touch shapes in bursts. */
-    static constexpr std::size_t kCapacity = 128;
-
-    using Future =
-        std::shared_future<std::shared_ptr<const ScheduleAnalysis>>;
-
-    mutable std::mutex mutex;
-    std::unordered_map<Key, Future, KeyHash> entries;
+    /** (circuit hash, op count, timing-model hash, fault hash). */
+    BuildOnceCache<ScheduleAnalysis, 4> analyses{[](bool hit, std::size_t) {
+        (hit ? cCacheHits : cCacheMisses).add();
+    }};
 };
 
 namespace {
@@ -484,46 +453,25 @@ ScheduleCache::analysis(const stab::Circuit& circuit,
                         const TimingModel& model,
                         const SchedOptions& options)
 {
-    const Impl::Key key{stab::hashCircuit(circuit),
-                        circuit.ops().size(), hashTimingModel(model),
-                        hashFaultStructure(options.faults)};
-    std::promise<std::shared_ptr<const ScheduleAnalysis>> promise;
-    Impl::Future future;
-    {
-        std::lock_guard<std::mutex> lock(impl->mutex);
-        auto it = impl->entries.find(key);
-        if (it != impl->entries.end()) {
-            cCacheHits.add();
-            future = it->second;
-        } else {
-            cCacheMisses.add();
-            if (impl->entries.size() >= Impl::kCapacity)
-                impl->entries.clear();
-            impl->entries.emplace(key, promise.get_future().share());
-        }
-    }
-    if (future.valid())
-        return future.get();
-    // This thread claimed the build; the analyzer is deterministic, so
-    // waiters get exactly what a fresh run would produce.
-    auto analysis = std::make_shared<const ScheduleAnalysis>(
-        analyzeSchedule(circuit, model, options));
-    promise.set_value(analysis);
-    return analysis;
+    return impl->analyses.get(
+        {stab::hashCircuit(circuit), circuit.ops().size(),
+         hashTimingModel(model), hashFaultStructure(options.faults)},
+        [&] {
+            return std::make_shared<const ScheduleAnalysis>(
+                analyzeSchedule(circuit, model, options));
+        });
 }
 
 void
 ScheduleCache::clear()
 {
-    std::lock_guard<std::mutex> lock(impl->mutex);
-    impl->entries.clear();
+    impl->analyses.clear();
 }
 
 std::size_t
 ScheduleCache::size() const
 {
-    std::lock_guard<std::mutex> lock(impl->mutex);
-    return impl->entries.size();
+    return impl->analyses.size();
 }
 
 } // namespace sched

@@ -212,10 +212,11 @@ void scheduleFindings(const ScheduleAnalysis& analysis,
 
 /**
  * Process-wide memoization of schedule analyses, keyed on (circuit
- * content, timing model content, fault-structure content) — the
- * qec::DecoderCache discipline: build-once via shared futures,
- * wholesale eviction over capacity, deterministic hit/miss telemetry
- * (`lint.sched.cache_hits` / `lint.sched.cache_misses`).
+ * content, timing model content, fault-structure content) in a
+ * BuildOnceCache (core/build_once_cache.hh): build-once via shared
+ * futures, wholesale eviction over capacity, no entry left by a failed
+ * build, deterministic hit/miss telemetry (`lint.sched.cache_hits` /
+ * `lint.sched.cache_misses`).
  */
 class ScheduleCache
 {

@@ -1,9 +1,8 @@
 #include "qec/decoder_cache.hh"
 
-#include <future>
-#include <mutex>
-#include <unordered_map>
+#include <atomic>
 
+#include "core/build_once_cache.hh"
 #include "core/logging.hh"
 #include "obs/obs.hh"
 #include "qec/surface_circuit.hh"
@@ -81,78 +80,29 @@ DecoderSetup::build(const stab::Circuit& circuit, DecoderKind kind)
 
 struct DecoderCache::Impl
 {
-    struct Key
+    /** Setup and fault-analysis hits since construction, for hits(). */
+    std::atomic<std::size_t> hitCount{0};
+    /** (circuit hash, op count, detector count, decoder kind). */
+    BuildOnceCache<DecoderSetup, 4> setups{
+        [this](bool hit, std::size_t evicted) {
+            hitCount += hit;
+            (hit ? cCacheHits : cCacheMisses).add();
+            if (evicted)
+                cCacheEvictions.add(evicted);
+        }};
+    /** (circuit hash, op count, detector count, max weight, union bound). */
+    BuildOnceCache<lint::FaultAnalysis, 5> faults{
+        [this](bool hit, std::size_t) {
+            hitCount += hit;
+            (hit ? cFaultHits : cFaultMisses).add();
+        }};
+
+    static BuildOnceCache<DecoderSetup, 4>::Key
+    setupKey(const stab::Circuit& circuit, DecoderKind kind)
     {
-        std::uint64_t hash;
-        std::uint64_t numOps;
-        std::uint64_t numDetectors;
-        DecoderKind kind;
-
-        bool operator==(const Key& other) const
-        {
-            return hash == other.hash && numOps == other.numOps &&
-                   numDetectors == other.numDetectors &&
-                   kind == other.kind;
-        }
-    };
-
-    struct KeyHash
-    {
-        std::size_t operator()(const Key& k) const
-        {
-            return static_cast<std::size_t>(
-                k.hash ^ (k.numOps * 0x9e3779b97f4a7c15ull) ^
-                (static_cast<std::uint64_t>(k.kind) << 62));
-        }
-    };
-
-    /** Whole-cache eviction threshold; sweeps touch shapes in bursts. */
-    static constexpr std::size_t kCapacity = 128;
-
-    /**
-     * Entries hold futures, not finished setups: the first requester
-     * of a key claims the build and every concurrent requester waits
-     * on the same future, so each key is built exactly once.
-     */
-    using SetupFuture =
-        std::shared_future<std::shared_ptr<const DecoderSetup>>;
-
-    /** Fault analyses are keyed on circuit content plus options. */
-    struct FaultKey
-    {
-        std::uint64_t hash;
-        std::uint64_t numOps;
-        std::uint64_t numDetectors;
-        std::uint64_t maxWeight;
-        bool unionBound;
-
-        bool operator==(const FaultKey& other) const
-        {
-            return hash == other.hash && numOps == other.numOps &&
-                   numDetectors == other.numDetectors &&
-                   maxWeight == other.maxWeight &&
-                   unionBound == other.unionBound;
-        }
-    };
-
-    struct FaultKeyHash
-    {
-        std::size_t operator()(const FaultKey& k) const
-        {
-            return static_cast<std::size_t>(
-                k.hash ^ (k.numOps * 0x9e3779b97f4a7c15ull) ^
-                (k.maxWeight * 0xff51afd7ed558ccdull) ^
-                (static_cast<std::uint64_t>(k.unionBound) << 63));
-        }
-    };
-
-    using FaultFuture =
-        std::shared_future<std::shared_ptr<const lint::FaultAnalysis>>;
-
-    mutable std::mutex mutex;
-    std::unordered_map<Key, SetupFuture, KeyHash> entries;
-    std::unordered_map<FaultKey, FaultFuture, FaultKeyHash> faultEntries;
-    std::size_t hitCount = 0;
+        return {qec::hashCircuit(circuit), circuit.ops().size(),
+                circuit.numDetectors(), static_cast<std::uint64_t>(kind)};
+    }
 };
 
 DecoderCache::DecoderCache() : impl(std::make_unique<Impl>()) {}
@@ -168,114 +118,49 @@ DecoderCache::instance()
 std::shared_ptr<const DecoderSetup>
 DecoderCache::get(const stab::Circuit& circuit, DecoderKind kind)
 {
-    const Impl::Key key{qec::hashCircuit(circuit), circuit.ops().size(),
-                        circuit.numDetectors(), kind};
-    std::promise<std::shared_ptr<const DecoderSetup>> promise;
-    Impl::SetupFuture future;
-    {
-        std::lock_guard<std::mutex> lock(impl->mutex);
-        auto it = impl->entries.find(key);
-        if (it != impl->entries.end()) {
-            ++impl->hitCount;
-            cCacheHits.add();
-            future = it->second;
-        } else {
-            cCacheMisses.add();
-            if (impl->entries.size() >= Impl::kCapacity) {
-                cCacheEvictions.add(impl->entries.size());
-                impl->entries.clear();
-            }
-            impl->entries.emplace(key, promise.get_future().share());
-        }
-    }
-    if (future.valid()) {
-        // A concurrent builder may still be working; wait for its
-        // result (never the pool's caller building it — the builder
-        // runs on its own thread and needs no help to finish).
-        return future.get();
-    }
-    // This thread claimed the build; do it outside the lock.  Setups
-    // are deterministic, so waiters get exactly what a fresh build
-    // would produce.
-    auto setup = DecoderSetup::build(circuit, kind);
-    promise.set_value(setup);
-    return setup;
+    return impl->setups.get(Impl::setupKey(circuit, kind), [&] {
+        return DecoderSetup::build(circuit, kind);
+    });
 }
 
 std::shared_ptr<const lint::FaultAnalysis>
 DecoderCache::faultAnalysis(const stab::Circuit& circuit,
                             const lint::FaultOptions& options)
 {
-    const Impl::FaultKey key{qec::hashCircuit(circuit),
-                             circuit.ops().size(),
-                             circuit.numDetectors(), options.maxWeight,
-                             options.unionBound};
-    std::promise<std::shared_ptr<const lint::FaultAnalysis>> promise;
-    Impl::FaultFuture future;
-    Impl::SetupFuture setup_future;
-    {
-        std::lock_guard<std::mutex> lock(impl->mutex);
-        auto it = impl->faultEntries.find(key);
-        if (it != impl->faultEntries.end()) {
-            ++impl->hitCount;
-            cFaultHits.add();
-            future = it->second;
-        } else {
-            cFaultMisses.add();
-            if (impl->faultEntries.size() >= Impl::kCapacity)
-                impl->faultEntries.clear();
-            impl->faultEntries.emplace(key, promise.get_future().share());
-            // Reuse the DEM of an already-cached decoder setup for the
-            // same circuit (either kind) instead of rebuilding it.
-            for (auto kind : {DecoderKind::UnionFind,
-                              DecoderKind::GreedyDem}) {
-                const Impl::Key setup_key{key.hash, key.numOps,
-                                          key.numDetectors, kind};
-                auto sit = impl->entries.find(setup_key);
-                if (sit != impl->entries.end()) {
-                    setup_future = sit->second;
-                    break;
-                }
-            }
+    const BuildOnceCache<lint::FaultAnalysis, 5>::Key key{
+        qec::hashCircuit(circuit), circuit.ops().size(),
+        circuit.numDetectors(), options.maxWeight, options.unionBound};
+    return impl->faults.get(key, [&] {
+        // Reuse the DEM of a cached decoder setup for the same circuit
+        // (either kind) instead of rebuilding it.
+        for (auto kind : {DecoderKind::UnionFind, DecoderKind::GreedyDem}) {
+            const auto setup =
+                impl->setups.find(Impl::setupKey(circuit, kind));
+            if (setup.valid())
+                return std::make_shared<const lint::FaultAnalysis>(
+                    lint::analyzeFaults(setup.get()->dem, options));
         }
-    }
-    if (future.valid())
-        return future.get();
-
-    // This thread claimed the build.  The analyzer is deterministic,
-    // so waiters get exactly what a fresh run would produce.
-    std::shared_ptr<const lint::FaultAnalysis> analysis;
-    if (setup_future.valid()) {
-        const auto setup = setup_future.get();
-        analysis = std::make_shared<const lint::FaultAnalysis>(
-            lint::analyzeFaults(setup->dem, options));
-    } else {
-        analysis = std::make_shared<const lint::FaultAnalysis>(
+        return std::make_shared<const lint::FaultAnalysis>(
             lint::analyzeCircuitFaults(circuit, options));
-    }
-    promise.set_value(analysis);
-    return analysis;
+    });
 }
 
 void
 DecoderCache::clear()
 {
-    std::lock_guard<std::mutex> lock(impl->mutex);
-    impl->entries.clear();
-    impl->faultEntries.clear();
+    impl->setups.clear();
+    impl->faults.clear();
 }
 
 std::size_t
 DecoderCache::size() const
 {
-    std::lock_guard<std::mutex> lock(impl->mutex);
-    return impl->entries.size() + impl->faultEntries.size();
+    return impl->setups.size() + impl->faults.size();
 }
 
 std::size_t
 DecoderCache::hits() const
 {
-    std::lock_guard<std::mutex> lock(impl->mutex);
     return impl->hitCount;
 }
 

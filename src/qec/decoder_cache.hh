@@ -75,9 +75,11 @@ struct DecoderSetup
 };
 
 /**
- * Process-wide setup cache keyed on (circuit content, decoder kind).
- * Thread-safe; bounded (evicts wholesale when over capacity, since
- * sweeps touch each shape in bursts).
+ * Process-wide setup cache keyed on (circuit content, decoder kind),
+ * built on BuildOnceCache (core/build_once_cache.hh): thread-safe,
+ * bounded (evicts wholesale when over capacity, since sweeps touch
+ * each shape in bursts), and a setup build that throws leaves no entry
+ * behind, so the next request for that circuit builds afresh.
  */
 class DecoderCache
 {

@@ -27,7 +27,7 @@ obs::Counter& cTrivialShots = obs::counter("qec.decode.trivial_shots");
 // Shot-batched decode telemetry.  Blocks have the fixed
 // SlidingWindowDecoder::kDecodeBlockWords granularity and dedup hits
 // depend on the sampled syndromes alone, so all three are invariant
-// under worker count and sampler SIMD width.
+// under worker count.
 obs::Counter& cBatchBlocks = obs::counter("qec.decode.batch_blocks");
 obs::Counter& cBatchShots = obs::counter("qec.decode.batch_shots");
 obs::Counter& cBatchDedupHits =
@@ -104,13 +104,13 @@ runMemoryExperiment(const stab::Circuit& circuit, std::size_t shots,
     exec::parallelFor(sched.numChunks(), [&](std::size_t i) {
         const auto chunk = sched.chunk(i);
         Rng chunk_rng = exec::ShotScheduler::chunkRng(base, chunk.index);
-        // Sample the chunk with the word-parallel block sampler, then
-        // decode it through the shot-batched buffer entry.  The chunk
-        // buffer is bounded (<= kDefaultChunkShots shots, a few packed
-        // words per detector), and RNG-consumption parity makes the
-        // sampled bits — and hence the failures and every
-        // data-dependent counter — identical to the streamed
-        // round-by-round path at any worker count or SIMD width.
+        // Sample the chunk with the word-block sampler, then decode it
+        // through the shot-batched buffer entry.  The chunk buffer is
+        // bounded (<= kDefaultChunkShots shots, a few packed words per
+        // detector), and RNG-consumption parity makes the sampled
+        // bits — and hence the failures and every data-dependent
+        // counter — identical to the streamed round-by-round path at
+        // any worker count.
         const stab::FrameSimulator frame(setup->program);
         const auto samples = frame.sampleDetectors(chunk.count, chunk_rng);
         SlidingWindowDecoder kernel(*setup, decoder);

@@ -100,9 +100,9 @@ class SlidingWindowDecoder
 
     /**
      * Shots-per-block granularity of decodeBuffer(), in 64-shot words.
-     * Fixed (not tied to the sampler's configurable SIMD width) so the
-     * decoder's batching — and therefore its dedup telemetry — is
-     * invariant under HETARCH_SIMD_WIDTH and worker count alike.
+     * Fixed and separate from the sampler's block width, so the
+     * decoder's batching — and therefore its dedup telemetry — depends
+     * on the sampled data alone, whatever the worker count.
      */
     static constexpr std::size_t kDecodeBlockWords = 4;
 

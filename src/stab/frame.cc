@@ -1,12 +1,9 @@
 #include "stab/frame.hh"
 
 #include <algorithm>
-#include <bit>
-#include <mutex>
 #include <utility>
 
 #include "core/logging.hh"
-#include "core/simd.hh"
 #include "obs/obs.hh"
 
 namespace hetarch {
@@ -19,7 +16,7 @@ namespace {
 // of a shot budget and any worker count.  noise_words counts resolved
 // noise-tape rows (tape slots x 64-shot batches) — a function of the
 // program and the shot budget alone, so it too is invariant under
-// worker count AND under the sampler's SIMD block width.  rng_draws
+// worker count AND under the sampler's block width.  rng_draws
 // counts the generator words noise resolution consumed; each chunk's
 // draws are fixed by its seed and RNG contract v2, whatever the width
 // or the worker count.
@@ -31,38 +28,6 @@ obs::Counter& cNoiseWords = obs::counter("stab.sampler.noise_words");
 obs::Counter& cRngDraws = obs::counter("stab.sampler.rng_draws");
 
 } // namespace
-
-std::size_t
-DetectorSamples::shotWeight(std::size_t shot) const
-{
-    HETARCH_DEBUG_ASSERT(shot < shots, "shot ", shot, " out of range");
-    const std::size_t w = shot / 64;
-    const std::uint64_t bit = std::uint64_t{1} << (shot % 64);
-    std::size_t weight = 0;
-    for (std::size_t d = 0; d < numDetectors; ++d)
-        weight += (detWords[d * numWords + w] & bit) != 0;
-    return weight;
-}
-
-std::vector<std::uint8_t>
-DetectorSamples::unpackedDetectors() const
-{
-    std::vector<std::uint8_t> out(shots * numDetectors);
-    for (std::size_t s = 0; s < shots; ++s)
-        for (std::size_t d = 0; d < numDetectors; ++d)
-            out[s * numDetectors + d] = det(s, d);
-    return out;
-}
-
-std::vector<std::uint8_t>
-DetectorSamples::unpackedObservables() const
-{
-    std::vector<std::uint8_t> out(shots * numObservables);
-    for (std::size_t s = 0; s < shots; ++s)
-        for (std::size_t k = 0; k < numObservables; ++k)
-            out[s * numObservables + k] = obs(s, k);
-    return out;
-}
 
 void
 DetectorSamples::resize(std::size_t n_shots, std::size_t n_detectors,
@@ -143,25 +108,26 @@ DetectorStream::next(Rng& rng, SyndromeBlock& block)
     }
 
     if (curSlice == 0)
-        prog->beginStream(scratch);
+        prog->beginBlock(scratch, 1, /*ring=*/true);
 
     const auto& info = prog->sliceInfo(curSlice);
     const std::size_t lanes =
         std::min<std::size_t>(64, nShots - curBatch * 64);
     const std::uint64_t draws0 = rng.draws();
-    flips += prog->runSlice(curSlice, scratch, rng);
+    flips += prog->resolveSlices(scratch, curSlice, curSlice + 1, rng);
     draws += rng.draws() - draws0;
+    prog->replaySlices(scratch, curSlice, curSlice + 1);
 
     block.batch = curBatch;
     block.slice = curSlice;
     block.lanes = lanes;
     block.detBegin = info.detBegin;
-    block.detWords.assign(info.detEnd - info.detBegin, 0);
-    block.obsWords.assign(prog->numObservables(), 0);
+    block.detWords.resize(info.detEnd - info.detBegin);
+    block.obsWords.resize(prog->numObservables());
     const std::uint64_t mask =
         lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
-    prog->foldSlice(curSlice, scratch, mask, block.detWords.data(), 1,
-                    block.obsWords.data(), 1);
+    prog->foldSlices(scratch, curSlice, curSlice + 1, mask,
+                     block.detWords.data(), 1, block.obsWords.data(), 1);
 
     block.lastSliceOfBatch = curSlice + 1 == prog->numSlices();
     if (block.lastSliceOfBatch) {
@@ -195,17 +161,17 @@ FrameSimulator::sampleDetectors(std::size_t shots, Rng& rng) const
     std::uint64_t flips = 0;
     const std::uint64_t draws0 = rng.draws();
 
-    // Word-parallel blocks: up to frameBlockWords() 64-shot batches are
-    // propagated per program walk.  Noise is resolved word-by-word in
-    // the exact sequential RNG order (resolveNoiseTape), so samples are
+    // Word blocks: up to frameBlockWords() 64-shot batches are
+    // propagated per program walk.  Noise is resolved word by word in
+    // the order of RNG contract v2 (resolveNoiseTape), so samples are
     // bit-identical at every block width — see DESIGN.md.
-    const std::size_t block =
-        std::min(frameBlockWords(), kMaxFrameBlockWords);
+    const std::size_t block = frameBlockWords();
     FrameBlockScratch scratch;
     for (std::size_t w0 = 0; w0 < out.numWords; w0 += block) {
         const std::size_t words =
             std::min<std::size_t>(block, out.numWords - w0);
-        flips += prog->runBatchBlock(scratch, words, rng);
+        flips += prog->resolveNoiseTape(scratch, words, rng);
+        prog->replayBlock(scratch);
         batches += words;
         const std::size_t last_lanes =
             std::min<std::size_t>(64, shots - (w0 + words - 1) * 64);
@@ -222,30 +188,6 @@ FrameSimulator::sampleDetectors(std::size_t shots, Rng& rng) const
     cFrameFlips.add(flips);
     cNoiseWords.add(prog->tapeWords() * batches);
     cRngDraws.add(rng.draws() - draws0);
-    return out;
-}
-
-void
-recordSimdTelemetry()
-{
-    // Machine-dependent by design (excluded from exact metric compare);
-    // recorded once per process, and only from the bench harness — the
-    // library paths never touch it, so per-job counter-delta snapshots
-    // stay machine-independent and deterministic.
-    static std::once_flag once;
-    std::call_once(once, [] {
-        obs::counter("stab.sampler.simd_width").add(simd::vectorWords());
-    });
-}
-
-std::vector<std::uint8_t>
-FrameSimulator::sampleMeasurementFlips(Rng& rng) const
-{
-    FrameScratch scratch;
-    prog->runBatch(scratch, rng);
-    std::vector<std::uint8_t> out(scratch.meas.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = static_cast<std::uint8_t>(scratch.meas[i] & 1);
     return out;
 }
 

@@ -77,44 +77,6 @@ struct DetectorSamples
         return obsWords[k * numWords + w];
     }
 
-    /**
-     * Whether detector @p d fired in shot @p shot.  Test-only compat
-     * accessor: per-(shot, detector) bit extraction re-derives the
-     * lane/word split on every call.  Production paths iterate packed
-     * word blocks directly (detWord / obsWord); every non-test call
-     * site has been migrated.
-     */
-    std::uint8_t det(std::size_t shot, std::size_t d) const
-    {
-        HETARCH_DEBUG_ASSERT(shot < shots && d < numDetectors,
-                             "detector sample (", shot, ",", d,
-                             ") out of range");
-        return static_cast<std::uint8_t>(
-            (detWords[d * numWords + shot / 64] >> (shot % 64)) & 1);
-    }
-    /** Observable @p k's value in shot @p shot; test-only, see det(). */
-    std::uint8_t obs(std::size_t shot, std::size_t k) const
-    {
-        HETARCH_DEBUG_ASSERT(shot < shots && k < numObservables,
-                             "observable sample (", shot, ",", k,
-                             ") out of range");
-        return static_cast<std::uint8_t>(
-            (obsWords[k * numWords + shot / 64] >> (shot % 64)) & 1);
-    }
-
-    /** Number of fired detectors in shot @p shot (popcount column). */
-    std::size_t shotWeight(std::size_t shot) const;
-
-    /**
-     * Test-only compat accessors: the pre-packing shot-major uint8
-     * layout, detectors[shot * numDetectors + d].  O(shots x
-     * detectors); cross-validation tests compare layouts through
-     * these, production code iterates the packed words.
-     */
-    std::vector<std::uint8_t> unpackedDetectors() const;
-    /** observables[shot * numObservables + k]; see unpackedDetectors. */
-    std::vector<std::uint8_t> unpackedObservables() const;
-
     /** Allocate zeroed rows for @p n_shots shots. */
     void resize(std::size_t n_shots, std::size_t n_detectors,
                 std::size_t n_observables);
@@ -148,16 +110,16 @@ struct SyndromeBlock
 
 /**
  * Incremental detector sampling: emits the shots of one chunk as
- * SyndromeBlocks, batch-major then slice-major, over the bounded
- * measurement ring of FrameStreamScratch — peak storage is one slice
- * plus the program's measurement lookback, independent of the round
- * count.
+ * SyndromeBlocks, batch-major then slice-major, running the program's
+ * resolve -> replay -> fold kernels one slice at a time at one word
+ * into the bounded measurement ring — peak storage is one slice plus
+ * the program's measurement lookback, independent of the round count.
  *
- * RNG and telemetry parity with FrameSimulator::sampleDetectors: the
- * stream consumes the generator identically (sliced execution resolves
- * noise through the same per-op resolver as the block path, under RNG
- * contract v2) and flushes the same stab.sampler.* counter totals
- * exactly once, when the stream is exhausted.
+ * RNG and telemetry parity with FrameSimulator::sampleDetectors: at
+ * one word the slice-by-slice draws are the whole program's RNG
+ * contract v2 order, so the stream consumes the generator identically,
+ * and it flushes the same stab.sampler.* counter totals exactly once,
+ * when the stream is exhausted.
  */
 class DetectorStream
 {
@@ -182,7 +144,7 @@ class DetectorStream
     std::size_t nBatches;
     std::size_t curBatch = 0;
     std::size_t curSlice = 0;
-    FrameStreamScratch scratch;
+    FrameBlockScratch scratch;
     std::uint64_t flips = 0;
     std::uint64_t draws = 0;
     bool flushed = false;
@@ -210,27 +172,11 @@ class FrameSimulator
      */
     DetectorSamples sampleDetectors(std::size_t shots, Rng& rng) const;
 
-    /**
-     * Single-shot sampling of raw measurement *flips* relative to the
-     * noiseless reference (mostly for tests and DEM cross-checks).
-     */
-    std::vector<std::uint8_t> sampleMeasurementFlips(Rng& rng) const;
-
     const FrameProgram& program() const { return *prog; }
 
   private:
     std::shared_ptr<const FrameProgram> prog;
 };
-
-/**
- * Record the detected SIMD backend width as the one-shot gauge counter
- * `stab.sampler.simd_width` (64-bit words per vector op: 4 for AVX2, 2
- * for NEON, 1 for the scalar fallback).  The value is machine-dependent
- * by design, so compare_bench.py excludes it from exact comparison;
- * call this from bench harnesses only, never from library paths, so
- * deterministic counter-delta snapshots stay machine-independent.
- */
-void recordSimdTelemetry();
 
 } // namespace stab
 } // namespace hetarch

@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <map>
+#include <type_traits>
 #include <utility>
 
 #include "core/logging.hh"
-#include "core/simd.hh"
 #include "obs/obs.hh"
 
 namespace hetarch {
@@ -94,14 +92,12 @@ forEachErringLane(const NoiseChannel& ch, Rng& rng, Visit&& visit)
 }
 
 /**
- * Resolve noise op @p op over one 64-lane word.  The single resolver
- * behind both interpretOps (1-word and sliced execution) and
- * resolveNoiseTape (block execution), so the paths cannot drift.
+ * Resolve noise op @p op over one 64-lane word under RNG contract v2.
  * Returns the erring-lane mask; when it is non-zero, @p m holds the
  * op's flip masks in tape-slot order (X_ERROR/Z_ERROR: the error
  * mask; PAULI1/DEPOL1: X then Z flips of qubit a; DEPOL2: X_a, Z_a,
- * X_b, Z_b).  Forced inline, like the helpers above, so the callers'
- * generator copies never leave registers.
+ * X_b, Z_b).  Forced inline, like the helpers above, so the caller's
+ * generator copy never leaves registers.
  */
 [[gnu::always_inline]] inline std::uint64_t
 resolveNoise(const FrameOp& op, const NoiseChannel& ch, Rng& rng,
@@ -149,82 +145,43 @@ resolveNoise(const FrameOp& op, const NoiseChannel& ch, Rng& rng,
 }
 
 /**
- * Interpret ops in [begin, end) over the frame words, delivering each
- * measurement word through @p record.  Shared by the whole-batch and
- * sliced entry points, and resolving noise through resolveNoise like
- * the block path, so every path consumes the RNG stream identically.
+ * Call @p body with the block width as a compile-time constant
+ * (std::integral_constant), so the row loops below get fixed trip
+ * counts: the compiler unrolls them into plain loads and stores instead
+ * of looping, or calling memset/memcpy, once per row.
  */
-template <typename MeasSink>
-std::uint64_t
-interpretOps(const FrameOp* op, const FrameOp* end,
-             const NoiseChannel* channels, std::uint64_t* x,
-             std::uint64_t* z, Rng& generator, MeasSink&& record)
+template <typename Body>
+void
+withBlockWords(std::size_t words, Body&& body)
 {
-    // A local copy of the generator can live in registers; the frame
-    // stores below could alias the caller's.
-    Rng rng = generator;
-    std::uint64_t flips = 0;
-    std::uint64_t m[4] = {};
-    for (; op != end; ++op) {
-        switch (op->code) {
-          case FrameOpCode::H:
-            std::swap(x[op->a], z[op->a]);
-            break;
-          case FrameOpCode::SGate:
-            z[op->a] ^= x[op->a];
-            break;
-          case FrameOpCode::CX:
-            x[op->b] ^= x[op->a];
-            z[op->a] ^= z[op->b];
-            break;
-          case FrameOpCode::CZ:
-            z[op->a] ^= x[op->b];
-            z[op->b] ^= x[op->a];
-            break;
-          case FrameOpCode::Swap:
-            std::swap(x[op->a], x[op->b]);
-            std::swap(z[op->a], z[op->b]);
-            break;
-          case FrameOpCode::M:
-            record(x[op->a]);
-            // Measurement collapse randomizes the frame phase.
-            z[op->a] ^= rng();
-            break;
-          case FrameOpCode::R:
-            x[op->a] = 0;
-            z[op->a] = 0;
-            break;
-          case FrameOpCode::MR:
-            record(x[op->a]);
-            x[op->a] = 0;
-            z[op->a] = 0;
-            break;
-          case FrameOpCode::XError:
-          case FrameOpCode::ZError:
-          case FrameOpCode::Pauli1:
-          case FrameOpCode::Depol1:
-          case FrameOpCode::Depol2: {
-            const std::uint64_t err =
-                resolveNoise(*op, channels[op->channel], rng, m);
-            if (!err)
-                break;
-            flips += simd::popcountWord(err);
-            if (op->code == FrameOpCode::ZError) {
-                z[op->a] ^= m[0];
-                break;
-            }
-            x[op->a] ^= m[0];
-            z[op->a] ^= m[1]; // zero for X_ERROR
-            if (op->code == FrameOpCode::Depol2) {
-                x[op->b] ^= m[2];
-                z[op->b] ^= m[3];
-            }
-            break;
-          }
-        }
+    static_assert(kMaxFrameBlockWords == 8, "one case per block width");
+    switch (words) {
+      case 1: return body(std::integral_constant<std::size_t, 1>{});
+      case 2: return body(std::integral_constant<std::size_t, 2>{});
+      case 3: return body(std::integral_constant<std::size_t, 3>{});
+      case 4: return body(std::integral_constant<std::size_t, 4>{});
+      case 5: return body(std::integral_constant<std::size_t, 5>{});
+      case 6: return body(std::integral_constant<std::size_t, 6>{});
+      case 7: return body(std::integral_constant<std::size_t, 7>{});
+      case 8: return body(std::integral_constant<std::size_t, 8>{});
     }
-    generator = rng;
-    return flips;
+    HETARCH_PANIC("block width ", words, " out of range");
+}
+
+/** dst[j] ^= src[j] over one W-word row. */
+inline void
+xorRow(std::uint64_t* dst, const std::uint64_t* src, std::size_t w)
+{
+    for (std::size_t j = 0; j < w; ++j)
+        dst[j] ^= src[j];
+}
+
+/** Exchange two W-word rows. */
+inline void
+swapRows(std::uint64_t* a, std::uint64_t* b, std::size_t w)
+{
+    for (std::size_t j = 0; j < w; ++j)
+        std::swap(a[j], b[j]);
 }
 
 /** Constants of one distinct channel; see NoiseChannel. */
@@ -455,18 +412,26 @@ FrameProgram::compile(const Circuit& circuit)
     prog->lookback = look;
     prog->ringCapacity = std::bit_ceil(look);
 
-    // Noise-tape layout for block execution: assign every
-    // RNG-consuming op a contiguous slot range in stream order (the
-    // resolution order), and keep a dense copy of just those ops so
-    // the per-word resolution pass never dispatches pure Cliffords.
+    // Noise-tape layout: assign every RNG-consuming op a contiguous
+    // slot range in stream order (the resolution order), and keep a
+    // dense copy of just those ops so the per-word resolution pass
+    // never dispatches pure Cliffords.  Slices own contiguous runs of
+    // both.
     std::uint32_t slot = 0;
-    for (auto& f : prog->stream) {
-        const std::uint32_t slots = tapeSlotsOf(f.code);
-        if (slots == 0)
-            continue;
-        f.tape = slot;
-        slot += slots;
-        prog->rngOps.push_back(f);
+    for (auto& s : prog->slices) {
+        s.rngBegin = static_cast<std::uint32_t>(prog->rngOps.size());
+        s.tapeBegin = slot;
+        for (std::uint32_t i = s.opBegin; i < s.opEnd; ++i) {
+            auto& f = prog->stream[i];
+            const std::uint32_t slots = tapeSlotsOf(f.code);
+            if (slots == 0)
+                continue;
+            f.tape = slot;
+            slot += slots;
+            prog->rngOps.push_back(f);
+        }
+        s.rngEnd = static_cast<std::uint32_t>(prog->rngOps.size());
+        s.tapeEnd = slot;
     }
     prog->nTapeSlots = slot;
 
@@ -474,55 +439,59 @@ FrameProgram::compile(const Circuit& circuit)
     return prog;
 }
 
-std::uint64_t
-FrameProgram::runBatch(FrameScratch& scratch, Rng& rng) const
-{
-    scratch.x.assign(nQubits, 0);
-    scratch.z.assign(nQubits, 0);
-    scratch.meas.clear();
-    scratch.meas.reserve(nMeas);
-    return interpretOps(stream.data(), stream.data() + stream.size(),
-                        channels.data(), scratch.x.data(), scratch.z.data(),
-                        rng,
-                        [&](std::uint64_t w) { scratch.meas.push_back(w); });
-}
-
-std::uint64_t
-FrameProgram::resolveNoiseTape(FrameBlockScratch& scratch,
-                               std::size_t words, Rng& generator) const
+void
+FrameProgram::beginBlock(FrameBlockScratch& scratch, std::size_t words,
+                         bool ring) const
 {
     HETARCH_ASSERT(words >= 1 && words <= kMaxFrameBlockWords,
                    "block width ", words, " out of range");
     scratch.words = words;
+    scratch.measMask = ring ? ringCapacity - 1 : ~std::size_t{0};
     scratch.x.assign(nQubits * words, 0);
     scratch.z.assign(nQubits * words, 0);
-    scratch.meas.assign(nMeas * words, 0);
-    scratch.tape.assign(nTapeSlots * words, 0);
+    scratch.meas.assign((ring ? ringCapacity : nMeas) * words, 0);
     scratch.fold.resize(words);
+}
 
-    // Word-by-word, op-by-op: exactly the draw order W sequential
-    // runBatch calls consume.  Errors are rare, so the tape starts
-    // zeroed and only erring ops (and the collapse words) write their
-    // slot-major rows; a clean op costs one draw and one compare.  The
-    // generator is copied so its state stays in registers (tape stores
-    // could alias the caller's).
+std::uint64_t
+FrameProgram::resolveSlices(FrameBlockScratch& scratch, std::size_t first,
+                            std::size_t last, Rng& generator) const
+{
+    const std::size_t words = scratch.words;
+    HETARCH_ASSERT(first < last && last <= slices.size(),
+                   "slice range [", first, ", ", last, ") out of range");
+    HETARCH_ASSERT(words == 1 || (first == 0 && last == slices.size()),
+                   "RNG contract v2 draws word by word over the whole "
+                   "program; a partial slice range runs at one word");
+    const auto& lo = slices[first];
+    const auto& hi = slices[last - 1];
+    scratch.tapeBegin = lo.tapeBegin;
+    scratch.tape.assign((hi.tapeEnd - lo.tapeBegin) * words, 0);
+
+    // Word by word, op by op: the draw order of contract v2.  Errors
+    // are rare, so the tape starts zeroed and only erring ops (and the
+    // collapse words) write their slot-major rows; a clean op costs one
+    // draw and one compare.  The generator is copied so its state stays
+    // in registers (tape stores could alias the caller's).
     Rng rng = generator;
     std::uint64_t flips = 0;
     auto* tape = scratch.tape.data();
+    const FrameOp* ops_begin = rngOps.data() + lo.rngBegin;
+    const FrameOp* ops_end = rngOps.data() + hi.rngEnd;
     std::uint64_t m[4] = {};
     for (std::size_t w = 0; w < words; ++w) {
-        for (const auto& op : rngOps) {
-            auto* slot = tape + op.tape * words + w;
-            if (op.code == FrameOpCode::M) {
+        for (const FrameOp* op = ops_begin; op != ops_end; ++op) {
+            auto* slot = tape + (op->tape - lo.tapeBegin) * words + w;
+            if (op->code == FrameOpCode::M) {
                 *slot = rng();
                 continue;
             }
             const std::uint64_t err =
-                resolveNoise(op, channels[op.channel], rng, m);
+                resolveNoise(*op, channels[op->channel], rng, m);
             if (!err)
                 continue;
-            flips += simd::popcountWord(err);
-            for (std::uint32_t j = 0; j < tapeSlotsOf(op.code); ++j)
+            flips += static_cast<std::uint64_t>(std::popcount(err));
+            for (std::uint32_t j = 0; j < tapeSlotsOf(op->code); ++j)
                 slot[j * words] = m[j];
         }
     }
@@ -531,83 +500,140 @@ FrameProgram::resolveNoiseTape(FrameBlockScratch& scratch,
 }
 
 void
-FrameProgram::replayBlock(FrameBlockScratch& scratch) const
+FrameProgram::replaySlices(FrameBlockScratch& scratch, std::size_t first,
+                           std::size_t last) const
 {
-    const std::size_t w = scratch.words;
-    HETARCH_DEBUG_ASSERT(w >= 1 && scratch.x.size() == nQubits * w,
-                         "replayBlock on an unprepared scratch");
+    HETARCH_DEBUG_ASSERT(scratch.words >= 1 &&
+                             scratch.x.size() == nQubits * scratch.words,
+                         "replay on an unprepared scratch");
+    // Locals throughout: a store through a frame row may alias any
+    // size_t field of the scratch, so reading fields in the loop would
+    // reload them after every store.
     auto* x = scratch.x.data();
     auto* z = scratch.z.data();
     auto* meas = scratch.meas.data();
-    const auto* tape = scratch.tape.data();
-    std::size_t m = 0;
-    for (const auto& op : stream) {
-        auto* xa = x + op.a * w;
-        auto* za = z + op.a * w;
-        switch (op.code) {
-          case FrameOpCode::H:
-            simd::swapWords(xa, za, w);
-            break;
-          case FrameOpCode::SGate:
-            simd::xorWords(za, xa, w);
-            break;
-          case FrameOpCode::CX:
-            simd::xorWords(x + op.b * w, xa, w);
-            simd::xorWords(za, z + op.b * w, w);
-            break;
-          case FrameOpCode::CZ:
-            simd::xorWords(za, x + op.b * w, w);
-            simd::xorWords(z + op.b * w, xa, w);
-            break;
-          case FrameOpCode::Swap:
-            simd::swapWords(xa, x + op.b * w, w);
-            simd::swapWords(za, z + op.b * w, w);
-            break;
-          case FrameOpCode::M:
-            simd::copyWords(meas + m * w, xa, w);
-            m += 1;
-            simd::xorWords(za, tape + op.tape * w, w);
-            break;
-          case FrameOpCode::R:
-            simd::zeroWords(xa, w);
-            simd::zeroWords(za, w);
-            break;
-          case FrameOpCode::MR:
-            simd::copyWords(meas + m * w, xa, w);
-            m += 1;
-            simd::zeroWords(xa, w);
-            simd::zeroWords(za, w);
-            break;
-          case FrameOpCode::XError:
-            simd::xorWords(xa, tape + op.tape * w, w);
-            break;
-          case FrameOpCode::ZError:
-            simd::xorWords(za, tape + op.tape * w, w);
-            break;
-          case FrameOpCode::Pauli1:
-          case FrameOpCode::Depol1:
-            simd::xorWords(xa, tape + op.tape * w, w);
-            simd::xorWords(za, tape + (op.tape + 1) * w, w);
-            break;
-          case FrameOpCode::Depol2:
-            simd::xorWords(xa, tape + op.tape * w, w);
-            simd::xorWords(za, tape + (op.tape + 1) * w, w);
-            simd::xorWords(x + op.b * w, tape + (op.tape + 2) * w, w);
-            simd::xorWords(z + op.b * w, tape + (op.tape + 3) * w, w);
-            break;
+    const std::size_t mask = scratch.measMask;
+    const std::uint64_t* tape_rows = scratch.tape.data();
+    const std::size_t tape_begin = scratch.tapeBegin;
+    std::size_t m = slices[first].measBegin;
+    const FrameOp* begin = stream.data() + slices[first].opBegin;
+    const FrameOp* end = stream.data() + slices[last - 1].opEnd;
+    withBlockWords(scratch.words, [&](auto words) {
+        constexpr std::size_t w = decltype(words)::value;
+        // Tape row of slot t; the range was resolved from tape_begin.
+        const auto tape = [&](std::uint32_t t) {
+            return tape_rows + (t - tape_begin) * w;
+        };
+        const auto record = [&](const std::uint64_t* row) {
+            std::copy_n(row, w, meas + (m++ & mask) * w);
+        };
+        for (const FrameOp* op = begin; op != end; ++op) {
+            auto* xa = x + op->a * w;
+            auto* za = z + op->a * w;
+            auto* xb = x + op->b * w;
+            auto* zb = z + op->b * w;
+            switch (op->code) {
+              case FrameOpCode::H:
+                swapRows(xa, za, w);
+                break;
+              case FrameOpCode::SGate:
+                xorRow(za, xa, w);
+                break;
+              case FrameOpCode::CX:
+                xorRow(xb, xa, w);
+                xorRow(za, zb, w);
+                break;
+              case FrameOpCode::CZ:
+                xorRow(za, xb, w);
+                xorRow(zb, xa, w);
+                break;
+              case FrameOpCode::Swap:
+                swapRows(xa, xb, w);
+                swapRows(za, zb, w);
+                break;
+              case FrameOpCode::M:
+                record(xa);
+                xorRow(za, tape(op->tape), w);
+                break;
+              case FrameOpCode::R:
+                std::fill_n(xa, w, 0);
+                std::fill_n(za, w, 0);
+                break;
+              case FrameOpCode::MR:
+                record(xa);
+                std::fill_n(xa, w, 0);
+                std::fill_n(za, w, 0);
+                break;
+              case FrameOpCode::XError:
+                xorRow(xa, tape(op->tape), w);
+                break;
+              case FrameOpCode::ZError:
+                xorRow(za, tape(op->tape), w);
+                break;
+              case FrameOpCode::Pauli1:
+              case FrameOpCode::Depol1:
+                xorRow(xa, tape(op->tape), w);
+                xorRow(za, tape(op->tape + 1), w);
+                break;
+              case FrameOpCode::Depol2:
+                xorRow(xa, tape(op->tape), w);
+                xorRow(za, tape(op->tape + 1), w);
+                xorRow(xb, tape(op->tape + 2), w);
+                xorRow(zb, tape(op->tape + 3), w);
+                break;
+            }
         }
-    }
-    HETARCH_DEBUG_ASSERT(m == nMeas, "measurement count mismatch in "
-                                     "block replay");
+    });
+    HETARCH_DEBUG_ASSERT(m == slices[last - 1].measEnd,
+                         "measurement count mismatch in replay");
+}
+
+void
+FrameProgram::foldSlices(FrameBlockScratch& scratch, std::size_t first,
+                         std::size_t last, std::uint64_t last_word_mask,
+                         std::uint64_t* det_words, std::size_t det_stride,
+                         std::uint64_t* obs_words,
+                         std::size_t obs_stride) const
+{
+    const std::size_t mask = scratch.measMask;
+    const auto* meas = scratch.meas.data();
+    auto* acc = scratch.fold.data();
+    const auto& lo = slices[first];
+    const auto& hi = slices[last - 1];
+    withBlockWords(scratch.words, [&](auto words) {
+        constexpr std::size_t w = decltype(words)::value;
+        const auto row = [&](std::uint32_t m) {
+            return meas + (m & mask) * w;
+        };
+        for (std::size_t d = lo.detBegin; d < hi.detEnd; ++d) {
+            std::fill_n(acc, w, 0);
+            for (const auto* m = detMeasBegin(d); m != detMeasEnd(d); ++m)
+                xorRow(acc, row(*m), w);
+            acc[w - 1] &= last_word_mask;
+            std::copy_n(acc, w, det_words + (d - lo.detBegin) * det_stride);
+        }
+        for (std::size_t k = 0; k < nObs; ++k)
+            std::fill_n(obs_words + k * obs_stride, w, 0);
+        for (std::size_t e = lo.obsBegin; e < hi.obsEnd; ++e)
+            xorRow(obs_words + sliceObsId[e] * obs_stride,
+                   row(sliceObsMeas[e]), w);
+        for (std::size_t k = 0; k < nObs; ++k)
+            obs_words[k * obs_stride + w - 1] &= last_word_mask;
+    });
 }
 
 std::uint64_t
-FrameProgram::runBatchBlock(FrameBlockScratch& scratch, std::size_t words,
-                            Rng& rng) const
+FrameProgram::resolveNoiseTape(FrameBlockScratch& scratch,
+                               std::size_t words, Rng& rng) const
 {
-    const std::uint64_t flips = resolveNoiseTape(scratch, words, rng);
-    replayBlock(scratch);
-    return flips;
+    beginBlock(scratch, words, /*ring=*/false);
+    return resolveSlices(scratch, 0, slices.size(), rng);
+}
+
+void
+FrameProgram::replayBlock(FrameBlockScratch& scratch) const
+{
+    replaySlices(scratch, 0, slices.size());
 }
 
 void
@@ -618,144 +644,8 @@ FrameProgram::foldAnnotationsBlock(FrameBlockScratch& scratch,
                                    std::uint64_t* obs_words,
                                    std::size_t obs_stride) const
 {
-    const std::size_t w = scratch.words;
-    const auto* meas = scratch.meas.data();
-    auto* acc = scratch.fold.data();
-    const auto fold_row = [&](const std::uint32_t* begin,
-                              const std::uint32_t* end,
-                              std::uint64_t* out) {
-        if (begin == end) {
-            simd::zeroWords(acc, w);
-        } else {
-            simd::copyWords(acc, meas + *begin * w, w);
-            for (const auto* m = begin + 1; m != end; ++m)
-                simd::xorWords(acc, meas + *m * w, w);
-        }
-        acc[w - 1] &= last_word_mask;
-        for (std::size_t j = 0; j < w; ++j)
-            out[j] = acc[j];
-    };
-    for (std::size_t d = 0; d < nDets; ++d)
-        fold_row(detMeasBegin(d), detMeasEnd(d),
-                 det_words + d * det_stride);
-    for (std::size_t k = 0; k < nObs; ++k)
-        fold_row(obsMeasBegin(k), obsMeasEnd(k),
-                 obs_words + k * obs_stride);
-}
-
-void
-FrameProgram::beginStream(FrameStreamScratch& scratch) const
-{
-    scratch.x.assign(nQubits, 0);
-    scratch.z.assign(nQubits, 0);
-    scratch.measRing.assign(ringCapacity, 0);
-    scratch.measCursor = 0;
-}
-
-std::uint64_t
-FrameProgram::runSlice(std::size_t s, FrameStreamScratch& scratch,
-                       Rng& rng) const
-{
-    const auto& info = slices[s];
-    HETARCH_DEBUG_ASSERT(scratch.measCursor == info.measBegin,
-                         "slices must run in order (cursor ",
-                         scratch.measCursor, ", slice starts at ",
-                         info.measBegin, ")");
-    const std::size_t mask = ringCapacity - 1;
-    auto* ring = scratch.measRing.data();
-    return interpretOps(stream.data() + info.opBegin,
-                        stream.data() + info.opEnd, channels.data(),
-                        scratch.x.data(), scratch.z.data(), rng,
-                        [&](std::uint64_t w) {
-                            ring[scratch.measCursor++ & mask] = w;
-                        });
-}
-
-void
-FrameProgram::foldAnnotations(const FrameScratch& scratch,
-                              std::uint64_t lane_mask,
-                              std::uint64_t* det_words,
-                              std::size_t det_stride,
-                              std::uint64_t* obs_words,
-                              std::size_t obs_stride) const
-{
-    const auto* meas = scratch.meas.data();
-    for (std::size_t d = 0; d < nDets; ++d) {
-        std::uint64_t word = 0;
-        for (const auto* m = detMeasBegin(d); m != detMeasEnd(d); ++m)
-            word ^= meas[*m];
-        det_words[d * det_stride] = word & lane_mask;
-    }
-    for (std::size_t k = 0; k < nObs; ++k) {
-        std::uint64_t word = 0;
-        for (const auto* m = obsMeasBegin(k); m != obsMeasEnd(k); ++m)
-            word ^= meas[*m];
-        obs_words[k * obs_stride] = word & lane_mask;
-    }
-}
-
-void
-FrameProgram::foldSlice(std::size_t s, const FrameStreamScratch& scratch,
-                        std::uint64_t lane_mask, std::uint64_t* det_words,
-                        std::size_t det_stride, std::uint64_t* obs_words,
-                        std::size_t obs_stride) const
-{
-    const auto& info = slices[s];
-    HETARCH_DEBUG_ASSERT(scratch.measCursor == info.measEnd,
-                         "foldSlice(", s, ") before its runSlice");
-    const std::size_t mask = ringCapacity - 1;
-    const auto* ring = scratch.measRing.data();
-    for (std::size_t d = info.detBegin; d < info.detEnd; ++d) {
-        std::uint64_t word = 0;
-        for (const auto* m = detMeasBegin(d); m != detMeasEnd(d); ++m)
-            word ^= ring[*m & mask];
-        det_words[(d - info.detBegin) * det_stride] = word & lane_mask;
-    }
-    for (std::size_t e = info.obsBegin; e < info.obsEnd; ++e)
-        obs_words[sliceObsId[e] * obs_stride] ^=
-            ring[sliceObsMeas[e] & mask] & lane_mask;
-}
-
-namespace {
-
-std::size_t
-clampBlockWords(long words)
-{
-    if (words < 1)
-        return 1;
-    if (words > static_cast<long>(kMaxFrameBlockWords))
-        return kMaxFrameBlockWords;
-    return static_cast<std::size_t>(words);
-}
-
-std::atomic<std::size_t>&
-blockWordsState()
-{
-    // Default: the full 8-word block (512 shots), overridable once via
-    // the environment.  Atomic because TSan-covered tests flip the
-    // width around chunk-parallel experiments.
-    static std::atomic<std::size_t> state{[] {
-        if (const char* env = std::getenv("HETARCH_SIMD_WIDTH"))
-            return clampBlockWords(std::strtol(env, nullptr, 10));
-        return kMaxFrameBlockWords;
-    }()};
-    return state;
-}
-
-} // namespace
-
-std::size_t
-frameBlockWords()
-{
-    return blockWordsState().load(std::memory_order_relaxed);
-}
-
-void
-setFrameBlockWords(std::size_t words)
-{
-    blockWordsState().store(
-        clampBlockWords(static_cast<long>(words)),
-        std::memory_order_relaxed);
+    foldSlices(scratch, 0, slices.size(), last_word_mask, det_words,
+               det_stride, obs_words, obs_stride);
 }
 
 } // namespace stab

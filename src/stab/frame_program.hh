@@ -88,10 +88,10 @@ struct FrameOp
     std::uint32_t a = 0;
     std::uint32_t b = 0;
     /**
-     * First noise-tape slot of this op (block execution): the RNG
-     * resolution pass writes the op's drawn masks into tape rows
-     * [tape, tape + slots), and the vectorized replay pass XORs them
-     * into the frame.  Zero-slot ops (pure Cliffords, R) never read it.
+     * First noise-tape slot of this op: the resolve pass writes the
+     * op's drawn masks into tape rows [tape, tape + slots), and the
+     * replay pass XORs them into the frame.  Zero-slot ops (pure
+     * Cliffords, R, MR) never read it.
      */
     std::uint32_t tape = 0;
     /** Noise ops: index into FrameProgram::noiseChannels(). */
@@ -124,25 +124,21 @@ struct NoiseChannel
     double pickXY = 0.0; ///< PAULI1: P(X or Y | error)
 };
 
-/** Reusable per-thread frame state for 64-shot batches. */
-struct FrameScratch
-{
-    std::vector<std::uint64_t> x;    ///< X-flip per qubit (bit = shot)
-    std::vector<std::uint64_t> z;    ///< Z-flip per qubit
-    std::vector<std::uint64_t> meas; ///< measurement flips, record order
-};
-
 /**
- * Reusable per-thread frame state for W-word block batches (W x 64
- * shots).  All rows are word-blocks: qubit q's X frame occupies
+ * Reusable per-thread frame state for W-word blocks (W x 64 shots).
+ * All rows are word-blocks: qubit q's X frame occupies
  * x[q * words .. q * words + words), measurement record m occupies
- * meas[m * words ..), and noise-tape slot t occupies tape[t * words ..).
- * Word j of every row holds the same 64-shot lane group, so word-major
- * slices of a block are bit-identical to W independent 64-shot batches.
+ * meas[(m & measMask) * words ..), and noise-tape slot t occupies
+ * tape[(t - tapeBegin) * words ..).  Word j of every row holds the same
+ * 64-shot lane group, so word-major slices of a block are bit-identical
+ * to W independent 64-shot batches.
  */
 struct FrameBlockScratch
 {
     std::size_t words = 0; ///< block width the buffers are sized for
+    /** Record-row mask: all ones for the full record, else the ring's. */
+    std::size_t measMask = 0;
+    std::size_t tapeBegin = 0; ///< program tape slot of tape row 0
     std::vector<std::uint64_t> x;
     std::vector<std::uint64_t> z;
     std::vector<std::uint64_t> meas;
@@ -152,37 +148,27 @@ struct FrameBlockScratch
 
 /**
  * One compiled slice ("round") of the op stream: the half-open op,
- * measurement-record, detector and per-slice-observable ranges it
- * covers.  Slices partition the stream; boundaries fall where a qubit
- * is measured for the second time since the previous boundary, which
- * for round-structured circuits (every ancilla measured once per
- * round) lands exactly one QEC round per slice.
+ * RNG-op, tape-slot, measurement-record, detector and
+ * per-slice-observable ranges it covers.  Slices partition the stream;
+ * boundaries fall where a qubit is measured for the second time since
+ * the previous boundary, which for round-structured circuits (every
+ * ancilla measured once per round) lands exactly one QEC round per
+ * slice.
  */
 struct FrameSliceInfo
 {
     std::uint32_t opBegin = 0;   ///< first compiled op of the slice
     std::uint32_t opEnd = 0;
+    std::uint32_t rngBegin = 0;  ///< first RNG-consuming op of the slice
+    std::uint32_t rngEnd = 0;
+    std::uint32_t tapeBegin = 0; ///< first noise-tape slot of the slice
+    std::uint32_t tapeEnd = 0;
     std::uint32_t measBegin = 0; ///< first measurement record
     std::uint32_t measEnd = 0;
     std::uint32_t detBegin = 0;  ///< first detector emitted in the slice
     std::uint32_t detEnd = 0;
     std::uint32_t obsBegin = 0;  ///< per-slice observable entry range
     std::uint32_t obsEnd = 0;
-};
-
-/**
- * Per-thread frame state for streaming slice execution.  Instead of
- * the full measurement record, measurement flips land in a bounded
- * power-of-two ring sized by the program's measurement lookback (how
- * far back any detector reaches, ~2 rounds for memory circuits), so
- * peak storage is independent of the round count.
- */
-struct FrameStreamScratch
-{
-    std::vector<std::uint64_t> x;
-    std::vector<std::uint64_t> z;
-    std::vector<std::uint64_t> measRing; ///< pow2-sized record ring
-    std::size_t measCursor = 0; ///< absolute index of the next record
 };
 
 /**
@@ -228,101 +214,8 @@ class FrameProgram
         return obsMeas.data() + obsOffsets[k + 1];
     }
 
-    /**
-     * Run one 64-shot batch into @p scratch (resized/cleared here, so
-     * callers just reuse one FrameScratch across batches).  Returns the
-     * number of applied noise-op error lanes (the frame_flips counter
-     * contribution), popcounted over all 64 lanes including idle lanes
-     * of a final partial batch — exactly the legacy accounting.
-     */
-    std::uint64_t runBatch(FrameScratch& scratch, Rng& rng) const;
-
-    /**
-     * XOR-fold the batch's measurement words into one packed word per
-     * detector/observable: detector d's word lands in @p det_words[d],
-     * observable k's in @p obs_words[k] (both masked by @p lane_mask so
-     * idle lanes of a partial batch stay zero).  The strides let
-     * callers write straight into detector-major packed sample
-     * buffers.
-     */
-    void foldAnnotations(const FrameScratch& scratch,
-                         std::uint64_t lane_mask, std::uint64_t* det_words,
-                         std::size_t det_stride, std::uint64_t* obs_words,
-                         std::size_t obs_stride) const;
-
-    // --- word-block (SIMD) execution --------------------------------
-    //
-    // runBatchBlock() executes W consecutive 64-shot batches at once
-    // and is bit-identical to W sequential runBatch() calls on the
-    // same generator, including the generator's post-state.  The
-    // equivalence rests on two facts:
-    //
-    //   1. RNG consumption is *frame-independent*: every draw of
-    //      contract v2 (gap, Pauli pick, collapse word) depends only on
-    //      earlier draws, never on x/z.  So the resolution pass can
-    //      draw word w's entire noise tape before word w+1's (the exact
-    //      sequential order runBatch uses) while deferring all frame
-    //      updates.  Both passes call the same per-op resolver.
-    //   2. Frame propagation is bitwise per lane: with the draws fixed
-    //      on the tape, replaying the op stream over W-word rows
-    //      computes each word exactly as the 1-word interpreter would.
-    //
-    // The two passes are exposed separately so benches can time the
-    // vectorized replay (frame propagation) apart from the RNG work,
-    // and tests can pin the tape/replay split directly.
-
     /** Noise-tape slots per 64-shot batch (rows of the tape buffer). */
     std::size_t tapeWords() const { return nTapeSlots; }
-
-    /**
-     * Pass 1: size @p scratch for a @p words-word block and resolve
-     * the whole block's noise tape, drawing word-by-word in the exact
-     * sequential runBatch order.  Frame and measurement rows are
-     * zeroed, the tape is zeroed and then written only where a lane
-     * errs (plus every collapse word), straight into its slot-major
-     * rows.  Returns the applied error-lane popcount over all words
-     * (the frame_flips contribution, identical to the sum of W
-     * runBatch returns).
-     */
-    std::uint64_t resolveNoiseTape(FrameBlockScratch& scratch,
-                                   std::size_t words, Rng& rng) const;
-
-    /**
-     * Pass 2: replay the op stream over the W-word frame rows, XORing
-     * the resolved tape at every noise site and recording measurement
-     * rows.  Requires a scratch prepared by resolveNoiseTape (or, for
-     * replay-only benchmarking, a re-zeroed frame with the tape kept).
-     */
-    void replayBlock(FrameBlockScratch& scratch) const;
-
-    /** resolveNoiseTape + replayBlock; returns the flip popcount. */
-    std::uint64_t runBatchBlock(FrameBlockScratch& scratch,
-                                std::size_t words, Rng& rng) const;
-
-    /**
-     * XOR-fold a block's measurement rows into W packed words per
-     * detector/observable: detector d's word j lands in
-     * @p det_words[d * det_stride + j], observable k's in
-     * @p obs_words[k * obs_stride + j].  @p last_word_mask masks the
-     * block's final word (idle lanes of a trailing partial batch);
-     * earlier words are always full.
-     */
-    void foldAnnotationsBlock(FrameBlockScratch& scratch,
-                              std::uint64_t last_word_mask,
-                              std::uint64_t* det_words,
-                              std::size_t det_stride,
-                              std::uint64_t* obs_words,
-                              std::size_t obs_stride) const;
-
-    // --- streaming (sliced) execution -------------------------------
-    //
-    // Running beginStream() then runSlice(0..numSlices()-1) consumes
-    // the RNG stream *identically* to one runBatch() call: the slices
-    // partition the same op array and the interpreter is shared, so
-    // every draw happens in the same order with the same parameters.
-    // foldSlice() over all slices reproduces foldAnnotations() exactly
-    // (detectors are partitioned by slice; observable words accumulate
-    // per-slice XOR contributions and must start zeroed).
 
     /** Number of compiled slices (>= 1 for a non-empty program). */
     std::size_t numSlices() const { return slices.size(); }
@@ -341,30 +234,101 @@ class FrameProgram
     /** Power-of-two capacity of the streaming measurement ring. */
     std::size_t measRingCapacity() const { return ringCapacity; }
 
-    /** Reset @p scratch for a fresh 64-shot streaming batch. */
-    void beginStream(FrameStreamScratch& scratch) const;
+    // --- execution: resolve -> replay -> fold ---------------------------
+    //
+    // One kernel set runs every program, over a range of slices at W
+    // words (W x 64 shots):
+    //
+    //   1. resolveSlices draws the range's noise tape word by word, ops
+    //      in stream order, as RNG contract v2 says.  No draw reads the
+    //      frame, so the draws of a word are fixed before any frame
+    //      update and the tape can be resolved ahead of the replay.
+    //   2. replaySlices walks the range's ops once over W-word rows,
+    //      XORing the tape in at every noise site and recording
+    //      measurement rows.  Frame propagation is bitwise per lane, so
+    //      each word comes out as a 1-word block would compute it.
+    //   3. foldSlices XOR-folds the range's detectors and observable
+    //      includes into packed words.
+    //
+    // The batch path (FrameSimulator::sampleDetectors) runs the whole
+    // program at W <= 8 through resolveNoiseTape, replayBlock and
+    // foldAnnotationsBlock.  DetectorStream runs one slice at a time at
+    // W = 1 into the bounded measurement ring: at one word, the
+    // slice-by-slice draws are exactly the whole program's word-major
+    // order, so both paths give the same bits and leave the generator
+    // in the same state.  A wider slice range would draw word 1 of a
+    // slice before word 0 of the next, which the contract does not
+    // allow; resolveSlices rejects it.
 
     /**
-     * Run slice @p s of the current batch (slices must run in order
-     * from 0).  Returns the applied error-lane popcount, the same
-     * accounting as runBatch — summed over all slices it equals the
-     * runBatch return value for the identical RNG stream.
+     * Size @p scratch for @p words-word blocks (1..kMaxFrameBlockWords)
+     * and zero its frame and record rows.  With @p ring the record is
+     * the bounded ring of measRingCapacity() rows, for slice-at-a-time
+     * execution that folds each slice before later slices overwrite
+     * its lookback; otherwise it holds all numMeasurements() rows.
      */
-    std::uint64_t runSlice(std::size_t s, FrameStreamScratch& scratch,
-                           Rng& rng) const;
+    void beginBlock(FrameBlockScratch& scratch, std::size_t words,
+                    bool ring) const;
 
     /**
-     * Fold slice @p s's annotations from the measurement ring.
-     * Detector d in [detBegin, detEnd) is *assigned* to
-     * @p det_words[(d - detBegin) * det_stride]; the slice's share of
-     * observable k is *XORed* into @p obs_words[k * obs_stride].  Call
-     * after runSlice(s) and before runSlice of a slice that overwrites
-     * the lookback window.
+     * Pass 1 over slices [@p first, @p last): zero the range's tape
+     * rows and resolve them, drawing word by word in the exact order of
+     * RNG contract v2.  Only erring ops (and every collapse word) write
+     * their slot-major rows.  Returns the applied error-lane popcount
+     * over all words, idle lanes included (the frame_flips counter
+     * contribution).  A range short of the whole program requires a
+     * 1-word scratch.
      */
-    void foldSlice(std::size_t s, const FrameStreamScratch& scratch,
-                   std::uint64_t lane_mask, std::uint64_t* det_words,
-                   std::size_t det_stride, std::uint64_t* obs_words,
-                   std::size_t obs_stride) const;
+    std::uint64_t resolveSlices(FrameBlockScratch& scratch,
+                                std::size_t first, std::size_t last,
+                                Rng& rng) const;
+
+    /**
+     * Pass 2 over slices [@p first, @p last) of the resolved range:
+     * replay the ops over the W-word frame rows, XORing the tape at
+     * every noise site and recording measurement rows.  Slices replay
+     * in order.
+     */
+    void replaySlices(FrameBlockScratch& scratch, std::size_t first,
+                      std::size_t last) const;
+
+    /**
+     * Pass 3 over slices [@p first, @p last): XOR-fold the replayed
+     * record into W packed words per detector and observable.  Detector
+     * d of the range lands in
+     * @p det_words[(d - sliceInfo(first).detBegin) * det_stride + j];
+     * observable k is assigned the range's share of its includes at
+     * @p obs_words[k * obs_stride + j], so the shares of a batch's
+     * slices XOR to the whole observable.  @p last_word_mask masks word
+     * W - 1 of every row (idle lanes of a trailing partial batch);
+     * earlier words are always full.
+     */
+    void foldSlices(FrameBlockScratch& scratch, std::size_t first,
+                    std::size_t last, std::uint64_t last_word_mask,
+                    std::uint64_t* det_words, std::size_t det_stride,
+                    std::uint64_t* obs_words, std::size_t obs_stride) const;
+
+    /**
+     * The whole program's pass 1: beginBlock over the full record, then
+     * resolveSlices over every slice.
+     */
+    std::uint64_t resolveNoiseTape(FrameBlockScratch& scratch,
+                                   std::size_t words, Rng& rng) const;
+
+    /**
+     * The whole program's pass 2.  Requires a scratch prepared by
+     * resolveNoiseTape (or, for replay-only benchmarking, one whose
+     * resolved tape is replayed again).
+     */
+    void replayBlock(FrameBlockScratch& scratch) const;
+
+    /** The whole program's pass 3; see foldSlices. */
+    void foldAnnotationsBlock(FrameBlockScratch& scratch,
+                              std::uint64_t last_word_mask,
+                              std::uint64_t* det_words,
+                              std::size_t det_stride,
+                              std::uint64_t* obs_words,
+                              std::size_t obs_stride) const;
 
   private:
     std::size_t nQubits = 0;
@@ -388,20 +352,19 @@ class FrameProgram
     std::size_t ringCapacity = 1;
 };
 
-/** Hard cap on the sampler's block width (512 shots per block). */
+/** Block width of the batch path: 8 words, 512 shots per block. */
 inline constexpr std::size_t kMaxFrameBlockWords = 8;
 
 /**
- * Process-wide sampler block width in 64-bit words (1..8; default 8 =
- * 512 shots per block, overridable via the HETARCH_SIMD_WIDTH
- * environment variable).  Results are bit-identical at every width —
- * the width only trades dispatch amortization against scratch size —
- * which the lane/word-permutation tests pin at {1, 4, 8}.
+ * The batch path's block width in 64-bit words, always
+ * kMaxFrameBlockWords.  Samples are bit-identical at every width; the
+ * tests pin that at {1, 4, 8} through explicit-width block calls.
  */
-std::size_t frameBlockWords();
-
-/** Override the block width (clamped to [1, kMaxFrameBlockWords]). */
-void setFrameBlockWords(std::size_t words);
+constexpr std::size_t
+frameBlockWords()
+{
+    return kMaxFrameBlockWords;
+}
 
 } // namespace stab
 } // namespace hetarch

@@ -9,7 +9,8 @@
  *     word-by-word beginBatch/pushBufferColumn/finishBatch loop
  *     exactly (failures, trivial shots, weight records);
  *   - runMemoryExperiment failures and every deterministic counter are
- *     invariant across sampler widths {1, 4, 8} x workers {1, 2, 8}.
+ *     invariant across workers {1, 2, 8} (sampler widths are pinned in
+ *     tests/stab/frame_block_test.cc).
  */
 
 #include <gtest/gtest.h>
@@ -36,12 +37,6 @@ struct ThreadCountGuard
 {
     explicit ThreadCountGuard(unsigned n) { exec::setThreadCount(n); }
     ~ThreadCountGuard() { exec::setThreadCount(0); }
-};
-
-struct WidthGuard
-{
-    std::size_t saved = stab::frameBlockWords();
-    ~WidthGuard() { stab::setFrameBlockWords(saved); }
 };
 
 /** Random fired-node lists at a given per-node fire probability. */
@@ -164,21 +159,19 @@ TEST(BatchDecode, DecodeBufferMatchesHistoricalWordLoop)
     }
 }
 
-TEST(BatchDecode, MemoryExperimentInvariantAcrossWidthsAndWorkers)
+TEST(BatchDecode, MemoryExperimentInvariantAcrossWorkers)
 {
     CircuitNoise noise;
     noise.p2 = 5e-3;
     const auto circuit = surfaceMemoryZ(3, 3, noise);
-    WidthGuard width_guard;
 
     struct RunState
     {
         std::size_t failures = 0;
         std::vector<std::pair<std::string, std::uint64_t>> counters;
     };
-    const auto run = [&](std::size_t width, unsigned workers) {
+    const auto run = [&](unsigned workers) {
         ThreadCountGuard guard(workers);
-        stab::setFrameBlockWords(width);
         DecoderCache::instance().clear();
         obs::Registry::instance().reset();
         Rng rng(1212);
@@ -191,26 +184,20 @@ TEST(BatchDecode, MemoryExperimentInvariantAcrossWidthsAndWorkers)
         return state;
     };
 
-    const auto reference = run(1, 1);
+    const auto reference = run(1);
     EXPECT_GT(reference.failures, 0u);
     EXPECT_FALSE(reference.counters.empty());
-    for (const std::size_t width :
-         {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-        for (const unsigned workers : {1u, 2u, 8u}) {
-            const auto got = run(width, workers);
-            EXPECT_EQ(got.failures, reference.failures)
-                << "width=" << width << " workers=" << workers;
-            ASSERT_EQ(got.counters.size(), reference.counters.size())
-                << "width=" << width << " workers=" << workers;
-            for (std::size_t i = 0; i < got.counters.size(); ++i) {
-                EXPECT_EQ(got.counters[i].first,
-                          reference.counters[i].first)
-                    << "width=" << width << " workers=" << workers;
-                EXPECT_EQ(got.counters[i].second,
-                          reference.counters[i].second)
-                    << got.counters[i].first << " width=" << width
-                    << " workers=" << workers;
-            }
+    for (const unsigned workers : {1u, 2u, 8u}) {
+        const auto got = run(workers);
+        EXPECT_EQ(got.failures, reference.failures)
+            << "workers=" << workers;
+        ASSERT_EQ(got.counters.size(), reference.counters.size())
+            << "workers=" << workers;
+        for (std::size_t i = 0; i < got.counters.size(); ++i) {
+            EXPECT_EQ(got.counters[i].first, reference.counters[i].first)
+                << "workers=" << workers;
+            EXPECT_EQ(got.counters[i].second, reference.counters[i].second)
+                << got.counters[i].first << " workers=" << workers;
         }
     }
 }

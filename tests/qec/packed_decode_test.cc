@@ -22,6 +22,7 @@
 #include "qec/memory_experiment.hh"
 #include "qec/surface_circuit.hh"
 #include "stab/frame.hh"
+#include "support/packed_samples.hh"
 
 namespace hetarch {
 namespace qec {
@@ -122,7 +123,7 @@ TEST(PackedDecode, TrivialShotCounterMatchesWeightZeroShotsExactly)
 
     std::size_t expected_trivial = 0;
     for (std::size_t s = 0; s < samples.shots; ++s)
-        expected_trivial += samples.shotWeight(s) == 0;
+        expected_trivial += shotWeight(samples, s) == 0;
     ASSERT_GT(expected_trivial, 0u);
     ASSERT_LT(expected_trivial, samples.shots);
 
@@ -201,12 +202,11 @@ TEST(PackedDecode, PackedSamplesMatchReferenceAcrossWorkerCounts)
             << workers << " workers";
         EXPECT_EQ(packed.obsWords, reference.obsWords)
             << workers << " workers";
-        // The compat accessors view the same bits.
-        EXPECT_EQ(packed.unpackedDetectors(),
-                  reference.unpackedDetectors())
+        // The shot-major views read the same bits.
+        EXPECT_EQ(unpackedDetectors(packed), unpackedDetectors(reference))
             << workers << " workers";
-        EXPECT_EQ(packed.unpackedObservables(),
-                  reference.unpackedObservables())
+        EXPECT_EQ(unpackedObservables(packed),
+                  unpackedObservables(reference))
             << workers << " workers";
     }
     exec::setThreadCount(0);

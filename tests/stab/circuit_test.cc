@@ -9,6 +9,7 @@
 #include "stab/circuit.hh"
 #include "stab/frame.hh"
 #include "stab/tableau.hh"
+#include "support/packed_samples.hh"
 
 namespace hetarch {
 namespace stab {
@@ -79,12 +80,12 @@ TEST(Circuit, AppendRemapsMeasurementReferences)
     Rng rng(5);
     const auto s = sim.sampleDetectors(64, rng);
     for (std::size_t shot = 0; shot < 64; ++shot) {
-        EXPECT_EQ(s.det(shot, 0), 1);
-        EXPECT_EQ(s.det(shot, 1), 1);
+        EXPECT_EQ(detBit(s, shot, 0), 1);
+        EXPECT_EQ(detBit(s, shot, 1), 1);
         // Observable accumulated across both blocks: two X errors on
         // qubit 1? No: the X error hits qubit 0 only; qubit 1 is
         // untouched, so both measurements read 0 and the XOR is 0.
-        EXPECT_EQ(s.obs(shot, 0), 0);
+        EXPECT_EQ(obsBit(s, shot, 0), 0);
     }
 }
 

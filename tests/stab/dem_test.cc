@@ -11,6 +11,7 @@
 #include "stab/circuit.hh"
 #include "stab/dem.hh"
 #include "stab/frame.hh"
+#include "support/packed_samples.hh"
 
 namespace hetarch {
 namespace stab {
@@ -147,9 +148,9 @@ expectDemMatchesFrame(const Circuit& c, std::uint64_t seed)
 
     for (std::size_t s = 0; s < shots; ++s) {
         for (std::size_t d = 0; d < fs.numDetectors; ++d)
-            frame_rate[d] += fs.det(s, d);
+            frame_rate[d] += detBit(fs, s, d);
         if (fs.numObservables)
-            frame_obs += fs.obs(s, 0);
+            frame_obs += obsBit(fs, s, 0);
     }
     Rng rng_d(seed + 1);
     for (std::size_t s = 0; s < shots; ++s) {

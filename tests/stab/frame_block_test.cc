@@ -1,22 +1,23 @@
 /**
  * @file
- * Pins the word-parallel block sampler's contracts:
+ * Pins the word-block executor's contracts:
  *
  *   - samples are bit-identical at every block width (1, 4, 8 words),
  *     including ragged shot counts that end in a partial word and in a
  *     partial block;
- *   - the block path consumes the RNG stream exactly like the
- *     sequential 64-shot path (noise words are resolved in the same
- *     order), so generator state after sampling matches too;
- *   - runBatchBlock over W words reproduces W sequential runBatch
- *     calls word for word (measurement rows and flip totals);
- *   - every stab.sampler.* counter delta is invariant under the
- *     configured width.
+ *   - a W-word block consumes the RNG stream exactly like W sequential
+ *     1-word blocks (noise words are resolved in the same order), so
+ *     generator state after sampling matches too;
+ *   - a W-word block reproduces W sequential 1-word blocks word for
+ *     word (measurement rows and flip totals);
+ *   - every stab.sampler.* counter delta of sampleDetectors equals the
+ *     totals the block calls produce at any width.
  *
- * The circuit under test covers every opcode the frame pipeline
- * lowers: all unitaries, M/R/MR, both biased errors, the Pauli-1
- * channel, and both depolarizing channels (DEPOL2 fills four tape
- * rows per op).
+ * Widths are pinned through explicit-width block calls; the batch path
+ * itself always runs frameBlockWords() = 8.  The circuit under test
+ * covers every opcode the frame pipeline lowers: all unitaries, M/R/MR,
+ * both biased errors, the Pauli-1 channel, and both depolarizing
+ * channels (DEPOL2 fills four tape rows per op).
  */
 
 #include <gtest/gtest.h>
@@ -30,17 +31,11 @@
 #include "stab/circuit.hh"
 #include "stab/frame.hh"
 #include "stab/frame_program.hh"
+#include "support/packed_samples.hh"
 
 namespace hetarch {
 namespace stab {
 namespace {
-
-/** Restore the configured block width on scope exit. */
-struct WidthGuard
-{
-    std::size_t saved = frameBlockWords();
-    ~WidthGuard() { setFrameBlockWords(saved); }
-};
 
 /** A circuit touching every lowered opcode, over two noisy rounds. */
 Circuit
@@ -88,25 +83,22 @@ counterValue(const obs::Snapshot& snap, const std::string& name)
 
 TEST(FrameBlock, SamplesAreBitIdenticalAtEveryWidth)
 {
-    const auto circuit = opcodeSoup();
-    const FrameSimulator frame(circuit);
-    WidthGuard guard;
+    const auto prog = FrameProgram::compile(opcodeSoup());
+    const FrameSimulator frame(prog);
 
     // 300 shots = 4 full words + a 44-lane partial word; with width 4
     // the last block also holds fewer words than the width.
     for (const std::size_t shots : {std::size_t{300}, std::size_t{64},
                                     std::size_t{1}, std::size_t{513}}) {
-        setFrameBlockWords(1);
         Rng rng_ref(777);
-        const auto ref = frame.sampleDetectors(shots, rng_ref);
+        const auto ref = sampleAtWidth(*prog, shots, 1, rng_ref);
         // RNG-consumption parity: every width must leave the generator
         // exactly where the 1-word path left it.
         const std::uint64_t next_draw = rng_ref();
 
         for (const std::size_t width : {std::size_t{4}, std::size_t{8}}) {
-            setFrameBlockWords(width);
             Rng rng(777);
-            const auto got = frame.sampleDetectors(shots, rng);
+            const auto got = sampleAtWidth(*prog, shots, width, rng);
             EXPECT_EQ(got.detWords, ref.detWords)
                 << "width=" << width << " shots=" << shots;
             EXPECT_EQ(got.obsWords, ref.obsWords)
@@ -114,28 +106,36 @@ TEST(FrameBlock, SamplesAreBitIdenticalAtEveryWidth)
             EXPECT_EQ(rng(), next_draw)
                 << "width=" << width << " shots=" << shots;
         }
+
+        // The batch path is the same calls at frameBlockWords().
+        Rng rng(777);
+        const auto batch = frame.sampleDetectors(shots, rng);
+        EXPECT_EQ(batch.detWords, ref.detWords) << "shots=" << shots;
+        EXPECT_EQ(batch.obsWords, ref.obsWords) << "shots=" << shots;
+        EXPECT_EQ(rng(), next_draw) << "shots=" << shots;
     }
 }
 
-TEST(FrameBlock, RunBatchBlockReproducesSequentialBatches)
+TEST(FrameBlock, WideBlockReproducesSequentialOneWordBlocks)
 {
-    const auto circuit = opcodeSoup();
-    const auto prog = FrameProgram::compile(circuit);
+    const auto prog = FrameProgram::compile(opcodeSoup());
     const std::size_t words = 4;
 
     Rng rng_seq(9001);
-    FrameScratch seq;
+    FrameBlockScratch seq;
     std::vector<std::vector<std::uint64_t>> meas_by_word;
     std::uint64_t flips_seq = 0;
     for (std::size_t j = 0; j < words; ++j) {
-        flips_seq += prog->runBatch(seq, rng_seq);
+        flips_seq += prog->resolveNoiseTape(seq, 1, rng_seq);
+        prog->replayBlock(seq);
         meas_by_word.push_back(seq.meas);
     }
 
     Rng rng_blk(9001);
     FrameBlockScratch blk;
     const std::uint64_t flips_blk =
-        prog->runBatchBlock(blk, words, rng_blk);
+        prog->resolveNoiseTape(blk, words, rng_blk);
+    prog->replayBlock(blk);
 
     EXPECT_EQ(flips_blk, flips_seq);
     ASSERT_EQ(blk.meas.size(), prog->numMeasurements() * words);
@@ -148,45 +148,34 @@ TEST(FrameBlock, RunBatchBlockReproducesSequentialBatches)
 
 TEST(FrameBlock, CounterDeltasAreWidthInvariant)
 {
-    const auto circuit = opcodeSoup();
-    const FrameSimulator frame(circuit);
-    WidthGuard guard;
+    const auto prog = FrameProgram::compile(opcodeSoup());
+    const FrameSimulator frame(prog);
+    const std::size_t shots = 777; // 13 words, the last one partial
 
-    const auto deltas = [&](std::size_t width) {
-        setFrameBlockWords(width);
-        obs::Registry::instance().reset();
-        Rng rng(31337);
-        const auto unused = frame.sampleDetectors(777, rng);
-        (void)unused;
-        return obs::Registry::instance().snapshot();
-    };
+    obs::Registry::instance().reset();
+    Rng rng(31337);
+    const auto unused = frame.sampleDetectors(shots, rng);
+    (void)unused;
+    const auto snap = obs::Registry::instance().snapshot();
+    EXPECT_EQ(counterValue(snap, "stab.sampler.calls"), 1u);
+    EXPECT_EQ(counterValue(snap, "stab.sampler.shots"), shots);
+    EXPECT_EQ(counterValue(snap, "stab.sampler.batches"), 13u);
+    EXPECT_EQ(counterValue(snap, "stab.sampler.noise_words"),
+              prog->tapeWords() * 13);
+    EXPECT_GT(counterValue(snap, "stab.sampler.rng_draws"), 0u);
 
-    const auto ref = deltas(1);
-    EXPECT_EQ(counterValue(ref, "stab.sampler.shots"), 777u);
-    EXPECT_EQ(counterValue(ref, "stab.sampler.batches"), 13u);
-    EXPECT_GT(counterValue(ref, "stab.sampler.noise_words"), 0u);
-    EXPECT_GT(counterValue(ref, "stab.sampler.rng_draws"), 0u);
-    for (const std::size_t width : {std::size_t{4}, std::size_t{8}}) {
-        const auto got = deltas(width);
-        for (const char* name :
-             {"stab.sampler.calls", "stab.sampler.shots",
-              "stab.sampler.batches", "stab.sampler.frame_flips",
-              "stab.sampler.noise_words", "stab.sampler.rng_draws"}) {
-            EXPECT_EQ(counterValue(got, name), counterValue(ref, name))
-                << name << " at width " << width;
-        }
+    // Flips and draws are the block calls' totals at every width.
+    for (const std::size_t width :
+         {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+        Rng block_rng(31337);
+        std::uint64_t flips = 0;
+        (void)sampleAtWidth(*prog, shots, width, block_rng, &flips);
+        EXPECT_EQ(counterValue(snap, "stab.sampler.frame_flips"), flips)
+            << "width " << width;
+        EXPECT_EQ(counterValue(snap, "stab.sampler.rng_draws"),
+                  block_rng.draws())
+            << "width " << width;
     }
-}
-
-TEST(FrameBlock, ConfiguredWidthIsClampedToSupportedRange)
-{
-    WidthGuard guard;
-    setFrameBlockWords(0);
-    EXPECT_EQ(frameBlockWords(), 1u);
-    setFrameBlockWords(3);
-    EXPECT_EQ(frameBlockWords(), 3u);
-    setFrameBlockWords(99);
-    EXPECT_EQ(frameBlockWords(), kMaxFrameBlockWords);
 }
 
 } // namespace

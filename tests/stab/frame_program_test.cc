@@ -1,16 +1,16 @@
 /**
  * @file
  * Tests for compiled frame programs and the bit-packed sampler: the
- * block sampler must be bit-identical to the program's 1-word
- * interpreter on fixed seeds (including RNG stream consumption), the
- * packed layout must keep idle lanes zero, and the DEPOL2 pick must
- * produce the advertised lane marginals.  Channel statistics under RNG
- * contract v2 are pinned in tests/statistical.
+ * batch sampler must be bit-identical to a scalar reference
+ * interpreter and to the slice-at-a-time stream on fixed seeds
+ * (including RNG stream consumption), the packed layout
+ * must keep idle lanes zero, and the DEPOL2 pick must produce the
+ * advertised lane marginals.  Channel statistics under RNG contract v2
+ * are pinned in tests/statistical.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -19,6 +19,7 @@
 #include "stab/circuit.hh"
 #include "stab/frame.hh"
 #include "stab/frame_program.hh"
+#include "support/packed_samples.hh"
 
 namespace hetarch {
 namespace stab {
@@ -56,6 +57,48 @@ kitchenSinkCircuit()
     c.observableInclude(0, {m1});
     c.observableInclude(0, {m2});
     c.observableInclude(1, {m0});
+    return c;
+}
+
+/**
+ * Random ops of every kind on a few qubits, each measurement its own
+ * detector.  Frequent H gates turn Z frames into recorded X frames, so
+ * a wrong update of either frame component by any opcode changes some
+ * detector bit.
+ */
+Circuit
+scrambledCircuit(std::uint64_t seed)
+{
+    Rng pick(seed);
+    const std::uint32_t n = 5;
+    Circuit c(n);
+    for (int i = 0; i < 400; ++i) {
+        const auto a = static_cast<std::uint32_t>(pick.uniformInt(n));
+        const auto b = static_cast<std::uint32_t>(
+            (a + 1 + pick.uniformInt(n - 1)) % n);
+        const double p = 0.3 * pick.uniform();
+        switch (pick.uniformInt(16)) {
+          case 0: c.s(a); break;
+          case 1: c.sdg(a); break;
+          case 2: c.cx(a, b); break;
+          case 3: c.cz(a, b); break;
+          case 4: c.swap(a, b); break;
+          case 5: c.reset(a); break;
+          case 6: c.detector({c.measure(a)}); break;
+          case 7: c.detector({c.measureReset(a)}); break;
+          case 8: c.xError(a, p); break;
+          case 9: c.zError(a, p); break;
+          case 10: c.pauliChannel1(a, p / 3, p / 2, p / 4); break;
+          case 11: c.depolarize1(a, p); break;
+          case 12: c.depolarize2(a, b, p); break;
+          default: c.h(a); break;
+        }
+    }
+    for (std::uint32_t q = 0; q < n; ++q) {
+        const auto m = c.measure(q);
+        c.detector({m});
+        c.observableInclude(q % 2, {m});
+    }
     return c;
 }
 
@@ -121,57 +164,47 @@ TEST(FrameProgram, NoiseOpsShareOneChannelPerDistinctProbability)
     EXPECT_LE(prog->noiseChannels().size(), 8u);
 }
 
-/**
- * The op-at-a-time path: runBatch (the interpreter slices also run)
- * plus foldAnnotations, one 64-shot batch at a time.  It applies each
- * op's resolved noise to the frame at once, where the block sampler
- * resolves a whole tape first and replays it afterwards.
- */
-DetectorSamples
-sampleByInterpreter(const FrameProgram& prog, std::size_t shots, Rng& rng)
-{
-    DetectorSamples out;
-    out.resize(shots, prog.numDetectors(), prog.numObservables());
-    FrameScratch batch;
-    for (std::size_t w = 0; w < out.numWords; ++w) {
-        prog.runBatch(batch, rng);
-        const std::size_t lanes = std::min<std::size_t>(64, shots - w * 64);
-        const std::uint64_t mask = lanes == 64
-                                       ? ~std::uint64_t{0}
-                                       : (std::uint64_t{1} << lanes) - 1;
-        prog.foldAnnotations(batch, mask, out.detWords.data() + w,
-                             out.numWords, out.obsWords.data() + w,
-                             out.numWords);
-    }
-    return out;
-}
-
 TEST(FrameProgram, PackedSamplerMatchesReferenceBitForBit)
 {
-    const auto c = kitchenSinkCircuit();
-    const FrameSimulator sim(c);
+    // Two references: a scalar interpreter that shares no kernel with
+    // the sampler, so every opcode's frame effect and RNG contract v2's
+    // draws are checked against independent code; and the stream, which
+    // runs the same kernels one slice at a time at one word into the
+    // bounded measurement ring, where the batch sampler runs the whole
+    // program over 8-word blocks.
+    for (const auto& circuit :
+         {kitchenSinkCircuit(), scrambledCircuit(1), scrambledCircuit(2),
+          scrambledCircuit(3)}) {
+        const auto prog = FrameProgram::compile(circuit);
+        const FrameSimulator sim(prog);
+        for (const std::size_t shots : {std::size_t{64}, std::size_t{37},
+                                        std::size_t{1000}}) {
+            for (const std::uint64_t seed : {1ull, 42ull, 987654321ull}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "ops=" << circuit.ops().size()
+                             << " shots=" << shots << " seed=" << seed);
+                Rng rng_fast(seed);
+                Rng rng_ref(seed);
+                Rng rng_stream(seed);
+                const auto fast = sim.sampleDetectors(shots, rng_fast);
+                const auto ref = sampleByInterpreter(*prog, shots, rng_ref);
+                const auto streamed =
+                    sampleByStream(prog, shots, rng_stream);
 
-    for (const std::size_t shots : {std::size_t{64}, std::size_t{37},
-                                    std::size_t{1000}}) {
-        for (const std::uint64_t seed : {1ull, 42ull, 987654321ull}) {
-            Rng rng_fast(seed);
-            Rng rng_ref(seed);
-            const auto fast = sim.sampleDetectors(shots, rng_fast);
-            const auto ref =
-                sampleByInterpreter(sim.program(), shots, rng_ref);
+                for (const auto* other : {&ref, &streamed}) {
+                    const char* name =
+                        other == &ref ? "interpreter" : "stream";
+                    ASSERT_EQ(fast.numWords, other->numWords) << name;
+                    EXPECT_EQ(fast.detWords, other->detWords) << name;
+                    EXPECT_EQ(fast.obsWords, other->obsWords) << name;
+                }
 
-            ASSERT_EQ(fast.shots, ref.shots);
-            ASSERT_EQ(fast.numWords, ref.numWords);
-            EXPECT_EQ(fast.detWords, ref.detWords)
-                << "shots=" << shots << " seed=" << seed;
-            EXPECT_EQ(fast.obsWords, ref.obsWords)
-                << "shots=" << shots << " seed=" << seed;
-
-            // Both paths must also consume the RNG stream identically:
-            // the next draw after sampling has to agree.
-            EXPECT_EQ(rng_fast(), rng_ref())
-                << "rng stream diverged at shots=" << shots
-                << " seed=" << seed;
+                // Every path must also consume the RNG stream
+                // identically: the next draw after sampling agrees.
+                const std::uint64_t next = rng_fast();
+                EXPECT_EQ(next, rng_ref()) << "interpreter rng diverged";
+                EXPECT_EQ(next, rng_stream()) << "stream rng diverged";
+            }
         }
     }
 }
@@ -191,7 +224,7 @@ TEST(FrameProgram, IdleLanesOfFinalPartialWordStayZero)
     // shotWeight popcounts whole columns, so idle-lane garbage would
     // show up here too.
     for (std::size_t shot = 0; shot < shots; ++shot)
-        EXPECT_EQ(s.shotWeight(shot), 1u);
+        EXPECT_EQ(shotWeight(s, shot), 1u);
 }
 
 /**
@@ -230,9 +263,9 @@ TEST(FrameProgram, Depol2LaneMarginalsAreUniformOverNonIdentityPaulis)
 
     std::array<std::size_t, 16> histogram{};
     for (std::size_t shot = 0; shot < shots; ++shot) {
-        const unsigned pauli = s.det(shot, 0) | (s.det(shot, 1) << 1) |
-                               (s.det(shot, 2) << 2) |
-                               (s.det(shot, 3) << 3);
+        const unsigned pauli = detBit(s, shot, 0) | (detBit(s, shot, 1) << 1) |
+                               (detBit(s, shot, 2) << 2) |
+                               (detBit(s, shot, 3) << 3);
         ++histogram[pauli];
     }
     // At p=1 every lane errs, so the identity must never appear and
@@ -255,11 +288,11 @@ TEST(FrameProgram, PackedAccessorsRejectOutOfRangeInDebugBuilds)
     c.observableInclude(0, {0});
     const FrameSimulator sim(c);
     Rng rng(1);
-    const auto s = sim.sampleDetectors(10, rng);
-    EXPECT_DEATH((void)s.det(10, 0), "out of range");
-    EXPECT_DEATH((void)s.det(0, 1), "out of range");
-    EXPECT_DEATH((void)s.obs(10, 0), "out of range");
-    EXPECT_DEATH((void)s.obs(0, 1), "out of range");
+    const auto s = sim.sampleDetectors(10, rng); // one packed word
+    EXPECT_DEATH((void)s.detWord(0, 1), "out of range");
+    EXPECT_DEATH((void)s.detWord(1, 0), "out of range");
+    EXPECT_DEATH((void)s.obsWord(0, 1), "out of range");
+    EXPECT_DEATH((void)s.obsWord(1, 0), "out of range");
 #endif
 }
 

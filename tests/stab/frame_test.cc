@@ -11,6 +11,7 @@
 #include "stab/circuit.hh"
 #include "stab/frame.hh"
 #include "stab/tableau.hh"
+#include "support/packed_samples.hh"
 
 namespace hetarch {
 namespace stab {
@@ -58,8 +59,8 @@ TEST(Frame, NoiselessCircuitHasQuietDetectors)
     const auto samples = sim.sampleDetectors(256, rng);
     for (std::size_t s = 0; s < samples.shots; ++s) {
         for (std::size_t d = 0; d < samples.numDetectors; ++d)
-            EXPECT_EQ(samples.det(s, d), 0);
-        EXPECT_EQ(samples.obs(s, 0), 0);
+            EXPECT_EQ(detBit(samples, s, d), 0);
+        EXPECT_EQ(obsBit(samples, s, 0), 0);
     }
 }
 
@@ -80,7 +81,7 @@ TEST(Frame, CertainErrorFiresDetector)
     Rng rng(5);
     const auto samples = sim.sampleDetectors(64, rng);
     for (std::size_t s = 0; s < 64; ++s)
-        EXPECT_EQ(samples.det(s, 0), 1);
+        EXPECT_EQ(detBit(samples, s, 0), 1);
 }
 
 TEST(Frame, ZErrorInvisibleToZMeasurement)
@@ -93,7 +94,7 @@ TEST(Frame, ZErrorInvisibleToZMeasurement)
     Rng rng(5);
     const auto samples = sim.sampleDetectors(64, rng);
     for (std::size_t s = 0; s < 64; ++s)
-        EXPECT_EQ(samples.det(s, 0), 0);
+        EXPECT_EQ(detBit(samples, s, 0), 0);
 }
 
 TEST(Frame, HadamardConvertsZToX)
@@ -107,7 +108,7 @@ TEST(Frame, HadamardConvertsZToX)
     Rng rng(5);
     const auto samples = sim.sampleDetectors(64, rng);
     for (std::size_t s = 0; s < 64; ++s)
-        EXPECT_EQ(samples.det(s, 0), 1);
+        EXPECT_EQ(detBit(samples, s, 0), 1);
 }
 
 TEST(Frame, ErrorRateMatchesInjectedProbability)
@@ -122,7 +123,7 @@ TEST(Frame, ErrorRateMatchesInjectedProbability)
     const auto samples = sim.sampleDetectors(20000, rng);
     std::size_t fired = 0;
     for (std::size_t s = 0; s < samples.shots; ++s)
-        fired += samples.det(s, 0);
+        fired += detBit(samples, s, 0);
     EXPECT_NEAR(static_cast<double>(fired) / samples.shots, p, 0.01);
 }
 
@@ -141,8 +142,8 @@ TEST(Frame, MatchesTableauOnNoisyRepetitionCode)
     double frame_obs = 0.0;
     for (std::size_t s = 0; s < shots; ++s) {
         for (std::size_t d = 0; d < fs.numDetectors; ++d)
-            frame_rate[d] += fs.det(s, d);
-        frame_obs += fs.obs(s, 0);
+            frame_rate[d] += detBit(fs, s, d);
+        frame_obs += obsBit(fs, s, 0);
     }
 
     Rng rng_t(202);
@@ -183,8 +184,8 @@ TEST(Frame, Depolarize2ProducesBothSidedErrors)
     const auto samples = sim.sampleDetectors(20000, rng);
     double r0 = 0, r1 = 0;
     for (std::size_t s = 0; s < samples.shots; ++s) {
-        r0 += samples.det(s, 0);
-        r1 += samples.det(s, 1);
+        r0 += detBit(samples, s, 0);
+        r1 += detBit(samples, s, 1);
     }
     // 8 of 15 non-identity Paulis flip qubit a's Z measurement (X or Y
     // on a), same for b.
@@ -202,7 +203,7 @@ TEST(Frame, PauliChannelSelectsComponents)
     Rng rng(9);
     const auto sz = sim_z.sampleDetectors(128, rng);
     for (std::size_t s = 0; s < 128; ++s)
-        EXPECT_EQ(sz.det(s, 0), 0);
+        EXPECT_EQ(detBit(sz, s, 0), 0);
 
     Circuit cx_only(1);
     cx_only.pauliChannel1(0, 1.0, 0.0, 0.0);
@@ -210,7 +211,7 @@ TEST(Frame, PauliChannelSelectsComponents)
     FrameSimulator sim_x(cx_only);
     const auto sx = sim_x.sampleDetectors(128, rng);
     for (std::size_t s = 0; s < 128; ++s)
-        EXPECT_EQ(sx.det(s, 0), 1);
+        EXPECT_EQ(detBit(sx, s, 0), 1);
 }
 
 TEST(Frame, ObservableAccumulatesAcrossIncludes)
@@ -225,7 +226,7 @@ TEST(Frame, ObservableAccumulatesAcrossIncludes)
     Rng rng(2);
     const auto samples = sim.sampleDetectors(64, rng);
     for (std::size_t s = 0; s < 64; ++s)
-        EXPECT_EQ(samples.obs(s, 0), 1);
+        EXPECT_EQ(obsBit(samples, s, 0), 1);
 }
 
 } // namespace

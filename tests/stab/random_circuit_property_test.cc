@@ -13,6 +13,7 @@
 #include "stab/dem.hh"
 #include "stab/frame.hh"
 #include "stab/tableau.hh"
+#include "support/packed_samples.hh"
 
 namespace hetarch {
 namespace stab {
@@ -127,7 +128,7 @@ TEST_P(RandomCircuitAgreement, FrameMatchesTableauMarginals)
     for (std::size_t d = 0; d < c.numDetectors(); ++d) {
         double frame_rate = 0.0;
         for (std::size_t s = 0; s < frame_shots; ++s)
-            frame_rate += fs.det(s, d);
+            frame_rate += detBit(fs, s, d);
         EXPECT_NEAR(frame_rate / frame_shots, tab_rate[d] / tab_shots,
                     0.035)
             << "detector " << d << " seed " << GetParam();
@@ -154,7 +155,7 @@ TEST_P(RandomCircuitAgreement, DemMatchesFrameMarginals)
     for (std::size_t d = 0; d < c.numDetectors(); ++d) {
         double frame_rate = 0.0;
         for (std::size_t s = 0; s < shots; ++s)
-            frame_rate += fs.det(s, d);
+            frame_rate += detBit(fs, s, d);
         EXPECT_NEAR(frame_rate / shots, dem_rate[d] / shots, 0.025)
             << "detector " << d << " seed " << GetParam();
     }
