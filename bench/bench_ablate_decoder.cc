@@ -1,36 +1,21 @@
 /**
  * @file
- * Decoder ablations:
- *
- *  - weighted union-find vs greedy DEM decoding on the d = 3 surface
- *    code, where both apply (logical error rates and throughput);
- *  - the shot-batched decode pipeline (decodeBuffer: word-block fired
- *    scans + weight-sorted, dedup-aware decodeBatch) vs the per-word
- *    beginBatch/pushBufferColumn/finishBatch loop it replaced, and vs
- *    the dense per-shot scalar reference arm (unpack every detector of
- *    every shot, project the full syndrome, decode dense) at
- *    d in {3, 5, 7}, at the fig. 6 threshold-level noise point and at
- *    a sub-threshold production point.
- *
- * The three-arm table cross-checks that all loops count the same
- * failures before reporting the speedups.
+ * Decoder ablation: weighted union-find vs greedy DEM decoding on the
+ * d = 3 surface code, where both apply (logical error rates and
+ * throughput), plus the production whole-buffer decode timed on a
+ * pre-sampled Fig. 6 d = 7 buffer.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <utility>
-#include <vector>
 
 #include "core/table.hh"
 #include "core/units.hh"
 #include "qec/memory_experiment.hh"
 #include "qec/sliding_window.hh"
 #include "qec/surface_circuit.hh"
-#include "qec/union_find.hh"
 #include "stab/frame.hh"
 
 #include "bench_util.hh"
@@ -63,41 +48,6 @@ fig6Noise()
     return noise;
 }
 
-/**
- * The pre-packed decode loop, kept as the dense reference arm: unpack
- * each shot's full detector row, project the dense syndrome, decode
- * with the const (allocation-per-call) union-find path, and compare
- * every observable.
- */
-std::size_t
-denseReferenceFailures(const qec::DecoderSetup& setup,
-                       const stab::DetectorSamples& samples)
-{
-    std::size_t failures = 0;
-    std::vector<std::uint8_t> detectors(samples.numDetectors);
-    qec::UnionFindDecoder dec_z(setup.graphZ);
-    qec::UnionFindDecoder dec_x(setup.graphX);
-    for (std::size_t s = 0; s < samples.shots; ++s) {
-        const std::size_t w = s / 64;
-        const std::size_t lane = s % 64;
-        for (std::size_t d = 0; d < samples.numDetectors; ++d)
-            detectors[d] = static_cast<std::uint8_t>(
-                (samples.detWord(d, w) >> lane) & 1);
-        std::uint32_t predicted = 0;
-        predicted ^=
-            dec_z.decode(setup.graphZ.projectSyndrome(detectors));
-        predicted ^=
-            dec_x.decode(setup.graphX.projectSyndrome(detectors));
-        std::uint32_t actual = 0;
-        for (std::size_t k = 0; k < samples.numObservables && k < 32; ++k)
-            actual |= static_cast<std::uint32_t>(
-                          (samples.obsWord(k, w) >> lane) & 1)
-                      << k;
-        failures += predicted != actual;
-    }
-    return failures;
-}
-
 void
 BM_DecodeShot(benchmark::State& state)
 {
@@ -119,9 +69,9 @@ BENCHMARK(BM_DecodeShot)->Arg(0)->Arg(1);
 void
 BM_DecodeBufferSparse(benchmark::State& state)
 {
-    // Production kernel on a pre-sampled fig. 6 d=7 buffer: word-block
-    // fired-detector scans + trivial-shot bypass + shot-batched
-    // decodeBatch (weight-sorted, dedup-aware).
+    // Production kernel on a pre-sampled fig. 6 d=7 buffer: one
+    // detector-major fired-detector pass, the trivial-shot bypass, then
+    // every shot decoded graph by graph.
     const auto circ = qec::surfaceMemoryZ(7, 7, fig6Noise());
     const auto setup =
         qec::DecoderSetup::build(circ, qec::DecoderKind::UnionFind);
@@ -137,53 +87,6 @@ BM_DecodeBufferSparse(benchmark::State& state)
 }
 BENCHMARK(BM_DecodeBufferSparse);
 
-void
-BM_DecodeBufferPerWord(benchmark::State& state)
-{
-    // The pre-batch per-word loop on the identical buffer: one
-    // beginBatch/pushBufferColumn/finishBatch round trip per 64-shot
-    // word, shots decoded in arrival order without dedup.
-    const auto circ = qec::surfaceMemoryZ(7, 7, fig6Noise());
-    const auto setup =
-        qec::DecoderSetup::build(circ, qec::DecoderKind::UnionFind);
-    const stab::FrameSimulator sim(circ);
-    Rng rng(5);
-    const auto samples = sim.sampleDetectors(256, rng);
-    qec::SlidingWindowDecoder kernel(*setup, qec::DecoderKind::UnionFind);
-    for (auto _ : state) {
-        std::size_t failures = 0;
-        for (std::size_t w = 0; w < samples.numWords; ++w) {
-            const std::size_t lanes =
-                std::min<std::size_t>(64, samples.shots - w * 64);
-            kernel.beginBatch(lanes);
-            kernel.pushBufferColumn(samples, w);
-            failures += kernel.finishBatch();
-        }
-        benchmark::DoNotOptimize(failures);
-    }
-    state.SetItemsProcessed(state.iterations() * samples.shots);
-}
-BENCHMARK(BM_DecodeBufferPerWord);
-
-void
-BM_DecodeBufferDense(benchmark::State& state)
-{
-    // The pre-packed loop on the identical buffer, for the speedup
-    // denominator.
-    const auto circ = qec::surfaceMemoryZ(7, 7, fig6Noise());
-    const auto setup =
-        qec::DecoderSetup::build(circ, qec::DecoderKind::UnionFind);
-    const stab::FrameSimulator sim(circ);
-    Rng rng(5);
-    const auto samples = sim.sampleDetectors(256, rng);
-    for (auto _ : state) {
-        auto failures = denseReferenceFailures(*setup, samples);
-        benchmark::DoNotOptimize(failures);
-    }
-    state.SetItemsProcessed(state.iterations() * samples.shots);
-}
-BENCHMARK(BM_DecodeBufferDense);
-
 } // namespace
 
 int
@@ -192,7 +95,6 @@ main(int argc, char** argv)
     hetarch::bench::configure(argc, argv);
     hetarch::bench::printRunHeader();
     const double shot_scale = hetarch::bench::runScale().shotScale;
-    using clock = std::chrono::steady_clock;
 
     std::cout << "\n=== Ablation: union-find vs greedy DEM decoder "
                  "(surface d=3) ===\n";
@@ -210,78 +112,6 @@ main(int argc, char** argv)
                   formatSci(gd.perRound(), 3)});
     }
     t.print(std::cout);
-
-    std::cout << "\n=== Ablation: shot-batched decode vs per-word loop "
-                 "vs dense reference (single thread) ===\n";
-    // "batched" is the production countLogicalFailures path
-    // (decodeBuffer: word-block fired scans + weight-sorted, dedup-aware
-    // decodeBatch), "per-word" is the loop it replaced (one
-    // beginBatch/pushBufferColumn/finishBatch round trip per 64-shot
-    // word), "dense" is the pre-packed scalar arm (unpack + dense
-    // decode per shot).  All three decode the identical sample buffer
-    // and must agree on the failure count.  Two noise points: the
-    // fig. 6 threshold-level point (heavy syndromes — worst case for
-    // dedup, the sort is pure overhead) and a sub-threshold production
-    // point (light syndromes — duplicates abound and dedup pays).
-    TextTable s({"noise", "distance", "shots", "batched(ms)",
-                 "per-word(ms)", "dense(ms)", "vs-per-word", "vs-dense",
-                 "failures-equal"});
-    const std::pair<const char*, qec::CircuitNoise> noise_points[] = {
-        {"fig6", fig6Noise()}, {"p2=2e-3", noiseModel(2e-3)}};
-    for (const auto& [noise_name, noise] : noise_points)
-    for (std::size_t d : {3ul, 5ul, 7ul}) {
-        const auto circ = qec::surfaceMemoryZ(d, d, noise);
-        const auto setup =
-            qec::DecoderSetup::build(circ, qec::DecoderKind::UnionFind);
-        const stab::FrameSimulator sim(circ);
-        const auto shots = static_cast<std::size_t>(2048 * shot_scale);
-        Rng rng(5);
-        const auto samples = sim.sampleDetectors(shots, rng);
-
-        // Both kernels are constructed outside the timed regions: the
-        // comparison is between decode loops, not constructor cost
-        // (production constructs one kernel per 256-shot chunk either
-        // way).
-        qec::SlidingWindowDecoder batch_kernel(
-            *setup, qec::DecoderKind::UnionFind);
-        const auto b0 = clock::now();
-        const auto batched_failures = batch_kernel.decodeBuffer(samples);
-        const auto b1 = clock::now();
-
-        qec::SlidingWindowDecoder word_kernel(
-            *setup, qec::DecoderKind::UnionFind);
-        const auto w0 = clock::now();
-        std::size_t word_failures = 0;
-        for (std::size_t w = 0; w < samples.numWords; ++w) {
-            const std::size_t lanes =
-                std::min<std::size_t>(64, samples.shots - w * 64);
-            word_kernel.beginBatch(lanes);
-            word_kernel.pushBufferColumn(samples, w);
-            word_failures += word_kernel.finishBatch();
-        }
-        const auto w1 = clock::now();
-
-        const auto d0 = clock::now();
-        const auto dense_failures =
-            denseReferenceFailures(*setup, samples);
-        const auto d1 = clock::now();
-
-        const double b_ms =
-            std::chrono::duration<double, std::milli>(b1 - b0).count();
-        const double w_ms =
-            std::chrono::duration<double, std::milli>(w1 - w0).count();
-        const double d_ms =
-            std::chrono::duration<double, std::milli>(d1 - d0).count();
-        const bool equal = batched_failures == word_failures &&
-                           batched_failures == dense_failures;
-        s.addRow({noise_name, std::to_string(d), std::to_string(shots),
-                  formatFixed(b_ms, 2), formatFixed(w_ms, 2),
-                  formatFixed(d_ms, 2),
-                  formatFixed(w_ms / b_ms, 1) + "x",
-                  formatFixed(d_ms / b_ms, 1) + "x",
-                  equal ? "yes" : "NO"});
-    }
-    s.print(std::cout);
     std::cout.flush();
 
     hetarch::bench::exportMetrics();

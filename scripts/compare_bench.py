@@ -68,11 +68,6 @@ REQUIRED_COMPANIONS = {
                                "service.jobs.failed",
                                "service.jobs.cancelled",
                                "service.jobs.rejected"),
-    # The shot-batched decoder's block accounting must stay live on
-    # every batch-decode path; dropping it silently would hide the
-    # word-block pipeline falling back to per-shot decoding.
-    "qec.decode.batch_blocks": ("qec.decode.batch_shots",
-                                "qec.decode.batch_dedup_hits"),
     # The word-parallel sampler's noise-tape accounting, and the
     # generator words its noise resolution drew (RNG contract v2's
     # work count), must stay live wherever the packed sampler runs.
@@ -222,9 +217,6 @@ def self_test():
                      "qec.stream.committed_rounds": 448,
                      "qec.stream.lane_decodes": 3800,
                      "qec.stream.carry_defects": 900,
-                     "qec.decode.batch_blocks": 16,
-                     "qec.decode.batch_shots": 4096,
-                     "qec.decode.batch_dedup_hits": 700,
                      "stab.sampler.batches": 64,
                      "stab.sampler.noise_words": 35840,
                      "stab.sampler.rng_draws": 22400},
@@ -329,18 +321,6 @@ def self_test():
             del no_stream["counters"][key]
     checks.append(("stream rule dormant without key counter",
                    result(no_stream, no_stream, bench) == 0))
-
-    # And for the shot-batched decoder's block accounting.
-    no_batch = json.loads(json.dumps(metrics))
-    del no_batch["counters"]["qec.decode.batch_dedup_hits"]
-    checks.append(("batch decode companion dropped from both sides",
-                   result(no_batch, no_batch, bench) == 1))
-    no_batch_all = json.loads(json.dumps(metrics))
-    for key in list(no_batch_all["counters"]):
-        if key.startswith("qec.decode.batch_"):
-            del no_batch_all["counters"][key]
-    checks.append(("batch rule dormant without key counter",
-                   result(no_batch_all, no_batch_all, bench) == 0))
 
     # And for the sampler's noise-tape accounting and its draw count.
     no_tape = json.loads(json.dumps(metrics))

@@ -261,7 +261,7 @@ analyzeFlow(const stab::Circuit& circuit, const TimingModel& model,
             // Storage-side bookkeeping, per storage end.  A SWAP
             // exchanges contents, so nothing is ever destroyed — the
             // hazards are intent bugs the exchange semantics expose.
-            for (const auto [s, c] : {std::pair{a, b}, std::pair{b, a}}) {
+            for (const auto& [s, c] : {std::pair{a, b}, std::pair{b, a}}) {
                 if (!model.deviceFor(s).storage)
                     continue;
                 const Content incoming = state[c].content;

@@ -1,6 +1,5 @@
 #include "obs/json.hh"
 
-#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -8,243 +7,12 @@
 #include <sstream>
 
 #include "core/logging.hh"
+#include "core/strict_json.hh"
 
 namespace hetarch {
 namespace obs {
 
 namespace {
-
-/** Emit a JSON string literal (metric names never need exotic escapes). */
-void
-writeString(std::ostream& os, const std::string& s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            os << c;
-        }
-    }
-    os << '"';
-}
-
-/**
- * Recursive-descent parser for the v1 snapshot schema.  Strict: every
- * deviation is fatal with a byte offset, so a corrupted artifact fails
- * loudly instead of comparing cleanly.
- */
-class Parser
-{
-  public:
-    explicit Parser(const std::string& text) : src(text) {}
-
-    Snapshot parse()
-    {
-        Snapshot snap;
-        expect('{');
-        expectKey("schema");
-        const auto schema = parseString();
-        if (schema != "hetarch-obs-v1")
-            fail("unsupported snapshot schema '" + schema + "'");
-        expect(',');
-        expectKey("counters");
-        parseCounters(snap);
-        expect(',');
-        expectKey("histograms");
-        parseHistograms(snap);
-        expect(',');
-        expectKey("spans");
-        parseSpans(snap);
-        expect('}');
-        skipWs();
-        if (pos != src.size())
-            fail("trailing content after snapshot document");
-        return snap;
-    }
-
-  private:
-    [[noreturn]] void fail(const std::string& why) const
-    {
-        HETARCH_FATAL("obs snapshot parse error at byte ", pos, ": ",
-                      why);
-    }
-
-    void skipWs()
-    {
-        while (pos < src.size() &&
-               std::isspace(static_cast<unsigned char>(src[pos])))
-            ++pos;
-    }
-
-    char peek()
-    {
-        skipWs();
-        if (pos >= src.size())
-            fail("unexpected end of input");
-        return src[pos];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "', found '" +
-                 src[pos] + "'");
-        ++pos;
-    }
-
-    bool consume(char c)
-    {
-        if (peek() != c)
-            return false;
-        ++pos;
-        return true;
-    }
-
-    void expectKey(const char* key)
-    {
-        const auto name = parseString();
-        if (name != key)
-            fail("expected key \"" + std::string(key) + "\", found \"" +
-                 name + "\"");
-        expect(':');
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos < src.size() && src[pos] != '"') {
-            char c = src[pos++];
-            if (c == '\\') {
-                if (pos >= src.size())
-                    fail("unterminated escape");
-                const char esc = src[pos++];
-                switch (esc) {
-                  case '"':
-                    c = '"';
-                    break;
-                  case '\\':
-                    c = '\\';
-                    break;
-                  case 'n':
-                    c = '\n';
-                    break;
-                  case 't':
-                    c = '\t';
-                    break;
-                  default:
-                    fail("unsupported escape sequence");
-                }
-            }
-            out += c;
-        }
-        if (pos >= src.size())
-            fail("unterminated string");
-        ++pos; // closing quote
-        return out;
-    }
-
-    std::uint64_t parseU64()
-    {
-        skipWs();
-        const std::size_t begin = pos;
-        while (pos < src.size() &&
-               std::isdigit(static_cast<unsigned char>(src[pos])))
-            ++pos;
-        if (pos == begin)
-            fail("expected an unsigned integer");
-        return std::strtoull(src.substr(begin, pos - begin).c_str(),
-                             nullptr, 10);
-    }
-
-    void parseCounters(Snapshot& snap)
-    {
-        expect('{');
-        if (consume('}'))
-            return;
-        do {
-            const auto name = parseString();
-            expect(':');
-            snap.counters.emplace_back(name, parseU64());
-        } while (consume(','));
-        expect('}');
-    }
-
-    void parseHistograms(Snapshot& snap)
-    {
-        expect('{');
-        if (consume('}'))
-            return;
-        do {
-            Snapshot::HistogramEntry entry;
-            entry.name = parseString();
-            expect(':');
-            expect('{');
-            expectKey("count");
-            entry.count = parseU64();
-            expect(',');
-            expectKey("sum");
-            entry.sum = parseU64();
-            expect(',');
-            expectKey("buckets");
-            expect('[');
-            if (!consume(']')) {
-                do {
-                    expect('[');
-                    const auto lo = parseU64();
-                    expect(',');
-                    const auto count = parseU64();
-                    expect(']');
-                    entry.buckets.emplace_back(lo, count);
-                } while (consume(','));
-                expect(']');
-            }
-            expect('}');
-            snap.histograms.push_back(std::move(entry));
-        } while (consume(','));
-        expect('}');
-    }
-
-    void parseSpans(Snapshot& snap)
-    {
-        expect('[');
-        if (consume(']'))
-            return;
-        do {
-            SpanRecord span;
-            expect('{');
-            expectKey("name");
-            span.name = parseString();
-            expect(',');
-            expectKey("start_ns");
-            span.startNs = parseU64();
-            expect(',');
-            expectKey("dur_ns");
-            span.durNs = parseU64();
-            expect(',');
-            expectKey("thread");
-            span.thread = static_cast<std::uint32_t>(parseU64());
-            expect('}');
-            snap.spans.push_back(std::move(span));
-        } while (consume(','));
-        expect(']');
-    }
-
-    const std::string& src;
-    std::size_t pos = 0;
-};
 
 /** --metrics-out destination captured by configureMetricsFromArgs. */
 std::string&
@@ -271,7 +39,7 @@ writeSnapshotJson(const Snapshot& snap, std::ostream& os)
     bool first = true;
     for (const auto& [name, value] : snap.counters) {
         os << (first ? "\n    " : ",\n    ");
-        writeString(os, name);
+        core::json::writeString(os, name);
         os << ": " << value;
         first = false;
     }
@@ -280,7 +48,7 @@ writeSnapshotJson(const Snapshot& snap, std::ostream& os)
     first = true;
     for (const auto& h : snap.histograms) {
         os << (first ? "\n    " : ",\n    ");
-        writeString(os, h.name);
+        core::json::writeString(os, h.name);
         os << ": {\"count\": " << h.count << ", \"sum\": " << h.sum
            << ", \"buckets\": [";
         bool first_bucket = true;
@@ -297,7 +65,7 @@ writeSnapshotJson(const Snapshot& snap, std::ostream& os)
     first = true;
     for (const auto& span : snap.spans) {
         os << (first ? "\n    " : ",\n    ") << "{\"name\": ";
-        writeString(os, span.name);
+        core::json::writeString(os, span.name);
         os << ", \"start_ns\": " << span.startNs
            << ", \"dur_ns\": " << span.durNs
            << ", \"thread\": " << span.thread << '}';
@@ -312,12 +80,6 @@ toJson(const Snapshot& snap)
     std::ostringstream os;
     writeSnapshotJson(snap, os);
     return os.str();
-}
-
-Snapshot
-parseSnapshotJson(const std::string& text)
-{
-    return Parser(text).parse();
 }
 
 bool

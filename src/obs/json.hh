@@ -18,10 +18,9 @@
  *   }
  *
  * Counters are the deterministic, CI-gated part of the schema;
- * histograms and spans are advisory (see obs.hh).  parseSnapshotJson
- * accepts exactly this schema and is the round-trip inverse of
- * toJson — it exists so tools (and tests) can reload an artifact
- * without a third-party JSON dependency.
+ * histograms and spans are advisory (see obs.hh).  Names are written
+ * with core::json::writeString; scripts/compare_bench.py reads the
+ * artifacts back with Python's json module.
  */
 
 #pragma once
@@ -40,13 +39,6 @@ std::string toJson(const Snapshot& snap);
 
 /** toJson, streamed. */
 void writeSnapshotJson(const Snapshot& snap, std::ostream& os);
-
-/**
- * Parse a v1 snapshot document.  Fatal (exit 1) on malformed input or
- * a schema mismatch — this parser is for our own artifacts, not
- * arbitrary JSON.
- */
-Snapshot parseSnapshotJson(const std::string& text);
 
 /** Write the snapshot to @p path; warns and returns false on failure. */
 bool writeSnapshotFile(const Snapshot& snap, const std::string& path);

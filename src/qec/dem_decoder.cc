@@ -1,9 +1,6 @@
 #include "qec/dem_decoder.hh"
 
 #include <algorithm>
-#include <compare>
-
-#include "core/logging.hh"
 
 namespace hetarch {
 namespace qec {
@@ -30,38 +27,11 @@ DemDecoder::DemDecoder(const stab::DetectorErrorModel& dem)
 }
 
 std::uint32_t
-DemDecoder::decode(const std::vector<std::uint8_t>& detectors) const
-{
-    HETARCH_ASSERT(detectors.size() == model.numDetectors,
-                   "syndrome size mismatch");
-
-    std::vector<std::uint32_t> residual;
-    for (std::uint32_t d = 0; d < detectors.size(); ++d)
-        if (detectors[d])
-            residual.push_back(d);
-    std::vector<std::uint32_t> next;
-    return decodeResidual(residual, next);
-}
-
-std::uint32_t
-DemDecoder::decodeSparse(std::span<const std::uint32_t> fired)
-{
-    return decodeSparse(fired, residualBuf, nextBuf);
-}
-
-std::uint32_t
 DemDecoder::decodeSparse(std::span<const std::uint32_t> fired,
                          std::vector<std::uint32_t>& residual,
                          std::vector<std::uint32_t>& next) const
 {
     residual.assign(fired.begin(), fired.end());
-    return decodeResidual(residual, next);
-}
-
-std::uint32_t
-DemDecoder::decodeResidual(std::vector<std::uint32_t>& residual,
-                           std::vector<std::uint32_t>& next) const
-{
     if (residual.empty())
         return 0;
 
@@ -107,49 +77,6 @@ DemDecoder::decodeResidual(std::vector<std::uint32_t>& residual,
         std::swap(residual, next);
     }
     return prediction;
-}
-
-std::size_t
-DemDecoder::decodeBatch(std::span<const std::vector<std::uint32_t>> fired,
-                        std::span<std::uint32_t> out,
-                        std::vector<std::uint32_t>& residual,
-                        std::vector<std::uint32_t>& next,
-                        std::vector<std::uint32_t>& order) const
-{
-    HETARCH_ASSERT(out.size() >= fired.size(),
-                   "decodeBatch output span too small");
-    // Weight-0 shots take the fast path before the sort, so the sort
-    // only pays for the non-trivial minority at low noise.
-    order.clear();
-    for (std::uint32_t i = 0; i < fired.size(); ++i) {
-        if (fired[i].empty())
-            out[i] = 0; // not counted as a dedup hit
-        else
-            order.push_back(i);
-    }
-    std::sort(order.begin(), order.end(),
-              [&fired](std::uint32_t a, std::uint32_t b) {
-                  const auto& fa = fired[a];
-                  const auto& fb = fired[b];
-                  if (fa.size() != fb.size())
-                      return fa.size() < fb.size();
-                  const auto c = std::lexicographical_compare_three_way(
-                      fa.begin(), fa.end(), fb.begin(), fb.end());
-                  if (c != 0)
-                      return c < 0;
-                  return a < b;
-              });
-    std::size_t dedup_hits = 0;
-    for (std::size_t k = 0; k < order.size(); ++k) {
-        const auto shot = order[k];
-        if (k > 0 && fired[shot] == fired[order[k - 1]]) {
-            out[shot] = out[order[k - 1]];
-            ++dedup_hits;
-            continue;
-        }
-        out[shot] = decodeSparse(fired[shot], residual, next);
-    }
-    return dedup_hits;
 }
 
 } // namespace qec

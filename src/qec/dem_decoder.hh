@@ -10,6 +10,10 @@
  * set-cover over mechanisms for multi-error syndromes.  Unlike
  * matching decoders it handles mechanisms that flip three or more
  * detectors, which non-surface codes produce generically.
+ *
+ * It has one entry point, decodeSparse(), which takes the fired
+ * detector list and caller-provided scratch and is const, so one
+ * cached decoder serves every worker.
  */
 
 #pragma once
@@ -31,60 +35,22 @@ class DemDecoder
     explicit DemDecoder(const stab::DetectorErrorModel& dem);
 
     /**
-     * Decode a full detector event vector; returns the predicted
-     * observable mask.  Reference entry point: const and thread-safe,
-     * but scans all detectors and allocates the residual per call.
-     */
-    std::uint32_t decode(const std::vector<std::uint8_t>& detectors) const;
-
-    /**
-     * Decode a sparse syndrome given as the ascending list of fired
-     * detector ids.  Bit-identical to decode() on the equivalent dense
-     * vector (the algorithm is inherently sparse; decode() merely
-     * builds this list first).  Reuses internal buffers, so it is not
-     * const and must not be called concurrently on one instance.
-     */
-    std::uint32_t decodeSparse(std::span<const std::uint32_t> fired);
-
-    /**
-     * As above, with caller-provided scratch: const and thread-safe,
+     * Decode a syndrome given as the ascending list of fired detector
+     * ids; returns the predicted observable mask.  Const and
+     * thread-safe: the residual buffers are caller-provided scratch,
      * so chunk workers can share one cached decoder and keep their
-     * residual buffers thread-local.
+     * scratch thread-local.
      */
     std::uint32_t decodeSparse(std::span<const std::uint32_t> fired,
                                std::vector<std::uint32_t>& residual,
                                std::vector<std::uint32_t>& next) const;
 
-    /**
-     * Decode a block of sparse syndromes, writing shot i's predicted
-     * observable mask to @p out[i].  Output-identical to per-shot
-     * decodeSparse() (each decode is a pure function of its fired
-     * list); shots are sorted by ascending syndrome weight then
-     * lexicographically so identical syndromes are decoded once and
-     * their masks reused.  Const and thread-safe: all scratch
-     * (@p residual, @p next, @p order) is caller-provided, so chunk
-     * workers can share one cached decoder.  Returns the number of
-     * duplicate-reuse skips.
-     */
-    std::size_t decodeBatch(std::span<const std::vector<std::uint32_t>>
-                                fired,
-                            std::span<std::uint32_t> out,
-                            std::vector<std::uint32_t>& residual,
-                            std::vector<std::uint32_t>& next,
-                            std::vector<std::uint32_t>& order) const;
-
   private:
-    std::uint32_t decodeResidual(std::vector<std::uint32_t>& residual,
-                                 std::vector<std::uint32_t>& next) const;
-
     const stab::DetectorErrorModel& model;
     /** Exact single-mechanism lookup: detector signature -> best mech. */
     std::map<std::vector<std::uint32_t>, std::size_t> exact;
     /** Mechanisms sorted by descending probability (for greedy pass). */
     std::vector<std::size_t> byProbability;
-    /** Reused scratch for decodeSparse (cleared, never shrunk). */
-    std::vector<std::uint32_t> residualBuf;
-    std::vector<std::uint32_t> nextBuf;
 };
 
 } // namespace qec

@@ -24,27 +24,10 @@ namespace {
 obs::Counter& cShotsDecoded = obs::counter("qec.decode.shots");
 obs::Counter& cLogicalFailures = obs::counter("qec.decode.logical_failures");
 obs::Counter& cTrivialShots = obs::counter("qec.decode.trivial_shots");
-// Shot-batched decode telemetry.  Blocks have the fixed
-// SlidingWindowDecoder::kDecodeBlockWords granularity and dedup hits
-// depend on the sampled syndromes alone, so all three are invariant
-// under worker count.
-obs::Counter& cBatchBlocks = obs::counter("qec.decode.batch_blocks");
-obs::Counter& cBatchShots = obs::counter("qec.decode.batch_shots");
-obs::Counter& cBatchDedupHits =
-    obs::counter("qec.decode.batch_dedup_hits");
 obs::Counter& cShotsCompleted =
     obs::counter("exec.scheduler.shots_completed");
 obs::Histogram& hSyndromeWeight = obs::histogram("qec.syndrome_weight");
 obs::Histogram& hDecodeChunkNs = obs::histogram("qec.decode_chunk_ns");
-
-/** Publish one kernel's accumulated batch-decode stats. */
-void
-publishBatchStats(const SlidingWindowDecoder::Stats& st)
-{
-    cBatchBlocks.add(st.batchBlocks);
-    cBatchShots.add(st.batchShots);
-    cBatchDedupHits.add(st.dedupHits);
-}
 
 } // namespace
 
@@ -66,12 +49,9 @@ countLogicalFailures(const DecoderSetup& setup, DecoderKind decoder,
 {
     obs::ScopedTimer timer(hDecodeChunkNs);
 
-    // The decode kernel is local to the chunk: construction is cheap
+    // The decode kernel is local to the call: construction is cheap
     // (it only binds the shared graphs) and all per-decode arena state
-    // stays on this thread.  The shot-batched buffer entry produces
-    // the exact failures / trivial counts / weight records of the
-    // historical per-word loop while amortizing the decoder arena over
-    // 256-shot blocks.
+    // stays on this thread.
     SlidingWindowDecoder kernel(setup, decoder);
     const std::size_t failures = kernel.decodeBuffer(samples);
 
@@ -79,7 +59,6 @@ countLogicalFailures(const DecoderSetup& setup, DecoderKind decoder,
     cShotsDecoded.add(samples.shots);
     cLogicalFailures.add(failures);
     cTrivialShots.add(kernel.stats().trivialShots);
-    publishBatchStats(kernel.stats());
     return failures;
 }
 
@@ -104,25 +83,16 @@ runMemoryExperiment(const stab::Circuit& circuit, std::size_t shots,
     exec::parallelFor(sched.numChunks(), [&](std::size_t i) {
         const auto chunk = sched.chunk(i);
         Rng chunk_rng = exec::ShotScheduler::chunkRng(base, chunk.index);
-        // Sample the chunk with the word-block sampler, then decode it
-        // through the shot-batched buffer entry.  The chunk buffer is
-        // bounded (<= kDefaultChunkShots shots, a few packed words per
+        // Sample the chunk with the word-block sampler, then decode the
+        // whole chunk buffer at once.  The buffer is bounded
+        // (<= kDefaultChunkShots shots, a few packed words per
         // detector), and RNG-consumption parity makes the sampled
         // bits — and hence the failures and every data-dependent
         // counter — identical to the streamed round-by-round path at
         // any worker count.
         const stab::FrameSimulator frame(setup->program);
         const auto samples = frame.sampleDetectors(chunk.count, chunk_rng);
-        SlidingWindowDecoder kernel(*setup, decoder);
-        failures[i] = kernel.decodeBuffer(samples);
-        const auto& st = kernel.stats();
-        hSyndromeWeight.merge(st.syndromeWeights);
-        if (obs::timingEnabled())
-            hDecodeChunkNs.record(st.decodeNs);
-        cShotsDecoded.add(chunk.count);
-        cLogicalFailures.add(failures[i]);
-        cTrivialShots.add(st.trivialShots);
-        publishBatchStats(st);
+        failures[i] = countLogicalFailures(*setup, decoder, samples);
         cShotsCompleted.add(chunk.count);
     });
     for (auto f : failures)

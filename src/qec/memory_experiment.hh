@@ -76,11 +76,14 @@ MemoryResult runMemoryExperiment(const stab::Circuit& circuit,
  * kernel of runMemoryExperiment, exposed so tests can cross-check the
  * chunked path against a whole-buffer decode.
  *
- * Shots are consumed straight from the packed buffer: one
- * detector-major pass per 64-shot word block enumerates each lane's
- * fired detectors, weight-0 shots bypass the decoder entirely (counted
- * by qec.decode.trivial_shots), and non-trivial shots are decoded
- * through the sparse entry points (decodeSparse) with reused scratch.
+ * Shots are consumed straight from the packed buffer by
+ * SlidingWindowDecoder::decodeBuffer: one detector-major pass collects
+ * every shot's fired detectors, weight-0 shots bypass the decoder
+ * entirely (counted by qec.decode.trivial_shots), and the rest are
+ * decoded through the sparse entry points (decodeSparse), graph by
+ * graph over the whole buffer.  Also publishes the qec.decode.*
+ * counters, the syndrome-weight histogram and the advisory
+ * qec.decode_chunk_ns timer.
  */
 std::size_t countLogicalFailures(const DecoderSetup& setup,
                                  DecoderKind decoder,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <span>
+#include <utility>
 
 #include "core/logging.hh"
 
@@ -76,7 +76,7 @@ SlidingWindowDecoder::beginBatch(std::size_t n_lanes)
     lanes = n_lanes;
     pushedRounds = 0;
     windowBase = 0;
-    predicted.fill(0);
+    predicted.assign(n_lanes, 0);
     shotWeight.fill(0);
     std::fill(obsAccum.begin(), obsAccum.end(), 0);
     if (!isWindowed) {
@@ -107,47 +107,112 @@ SlidingWindowDecoder::pushBlock(const stab::SyndromeBlock& block)
     // Extract the round's fired detectors per lane and project them
     // onto both graphs; the pending lists are the only syndrome
     // storage, so a consumed block can be recycled immediately.
-    for (std::size_t l = 0; l < lanes; ++l)
-        blockFired[l].clear();
-    for (std::size_t i = 0; i < block.detWords.size(); ++i) {
-        std::uint64_t word = block.detWords[i];
-        while (word) {
-            const auto l =
-                static_cast<std::size_t>(std::countr_zero(word));
-            word &= word - 1;
-            blockFired[l].push_back(block.detBegin +
-                                    static_cast<std::uint32_t>(i));
-        }
-    }
+    collectFired(block.detWords.data(), 1, 1, block.detWords.size(),
+                 block.detBegin);
     for (std::size_t l = 0; l < lanes; ++l) {
-        if (blockFired[l].empty())
+        if (fired[l].empty())
             continue;
-        shotWeight[l] += static_cast<std::uint32_t>(blockFired[l].size());
+        shotWeight[l] += static_cast<std::uint32_t>(fired[l].size());
         if (setup.graphZ.numNodes())
-            setup.graphZ.projectSparse(blockFired[l], pending[0][l]);
+            setup.graphZ.projectSparse(fired[l], pending[0][l]);
         if (setup.graphX.numNodes())
-            setup.graphX.projectSparse(blockFired[l], pending[1][l]);
+            setup.graphX.projectSparse(fired[l], pending[1][l]);
     }
 
     if (pushedRounds == nRounds) {
-        decodeWindow(nRounds, nRounds); // final window commits all
+        decodeWindow(nRounds); // final window commits all
     } else if (pushedRounds - windowBase == window) {
-        decodeWindow(pushedRounds, windowBase + commit);
+        decodeWindow(windowBase + commit);
         windowBase += commit;
     }
 }
 
 void
-SlidingWindowDecoder::pushBufferColumn(const stab::DetectorSamples& samples,
-                                       std::size_t w)
+SlidingWindowDecoder::collectFired(const std::uint64_t* det,
+                                   std::size_t stride, std::size_t words,
+                                   std::size_t n_det, std::uint32_t first)
 {
-    HETARCH_ASSERT(!isWindowed,
-                   "pushBufferColumn is the whole-buffer ingestion path");
-    for (std::size_t d = 0; d < samples.numDetectors; ++d)
-        detColumn[d] = samples.detWord(d, w);
-    for (std::size_t k = 0; k < samples.numObservables; ++k)
-        obsAccum[k] = samples.obsWord(k, w);
-    pushedRounds = nRounds;
+    // The scan may write any lane of a word, so every lane of every
+    // word is cleared, including lanes past the last shot.
+    if (fired.size() < words * 64)
+        fired.resize(words * 64);
+    for (std::size_t s = 0; s < words * 64; ++s)
+        fired[s].clear();
+    for (std::size_t d = 0; d < n_det; ++d) {
+        for (std::size_t w = 0; w < words; ++w) {
+            std::uint64_t word = det[d * stride + w];
+            while (word) {
+                const auto l =
+                    static_cast<std::size_t>(std::countr_zero(word));
+                word &= word - 1;
+                fired[w * 64 + l].push_back(first +
+                                            static_cast<std::uint32_t>(d));
+            }
+        }
+    }
+}
+
+void
+SlidingWindowDecoder::decodeShots(const std::uint64_t* det,
+                                  std::size_t stride, std::size_t shots)
+{
+    collectFired(det, stride, (shots + 63) / 64, detColumn.size(), 0);
+    predicted.assign(shots, 0);
+    for (std::size_t s = 0; s < shots; ++s) {
+        acc.syndromeWeights.record(fired[s].size());
+        // Weight-0 fast path: both decoders map the empty syndrome to
+        // the zero correction.
+        if (fired[s].empty())
+            ++acc.trivialShots;
+    }
+
+    if (kind == DecoderKind::GreedyDem) {
+        for (std::size_t s = 0; s < shots; ++s)
+            if (!fired[s].empty())
+                predicted[s] = setup.greedy->decodeSparse(fired[s], residual,
+                                                          residualNext);
+        return;
+    }
+    // Graph-major over the whole buffer: every shot on graphZ, then
+    // every shot on graphX.  No sort and no dedup: reusing repeated
+    // syndromes never paid for its sort, and per-word loops
+    // (lane-major or graph-major) measured slower than this order.
+    const std::pair<const DecodingGraph*, UnionFindDecoder*> graphs[2] = {
+        {&setup.graphZ, &decZ}, {&setup.graphX, &decX}};
+    for (const auto& [graph, dec] : graphs) {
+        if (!graph->numNodes())
+            continue;
+        for (std::size_t s = 0; s < shots; ++s) {
+            if (fired[s].empty())
+                continue;
+            nodesBuf.clear();
+            graph->projectSparse(fired[s], nodesBuf);
+            predicted[s] ^= dec->decodeSparse(nodesBuf);
+        }
+    }
+}
+
+std::size_t
+SlidingWindowDecoder::countFailures(const std::uint64_t* obs,
+                                    std::size_t stride, std::size_t shots)
+{
+    const std::size_t n_obs = obsAccum.size();
+    const std::uint32_t obs_mask =
+        n_obs >= 32 ? 0xffffffffu
+                    : (1u << static_cast<std::uint32_t>(n_obs)) - 1u;
+    std::size_t failures = 0;
+    for (std::size_t s = 0; s < shots; ++s) {
+        std::uint32_t actual = 0;
+        for (std::size_t k = 0; k < n_obs && k < 32; ++k)
+            actual |= static_cast<std::uint32_t>(
+                          (obs[k * stride + s / 64] >> (s % 64)) & 1)
+                      << k;
+        if ((predicted[s] & obs_mask) != actual)
+            ++failures;
+    }
+    acc.failures += failures;
+    acc.shots += shots;
+    return failures;
 }
 
 void
@@ -215,8 +280,7 @@ SlidingWindowDecoder::decodeWindowLane(std::size_t graph, std::size_t lane,
 }
 
 void
-SlidingWindowDecoder::decodeWindow(std::size_t window_end,
-                                   std::size_t commit_end)
+SlidingWindowDecoder::decodeWindow(std::size_t commit_end)
 {
     const bool timed = obs::timingEnabled();
     const std::uint64_t t0 = timed ? nowNs() : 0;
@@ -227,7 +291,6 @@ SlidingWindowDecoder::decodeWindow(std::size_t window_end,
     for (std::size_t l = 0; l < lanes; ++l)
         for (std::size_t g = 0; g < 2; ++g)
             decodeWindowLane(g, l, commit_end, final_window);
-    (void)window_end;
 
     if (timed) {
         const std::uint64_t dt = nowNs() - t0;
@@ -245,45 +308,7 @@ SlidingWindowDecoder::finishBatch()
     const std::uint64_t t0 = timed ? nowNs() : 0;
 
     if (!isWindowed) {
-        // The historical whole-buffer loop: one detector-major pass
-        // enumerates each lane's fired detectors, then every lane is
-        // decoded through the sparse entry points in lane order.
-        for (std::size_t l = 0; l < lanes; ++l)
-            blockFired[l].clear();
-        for (std::size_t d = 0; d < detColumn.size(); ++d) {
-            std::uint64_t word = detColumn[d];
-            while (word) {
-                const auto l =
-                    static_cast<std::size_t>(std::countr_zero(word));
-                word &= word - 1;
-                blockFired[l].push_back(static_cast<std::uint32_t>(d));
-            }
-        }
-        for (std::size_t l = 0; l < lanes; ++l) {
-            const auto& f = blockFired[l]; // ascending detector ids
-            acc.syndromeWeights.record(f.size());
-            std::uint32_t pred = 0;
-            if (f.empty()) {
-                // Weight-0 fast path: both decoders map the empty
-                // syndrome to the zero correction.
-                ++acc.trivialShots;
-            } else if (kind == DecoderKind::GreedyDem) {
-                pred = setup.greedy->decodeSparse(f, residual,
-                                                  residualNext);
-            } else {
-                if (setup.graphZ.numNodes()) {
-                    nodesBuf.clear();
-                    setup.graphZ.projectSparse(f, nodesBuf);
-                    pred ^= decZ.decodeSparse(nodesBuf);
-                }
-                if (setup.graphX.numNodes()) {
-                    nodesBuf.clear();
-                    setup.graphX.projectSparse(f, nodesBuf);
-                    pred ^= decX.decodeSparse(nodesBuf);
-                }
-            }
-            predicted[l] = pred;
-        }
+        decodeShots(detColumn.data(), 1, lanes);
     } else {
         for (std::size_t l = 0; l < lanes; ++l) {
             acc.syndromeWeights.record(shotWeight[l]);
@@ -291,22 +316,7 @@ SlidingWindowDecoder::finishBatch()
                 ++acc.trivialShots;
         }
     }
-
-    const std::size_t n_obs = obsAccum.size();
-    const std::uint32_t obs_mask =
-        n_obs >= 32 ? 0xffffffffu
-                    : (1u << static_cast<std::uint32_t>(n_obs)) - 1u;
-    std::size_t failures = 0;
-    for (std::size_t l = 0; l < lanes; ++l) {
-        std::uint32_t actual = 0;
-        for (std::size_t k = 0; k < n_obs && k < 32; ++k)
-            actual |= static_cast<std::uint32_t>((obsAccum[k] >> l) & 1)
-                      << k;
-        if ((predicted[l] & obs_mask) != actual)
-            ++failures;
-    }
-    acc.failures += failures;
-    acc.shots += lanes;
+    const std::size_t failures = countFailures(obsAccum.data(), 1, lanes);
     if (timed)
         acc.decodeNs += nowNs() - t0;
     return failures;
@@ -317,106 +327,16 @@ SlidingWindowDecoder::decodeBuffer(const stab::DetectorSamples& samples)
 {
     HETARCH_ASSERT(!isWindowed,
                    "decodeBuffer is the whole-buffer batch entry");
+    HETARCH_ASSERT(samples.numDetectors == detColumn.size() &&
+                       samples.numObservables == obsAccum.size(),
+                   "sample buffer does not match the decoder's program");
     const bool timed = obs::timingEnabled();
     const std::uint64_t t0 = timed ? nowNs() : 0;
 
-    const std::size_t block_cap = kDecodeBlockWords * 64;
-    bufFired.resize(block_cap);
-    projZ.resize(block_cap);
-    projX.resize(block_cap);
-    maskA.resize(block_cap);
-    maskB.resize(block_cap);
-
-    const std::size_t n_obs = samples.numObservables;
-    const std::uint32_t obs_mask =
-        n_obs >= 32 ? 0xffffffffu
-                    : (1u << static_cast<std::uint32_t>(n_obs)) - 1u;
-
-    std::size_t failures = 0;
-    for (std::size_t w0 = 0; w0 < samples.numWords;
-         w0 += kDecodeBlockWords) {
-        const std::size_t words =
-            std::min(kDecodeBlockWords, samples.numWords - w0);
-        const std::size_t block_shots =
-            std::min(words * 64, samples.shots - w0 * 64);
-
-        // One detector-major pass over the block's packed words pulls
-        // every shot's fired list (ascending detector ids) at once.
-        for (std::size_t s = 0; s < block_shots; ++s)
-            bufFired[s].clear();
-        for (std::size_t d = 0; d < samples.numDetectors; ++d) {
-            const std::uint64_t* row =
-                samples.detWords.data() + d * samples.numWords + w0;
-            for (std::size_t j = 0; j < words; ++j) {
-                std::uint64_t word = row[j];
-                while (word) {
-                    const auto l = static_cast<std::size_t>(
-                        std::countr_zero(word));
-                    word &= word - 1;
-                    bufFired[j * 64 + l].push_back(
-                        static_cast<std::uint32_t>(d));
-                }
-            }
-        }
-
-        ++acc.batchBlocks;
-        acc.batchShots += block_shots;
-        for (std::size_t s = 0; s < block_shots; ++s) {
-            acc.syndromeWeights.record(bufFired[s].size());
-            if (bufFired[s].empty())
-                ++acc.trivialShots;
-        }
-
-        const std::span<const std::vector<std::uint32_t>> lists(
-            bufFired.data(), block_shots);
-        if (kind == DecoderKind::GreedyDem) {
-            acc.dedupHits += setup.greedy->decodeBatch(
-                lists, std::span<std::uint32_t>(maskA.data(), block_shots),
-                residual, residualNext, batchOrder);
-            for (std::size_t s = 0; s < block_shots; ++s)
-                maskB[s] = 0;
-        } else {
-            // Project every shot onto both graphs, then decode each
-            // graph's syndromes as one weight-sorted batch.
-            for (std::size_t s = 0; s < block_shots; ++s) {
-                projZ[s].clear();
-                projX[s].clear();
-                if (bufFired[s].empty())
-                    continue;
-                if (setup.graphZ.numNodes())
-                    setup.graphZ.projectSparse(bufFired[s], projZ[s]);
-                if (setup.graphX.numNodes())
-                    setup.graphX.projectSparse(bufFired[s], projX[s]);
-            }
-            acc.dedupHits += decZ.decodeBatch(
-                std::span<const std::vector<std::uint32_t>>(projZ.data(),
-                                                            block_shots),
-                std::span<std::uint32_t>(maskA.data(), block_shots));
-            acc.dedupHits += decX.decodeBatch(
-                std::span<const std::vector<std::uint32_t>>(projX.data(),
-                                                            block_shots),
-                std::span<std::uint32_t>(maskB.data(), block_shots));
-        }
-
-        // Compare predictions against the packed observable words.
-        for (std::size_t j = 0; j < words; ++j) {
-            const std::size_t lanes_w =
-                std::min<std::size_t>(64, samples.shots - (w0 + j) * 64);
-            for (std::size_t l = 0; l < lanes_w; ++l) {
-                const std::uint32_t pred =
-                    maskA[j * 64 + l] ^ maskB[j * 64 + l];
-                std::uint32_t actual = 0;
-                for (std::size_t k = 0; k < n_obs && k < 32; ++k)
-                    actual |= static_cast<std::uint32_t>(
-                                  (samples.obsWord(k, w0 + j) >> l) & 1)
-                              << k;
-                if ((pred & obs_mask) != actual)
-                    ++failures;
-            }
-        }
-        acc.shots += block_shots;
-    }
-    acc.failures += failures;
+    decodeShots(samples.detWords.data(), samples.numWords, samples.shots);
+    acc.batchShots += samples.shots;
+    const std::size_t failures = countFailures(
+        samples.obsWords.data(), samples.numWords, samples.shots);
     if (timed)
         acc.decodeNs += nowNs() - t0;
     return failures;

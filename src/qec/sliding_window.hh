@@ -8,11 +8,13 @@
  * modes:
  *
  *   - **Whole-buffer** (windowRounds == 0 or >= rounds): blocks are
- *     assembled into the batch's full detector column and decoded in a
- *     single pass at finishBatch().  This is bit-identical — same
- *     fired-detector extraction order, same sparse decoder call
- *     sequence — to the historical countLogicalFailures() loop, so the
- *     batch API is literally "window spans the whole buffer".
+ *     assembled into the batch's full detector column and decoded at
+ *     finishBatch() by the same routine that decodeBuffer() runs over
+ *     a packed sample buffer: one detector-major pass collects every
+ *     shot's fired detectors, then every shot is decoded on graphZ and
+ *     then every shot on graphX (or each shot once by the greedy
+ *     decoder).  Each decode is a pure function of its fired list, so
+ *     the batch API is literally "window spans the whole buffer".
  *
  *   - **Sliding-window** (windowRounds < rounds, union-find only): a
  *     window of W rounds is decoded whenever it fills; the first C
@@ -72,8 +74,9 @@ struct WindowConfig
  * create one per worker (construction only binds the shared graphs).
  *
  * Usage per 64-shot batch: beginBatch(lanes), pushBlock() for every
- * round in order (or pushBufferColumn() for a pre-assembled buffer),
- * then finishBatch() which returns the batch's logical failures.
+ * round in order, then finishBatch() which returns the batch's logical
+ * failures.  A pre-sampled packed buffer goes through decodeBuffer()
+ * in one call.
  */
 class SlidingWindowDecoder
 {
@@ -92,19 +95,14 @@ class SlidingWindowDecoder
         std::uint64_t committedRounds = 0;
         std::uint64_t carryDefects = 0;  ///< defects carried forward
         std::uint64_t decodeNs = 0; ///< decode wall time (if timing on)
-        // Shot-batched buffer decode (decodeBuffer only).
-        std::uint64_t batchBlocks = 0; ///< word blocks decoded
         std::uint64_t batchShots = 0;  ///< shots through decodeBuffer
-        std::uint64_t dedupHits = 0;   ///< duplicate-syndrome reuses
+        /**
+         * Always 0: every shot is decoded from its own fired list, none
+         * reuses another's prediction.  Kept for readers of the shot
+         * benchmark's qec.dedup_share.
+         */
+        std::uint64_t dedupHits = 0;
     };
-
-    /**
-     * Shots-per-block granularity of decodeBuffer(), in 64-shot words.
-     * Fixed and separate from the sampler's block width, so the
-     * decoder's batching — and therefore its dedup telemetry — depends
-     * on the sampled data alone, whatever the worker count.
-     */
-    static constexpr std::size_t kDecodeBlockWords = 4;
 
     SlidingWindowDecoder(const DecoderSetup& setup, DecoderKind kind,
                          const WindowConfig& config = {});
@@ -137,13 +135,6 @@ class SlidingWindowDecoder
     void pushBlock(const stab::SyndromeBlock& block);
 
     /**
-     * Whole-buffer convenience: ingest 64-shot column @p w of a packed
-     * sample buffer (all rounds at once).  Whole-buffer mode only.
-     */
-    void pushBufferColumn(const stab::DetectorSamples& samples,
-                          std::size_t w);
-
-    /**
      * Finish the batch: decode (whole-buffer mode) or reconcile the
      * final window (windowed mode), compare predictions against the
      * recorded observables, and return the batch's failure count.
@@ -151,26 +142,24 @@ class SlidingWindowDecoder
     std::size_t finishBatch();
 
     /**
-     * Shot-batched whole-buffer decode: consume an entire packed
-     * sample buffer in kDecodeBlockWords-word blocks (up to 256 shots
-     * each) and return its total logical-failure count.
-     *
-     * Failures, trivial-shot counts and syndrome-weight records are
-     * identical to driving the kernel word-by-word through
-     * beginBatch()/pushBufferColumn()/finishBatch(): fired-detector
-     * extraction still scans detector-major packed words, and every
-     * shot's prediction still comes from the same sparse decoder calls
-     * (batching only reorders pure per-shot decodes and reuses masks
-     * of lexicographically identical syndromes — see
-     * UnionFindDecoder::decodeBatch).  On top, the block entry
-     * amortizes the decoder arena across up to 256 shots and fills the
-     * batch-decode stats (batchBlocks / batchShots / dedupHits).
+     * Decode every shot of a packed sample buffer of this setup's
+     * program and return its logical-failure count.  Runs the same
+     * whole-buffer routine as finishBatch(), over all of the buffer's
+     * words at once, so failures, trivial-shot counts and
+     * syndrome-weight records equal decoding it 64 shots at a time.
      * Whole-buffer mode only.
      */
     std::size_t decodeBuffer(const stab::DetectorSamples& samples);
 
   private:
-    void decodeWindow(std::size_t window_end, std::size_t commit_end);
+    void collectFired(const std::uint64_t* det, std::size_t stride,
+                      std::size_t words, std::size_t n_det,
+                      std::uint32_t first);
+    void decodeShots(const std::uint64_t* det, std::size_t stride,
+                     std::size_t shots);
+    std::size_t countFailures(const std::uint64_t* obs, std::size_t stride,
+                              std::size_t shots);
+    void decodeWindow(std::size_t commit_end);
     void decodeWindowLane(std::size_t graph, std::size_t lane,
                           std::size_t commit_end, bool final_window);
 
@@ -191,7 +180,7 @@ class SlidingWindowDecoder
     std::size_t pushedRounds = 0;
     std::size_t windowBase = 0;
     std::vector<std::uint64_t> obsAccum; ///< per-observable lane word
-    std::array<std::uint32_t, 64> predicted{};
+    std::vector<std::uint32_t> predicted; ///< per-shot observable mask
     std::array<std::uint32_t, 64> shotWeight{};
 
     // Whole-buffer mode: the batch's full detector column.
@@ -204,24 +193,15 @@ class SlidingWindowDecoder
     /** Round of each graph node (windowed mode only). */
     std::array<std::vector<std::uint32_t>, 2> nodeRound;
 
-    // Reused scratch.
-    std::array<std::vector<std::uint32_t>, 64> blockFired;
+    // Reused scratch.  fired[s]: shot s's fired detector ids,
+    // ascending (64 entries per packed word; cleared, never shrunk).
+    std::vector<std::vector<std::uint32_t>> fired;
     std::vector<std::uint32_t> nodesBuf;
     std::vector<std::uint32_t> edgesBuf;
     std::vector<std::uint32_t> flipsBuf;
     std::vector<std::uint32_t> keepBuf;
     std::vector<std::uint32_t> residual; ///< greedy scratch
     std::vector<std::uint32_t> residualNext;
-
-    // decodeBuffer block scratch: per-shot fired/projected lists and
-    // masks for one kDecodeBlockWords-word block (cleared, never
-    // shrunk).
-    std::vector<std::vector<std::uint32_t>> bufFired;
-    std::vector<std::vector<std::uint32_t>> projZ;
-    std::vector<std::vector<std::uint32_t>> projX;
-    std::vector<std::uint32_t> maskA;
-    std::vector<std::uint32_t> maskB;
-    std::vector<std::uint32_t> batchOrder; ///< greedy decodeBatch order
 };
 
 } // namespace qec

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <compare>
 #include <map>
 
 #include "core/logging.hh"
@@ -157,19 +156,6 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
             g.inc[static_cast<std::size_t>(e.v)].push_back(id);
     }
     return g;
-}
-
-std::vector<std::uint8_t>
-DecodingGraph::projectSyndrome(
-    const std::vector<std::uint8_t>& detectors) const
-{
-    HETARCH_ASSERT(detectors.size() == det2node.size(),
-                   "syndrome size mismatch");
-    std::vector<std::uint8_t> out(nNodes, 0);
-    for (std::size_t d = 0; d < detectors.size(); ++d)
-        if (det2node[d] >= 0)
-            out[static_cast<std::size_t>(det2node[d])] = detectors[d];
-    return out;
 }
 
 void
@@ -422,248 +408,6 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
         defect[boundary] = 0; // boundary absorbs anything
     }
     return correction;
-}
-
-std::uint32_t
-UnionFindDecoder::decode(const std::vector<std::uint8_t>& syndrome) const
-{
-    const std::size_t n = g.numNodes();
-    HETARCH_ASSERT(syndrome.size() == n, "syndrome size mismatch");
-    const std::size_t boundary = n; // virtual boundary node id
-
-    // --- union-find state -------------------------------------------
-    std::vector<std::int32_t> parent(n + 1);
-    for (std::size_t i = 0; i <= n; ++i)
-        parent[i] = static_cast<std::int32_t>(i);
-    std::vector<std::uint8_t> odd(n + 1, 0);
-    std::vector<std::uint8_t> touches_boundary(n + 1, 0);
-    touches_boundary[boundary] = 1;
-
-    auto find = [&](std::size_t x) {
-        while (parent[x] != static_cast<std::int32_t>(x)) {
-            parent[x] = parent[static_cast<std::size_t>(parent[x])];
-            x = static_cast<std::size_t>(parent[x]);
-        }
-        return x;
-    };
-
-    std::vector<std::int32_t> grown(g.edges().size(), 0);
-    // Frontier edge lists per root and cluster member lists.
-    std::vector<std::vector<std::int32_t>> frontier(n + 1);
-    std::vector<std::vector<std::int32_t>> members(n + 1);
-    std::vector<std::uint8_t> materialized(n + 1, 0);
-
-    std::vector<std::size_t> worklist;
-    for (std::size_t v = 0; v < n; ++v) {
-        members[v] = {static_cast<std::int32_t>(v)};
-        if (syndrome[v]) {
-            odd[v] = 1;
-            frontier[v] = g.incidence()[v];
-            materialized[v] = 1;
-            worklist.push_back(v);
-        }
-    }
-    members[boundary] = {static_cast<std::int32_t>(boundary)};
-    materialized[boundary] = 1;
-
-    auto unite = [&](std::size_t a, std::size_t b) {
-        std::size_t ra = find(a), rb = find(b);
-        if (ra == rb)
-            return ra;
-        // Union by member count.
-        if (members[ra].size() < members[rb].size())
-            std::swap(ra, rb);
-        parent[rb] = static_cast<std::int32_t>(ra);
-        odd[ra] ^= odd[rb];
-        touches_boundary[ra] |= touches_boundary[rb];
-        members[ra].insert(members[ra].end(), members[rb].begin(),
-                           members[rb].end());
-        members[rb].clear();
-        frontier[ra].insert(frontier[ra].end(), frontier[rb].begin(),
-                            frontier[rb].end());
-        frontier[rb].clear();
-        return ra;
-    };
-
-    // --- growth ------------------------------------------------------
-    // Round-robin: grow every active cluster's frontier by one unit
-    // until all clusters are neutral (even parity or boundary-touching).
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        std::vector<std::size_t> roots;
-        for (auto v : worklist) {
-            const auto r = find(v);
-            if (odd[r] && !touches_boundary[r])
-                roots.push_back(r);
-        }
-        std::sort(roots.begin(), roots.end());
-        roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-        if (roots.empty())
-            break;
-
-        for (auto r : roots) {
-            if (find(r) != r || !odd[r] || touches_boundary[r])
-                continue; // merged or neutralized earlier this sweep
-            std::vector<std::int32_t> keep;
-            auto edges_now = frontier[r];
-            frontier[r].clear();
-            for (auto eid : edges_now) {
-                const auto& e = g.edges()[static_cast<std::size_t>(eid)];
-                if (grown[static_cast<std::size_t>(eid)] >= e.weight) {
-                    continue; // already fully grown and merged
-                }
-                grown[static_cast<std::size_t>(eid)] += 2;
-                progress = true;
-                if (grown[static_cast<std::size_t>(eid)] >= e.weight) {
-                    const std::size_t a = static_cast<std::size_t>(e.u);
-                    const std::size_t b =
-                        e.v < 0 ? boundary : static_cast<std::size_t>(e.v);
-                    // Materialize far endpoints' incident edges.
-                    for (std::size_t endpoint : {a, b}) {
-                        if (endpoint != boundary &&
-                            !materialized[endpoint]) {
-                            materialized[endpoint] = 1;
-                            const auto er = find(endpoint);
-                            frontier[er].insert(
-                                frontier[er].end(),
-                                g.incidence()[endpoint].begin(),
-                                g.incidence()[endpoint].end());
-                        }
-                    }
-                    const auto nr = unite(unite(a, b), r);
-                    worklist.push_back(nr);
-                } else {
-                    keep.push_back(eid);
-                }
-            }
-            const auto r2 = find(r);
-            frontier[r2].insert(frontier[r2].end(), keep.begin(),
-                                keep.end());
-        }
-    }
-
-    // --- peeling ------------------------------------------------------
-    // For each cluster, build a spanning forest of fully grown edges
-    // and peel from the leaves, emitting correction edges.
-    std::uint32_t correction = 0;
-    std::vector<std::uint8_t> defect(n + 1, 0);
-    for (std::size_t v = 0; v < n; ++v)
-        defect[v] = syndrome[v];
-
-    // Adjacency restricted to fully grown edges.
-    std::vector<std::size_t> cluster_of(n + 1, SIZE_MAX);
-    std::vector<std::size_t> roots;
-    for (std::size_t v = 0; v <= n; ++v) {
-        if (find(v) == v && !members[v].empty())
-            roots.push_back(v);
-    }
-    for (auto r : roots)
-        for (auto m : members[r])
-            cluster_of[static_cast<std::size_t>(m)] = r;
-
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adj(
-        n + 1); // node -> (neighbor, edge id)
-    for (std::size_t eid = 0; eid < g.edges().size(); ++eid) {
-        if (grown[eid] < g.edges()[eid].weight)
-            continue;
-        const auto& e = g.edges()[eid];
-        const std::size_t a = static_cast<std::size_t>(e.u);
-        const std::size_t b =
-            e.v < 0 ? boundary : static_cast<std::size_t>(e.v);
-        adj[a].push_back({b, eid});
-        adj[b].push_back({a, eid});
-    }
-
-    std::vector<std::uint8_t> visited(n + 1, 0);
-    for (auto r : roots) {
-        // Pick a tree root: boundary if in this cluster, else r itself.
-        std::size_t tree_root = r;
-        if (touches_boundary[r]) {
-            for (auto m : members[r]) {
-                if (static_cast<std::size_t>(m) == boundary) {
-                    tree_root = boundary;
-                    break;
-                }
-            }
-        }
-        if (visited[tree_root])
-            continue;
-        // BFS spanning tree.
-        std::vector<std::size_t> order;
-        std::vector<std::pair<std::size_t, std::size_t>> parent_edge(
-            n + 1, {SIZE_MAX, SIZE_MAX});
-        visited[tree_root] = 1;
-        order.push_back(tree_root);
-        for (std::size_t head = 0; head < order.size(); ++head) {
-            const auto u = order[head];
-            for (const auto& [w, eid] : adj[u]) {
-                if (!visited[w]) {
-                    visited[w] = 1;
-                    parent_edge[w] = {u, eid};
-                    order.push_back(w);
-                }
-            }
-        }
-        // Peel leaves-first (reverse BFS order).
-        for (std::size_t k = order.size(); k-- > 1;) {
-            const auto v = order[k];
-            if (defect[v]) {
-                const auto [p, eid] = parent_edge[v];
-                correction ^= g.edges()[eid].observables;
-                defect[v] = 0;
-                defect[p] ^= 1;
-            }
-        }
-        defect[boundary] = 0; // boundary absorbs anything
-    }
-    return correction;
-}
-
-std::size_t
-UnionFindDecoder::decodeBatch(
-    std::span<const std::vector<std::uint32_t>> fired,
-    std::span<std::uint32_t> out)
-{
-    HETARCH_ASSERT(out.size() >= fired.size(),
-                   "decodeBatch output span too small");
-    // Weight-0 shots take the fast path before the sort, so the sort
-    // only pays for the non-trivial minority at low noise.
-    auto& order = batchOrderBuf;
-    order.clear();
-    for (std::uint32_t i = 0; i < fired.size(); ++i) {
-        if (fired[i].empty())
-            out[i] = 0; // not counted as a dedup hit
-        else
-            order.push_back(i);
-    }
-    // Weight-ascending, then lexicographic so identical syndromes are
-    // adjacent, then shot index to keep the order deterministic.
-    std::sort(order.begin(), order.end(),
-              [&fired](std::uint32_t a, std::uint32_t b) {
-                  const auto& fa = fired[a];
-                  const auto& fb = fired[b];
-                  if (fa.size() != fb.size())
-                      return fa.size() < fb.size();
-                  const auto c = std::lexicographical_compare_three_way(
-                      fa.begin(), fa.end(), fb.begin(), fb.end());
-                  if (c != 0)
-                      return c < 0;
-                  return a < b;
-              });
-    std::size_t dedup_hits = 0;
-    for (std::size_t k = 0; k < order.size(); ++k) {
-        const auto shot = order[k];
-        if (k > 0 && fired[shot] == fired[order[k - 1]]) {
-            // decodeSparse is deterministic in its fired list, so an
-            // identical syndrome must produce an identical mask.
-            out[shot] = out[order[k - 1]];
-            ++dedup_hits;
-            continue;
-        }
-        out[shot] = decodeSparse(fired[shot]);
-    }
-    return dedup_hits;
 }
 
 } // namespace qec

@@ -10,19 +10,15 @@
  * than two, they are decomposed onto existing elementary edges (the
  * same convention Stim/PyMatching use for Y-type correlations).
  *
- * Two decode entry points share the algorithm:
- *
- *   - decode(dense) allocates fresh state per call and scans every
- *     node.  It is the reference implementation — simple, const,
- *     thread-safe.
- *   - decodeSparse(span of fired node ids) runs on an epoch-versioned
- *     scratch arena owned by the decoder: per-node/per-edge state is
- *     lazily re-initialized the first time a decode touches it, so a
- *     weight-w syndrome costs O(cluster size), not O(graph size), and
- *     no per-shot allocation survives warm-up.  Outputs are
- *     bit-identical to decode() — the growth schedule, frontier
- *     merge order and peeling order are replicated exactly, which the
- *     packed-pipeline tests pin.
+ * The decoder has one entry point, decodeSparse(span of fired node
+ * ids), which runs on an epoch-versioned scratch arena owned by the
+ * decoder: per-node/per-edge state is lazily re-initialized the first
+ * time a decode touches it, so a weight-w syndrome costs O(cluster
+ * size), not O(graph size), and no per-shot allocation survives
+ * warm-up.  Tests pin it bit for bit against a dense reference
+ * (tests/support/reference_decoders.hh) that replicates the growth
+ * schedule, frontier merge order and peeling order with fresh
+ * per-call state and shares no code with the arena.
  */
 
 #pragma once
@@ -82,15 +78,10 @@ class DecodingGraph
     /** Mechanisms that could not be decomposed onto elementary edges. */
     std::size_t undecomposedCount() const { return undecomposed; }
 
-    /** Project a full detector event vector onto this graph's nodes. */
-    std::vector<std::uint8_t>
-    projectSyndrome(const std::vector<std::uint8_t>& detectors) const;
-
     /**
      * Project an ascending list of fired global detector ids onto this
      * graph, appending the kept node ids to @p out (ascending, since
-     * node ids are assigned in detector order).  The sparse analogue
-     * of projectSyndrome.
+     * node ids are assigned in detector order).
      */
     void projectSparse(std::span<const std::uint32_t> fired,
                        std::vector<std::uint32_t>& out) const;
@@ -105,10 +96,9 @@ class DecodingGraph
 
 /**
  * Union-find decoder.  Construct once per graph, then decode many
- * syndromes.  decode() is const and thread-safe; decodeSparse() uses
- * the decoder's scratch arena and must not be called concurrently on
- * one instance (use one decoder per worker, as the chunked experiment
- * path does).
+ * syndromes.  decodeSparse() uses the decoder's scratch arena and must
+ * not be called concurrently on one instance (use one decoder per
+ * worker, as the chunked experiment path does).
  */
 class UnionFindDecoder
 {
@@ -116,17 +106,11 @@ class UnionFindDecoder
     explicit UnionFindDecoder(const DecodingGraph& graph);
 
     /**
-     * Decode one syndrome (bit per node).  Returns the predicted
-     * logical-observable mask of the correction.  Reference
-     * implementation: allocates per call.
-     */
-    std::uint32_t decode(const std::vector<std::uint8_t>& syndrome) const;
-
-    /**
-     * Decode a sparse syndrome given as the ascending list of fired
-     * node ids.  Bit-identical to decode() on the equivalent dense
-     * vector; runs on the reusable arena (no per-shot allocation once
-     * warm).
+     * Decode a syndrome given as the ascending list of fired node ids
+     * and return the predicted logical-observable mask of the
+     * correction.  A pure function of @p fired (the epoch-stamped
+     * arena isolates decodes from each other); runs on the reusable
+     * arena (no per-shot allocation once warm).
      *
      * When @p applied_edges is non-null, the ids of the correction
      * edges the peeling pass applied are appended to it (in peel
@@ -138,26 +122,6 @@ class UnionFindDecoder
                                std::vector<std::uint32_t>* applied_edges =
                                    nullptr);
 
-    /**
-     * Decode a block of sparse syndromes at once, writing the
-     * predicted observable mask of shot i to @p out[i].
-     *
-     * Output-identical to calling decodeSparse() per shot: each decode
-     * is a pure function of its fired list (the epoch-stamped arena
-     * isolates decodes from each other), so reordering and reusing
-     * results cannot change any prediction.  What batching buys is
-     * amortization — shots are processed in ascending syndrome-weight
-     * order (cheap trivial/unit syndromes first, keeping the arena's
-     * touched set small and hot), lexicographically equal neighbours
-     * reuse the previous shot's mask without re-decoding, and the
-     * arena warm-up is paid once per block instead of once per call
-     * site.  Returns the number of decodes skipped via duplicate
-     * reuse (telemetry: qec.decode.batch_dedup_hits).
-     */
-    std::size_t decodeBatch(std::span<const std::vector<std::uint32_t>>
-                                fired,
-                            std::span<std::uint32_t> out);
-
   private:
     void touchNode(std::size_t v);
     std::vector<std::pair<std::size_t, std::size_t>>&
@@ -167,7 +131,7 @@ class UnionFindDecoder
 
     const DecodingGraph& g;
 
-    // --- epoch-versioned scratch arena (decodeSparse only) ----------
+    // --- epoch-versioned scratch arena -------------------------------
     // A slot is valid iff its epoch stamp equals `epoch`; bumping
     // `epoch` invalidates everything in O(1).  Sized n+1 (last slot =
     // virtual boundary node) or #edges at construction.
@@ -194,7 +158,6 @@ class UnionFindDecoder
     std::vector<std::size_t> orderBuf;
     std::vector<std::int32_t> keepBuf;
     std::vector<std::int32_t> edgesNowBuf;
-    std::vector<std::uint32_t> batchOrderBuf; ///< decodeBatch shot order
 };
 
 } // namespace qec

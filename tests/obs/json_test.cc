@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the stable v1 snapshot JSON: golden schema output,
- * serialize/parse round-trips, and loud failure on malformed input.
+ * Tests for the stable v1 snapshot JSON: the writer's output is pinned
+ * byte for byte against a golden document.
  */
 
 #include <gtest/gtest.h>
@@ -46,71 +46,6 @@ TEST(ObsJson, GoldenSchema)
 }
 )";
     EXPECT_EQ(obs::toJson(sampleSnapshot()), expected);
-}
-
-TEST(ObsJson, RoundTripPreservesEverything)
-{
-    const auto snap = sampleSnapshot();
-    const auto parsed = obs::parseSnapshotJson(obs::toJson(snap));
-
-    ASSERT_EQ(parsed.counters.size(), snap.counters.size());
-    for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-        EXPECT_EQ(parsed.counters[i].first, snap.counters[i].first);
-        EXPECT_EQ(parsed.counters[i].second, snap.counters[i].second);
-    }
-    ASSERT_EQ(parsed.histograms.size(), snap.histograms.size());
-    for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-        const auto& a = snap.histograms[i];
-        const auto& b = parsed.histograms[i];
-        EXPECT_EQ(b.name, a.name);
-        EXPECT_EQ(b.count, a.count);
-        EXPECT_EQ(b.sum, a.sum);
-        EXPECT_EQ(b.buckets, a.buckets);
-    }
-    ASSERT_EQ(parsed.spans.size(), snap.spans.size());
-    for (std::size_t i = 0; i < snap.spans.size(); ++i) {
-        EXPECT_EQ(parsed.spans[i].name, snap.spans[i].name);
-        EXPECT_EQ(parsed.spans[i].startNs, snap.spans[i].startNs);
-        EXPECT_EQ(parsed.spans[i].durNs, snap.spans[i].durNs);
-        EXPECT_EQ(parsed.spans[i].thread, snap.spans[i].thread);
-    }
-}
-
-TEST(ObsJson, EmptySnapshotRoundTrips)
-{
-    obs::Snapshot empty;
-    const auto parsed = obs::parseSnapshotJson(obs::toJson(empty));
-    EXPECT_TRUE(parsed.counters.empty());
-    EXPECT_TRUE(parsed.histograms.empty());
-    EXPECT_TRUE(parsed.spans.empty());
-}
-
-TEST(ObsJson, RegistrySnapshotRoundTrips)
-{
-    obs::counter("test.json.counter").add(5);
-    obs::histogram("test.json.hist").record(17);
-    const auto snap = obs::Registry::instance().snapshot();
-    const auto parsed = obs::parseSnapshotJson(obs::toJson(snap));
-    EXPECT_EQ(parsed.counters.size(), snap.counters.size());
-    EXPECT_EQ(parsed.histograms.size(), snap.histograms.size());
-    EXPECT_EQ(obs::toJson(parsed), obs::toJson(snap));
-}
-
-TEST(ObsJsonDeath, MalformedInputIsFatal)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_EXIT(obs::parseSnapshotJson("{"), ::testing::ExitedWithCode(1),
-                "parse error");
-    EXPECT_EXIT(obs::parseSnapshotJson("[]"),
-                ::testing::ExitedWithCode(1), "parse error");
-    EXPECT_EXIT(
-        obs::parseSnapshotJson(
-            "{\"schema\": \"hetarch-obs-v2\", \"counters\": {}, "
-            "\"histograms\": {}, \"spans\": []}"),
-        ::testing::ExitedWithCode(1), "unsupported snapshot schema");
-    const auto good = obs::toJson(obs::Snapshot{});
-    EXPECT_EXIT(obs::parseSnapshotJson(good + "x"),
-                ::testing::ExitedWithCode(1), "trailing content");
 }
 
 } // namespace

@@ -50,19 +50,11 @@ TEST(UnionFind, CorrectsSingleErrorsRepetition)
     // Every single mechanism must be decoded back to its own
     // observable effect.
     for (const auto& mech : dem.mechanisms) {
-        std::vector<std::uint8_t> syndrome(graph.numNodes(), 0);
-        bool in_graph = true;
-        for (auto d : mech.detectors) {
-            const auto node = graph.detectorToNode()[d];
-            if (node < 0) {
-                in_graph = false;
-                break;
-            }
-            syndrome[static_cast<std::size_t>(node)] ^= 1;
-        }
-        if (!in_graph)
-            continue;
-        EXPECT_EQ(dec.decode(syndrome), mech.observables)
+        std::vector<std::uint32_t> fired;
+        graph.projectSparse(mech.detectors, fired);
+        if (fired.size() != mech.detectors.size())
+            continue; // a detector outside this graph
+        EXPECT_EQ(dec.decodeSparse(fired), mech.observables)
             << "mechanism with p=" << mech.probability;
     }
 }
@@ -75,8 +67,7 @@ TEST(UnionFind, EmptySyndromeGivesNoCorrection)
     const auto graph =
         DecodingGraph::fromDem(dem, circ.detectorTags(), kTagZ);
     UnionFindDecoder dec(graph);
-    std::vector<std::uint8_t> syndrome(graph.numNodes(), 0);
-    EXPECT_EQ(dec.decode(syndrome), 0u);
+    EXPECT_EQ(dec.decodeSparse({}), 0u);
 }
 
 TEST(UnionFind, RepetitionLogicalRateSuppressed)
@@ -97,13 +88,11 @@ TEST(DemDecoder, CorrectsAllSingleMechanisms)
         const auto circ = codeCapacityMemoryZ(code, 1, 0.01, 0.01);
         const auto dem = stab::buildDetectorErrorModel(circ);
         DemDecoder dec(dem);
-        for (const auto& mech : dem.mechanisms) {
-            std::vector<std::uint8_t> syndrome(dem.numDetectors, 0);
-            for (auto d : mech.detectors)
-                syndrome[d] ^= 1;
-            EXPECT_EQ(dec.decode(syndrome) & 1u, mech.observables & 1u)
+        std::vector<std::uint32_t> residual, next;
+        for (const auto& mech : dem.mechanisms)
+            EXPECT_EQ(dec.decodeSparse(mech.detectors, residual, next) & 1u,
+                      mech.observables & 1u)
                 << code.name;
-        }
     }
 }
 

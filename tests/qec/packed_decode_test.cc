@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the bit-packed sparse decode pipeline: the sparse decoder
- * entry points (arena-backed union-find, buffer-backed greedy) must be
- * bit-identical to their dense reference implementations, weight-0
- * shots must be counted by the trivial-shot bypass, all observables
- * must be failure-checked, and the packed samples plus every decode
- * counter must be invariant across 1/2/8 workers.
+ * Tests for the bit-packed sparse decode pipeline: the arena-backed
+ * union-find decoder must be bit-identical to the dense reference in
+ * tests/support, weight-0 shots must be counted by the trivial-shot
+ * bypass, all observables must be failure-checked, and the packed
+ * samples plus every decode counter must be invariant across 1/2/8
+ * workers.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "qec/surface_circuit.hh"
 #include "stab/frame.hh"
 #include "support/packed_samples.hh"
+#include "support/union_find_reference.hh"
 
 namespace hetarch {
 namespace qec {
@@ -46,7 +47,8 @@ TEST(PackedDecode, SparseUnionFindMatchesDenseOnRandomSyndromes)
 
     // One sparse decoder reused across every trial and density, so the
     // epoch arena is exercised with many different syndromes in a row;
-    // the dense decoder allocates fresh state per call by construction.
+    // the dense reference allocates fresh state per call by
+    // construction.
     UnionFindDecoder dec_z(setup->graphZ);
     UnionFindDecoder dec_x(setup->graphX);
 
@@ -54,19 +56,15 @@ TEST(PackedDecode, SparseUnionFindMatchesDenseOnRandomSyndromes)
     const std::size_t n_dets = circuit.numDetectors();
     for (const int permille : {5, 30, 150, 500}) {
         for (int trial = 0; trial < 40; ++trial) {
-            std::vector<std::uint8_t> detectors(n_dets, 0);
             std::vector<std::uint32_t> fired;
-            for (std::uint32_t d = 0; d < n_dets; ++d) {
-                if (rng() % 1000 < static_cast<std::uint64_t>(permille)) {
-                    detectors[d] = 1;
+            for (std::uint32_t d = 0; d < n_dets; ++d)
+                if (rng() % 1000 < static_cast<std::uint64_t>(permille))
                     fired.push_back(d);
-                }
-            }
 
             for (const auto* graph : {&setup->graphZ, &setup->graphX}) {
                 auto& dec = graph == &setup->graphZ ? dec_z : dec_x;
-                const auto dense =
-                    dec.decode(graph->projectSyndrome(detectors));
+                const auto dense = unionFindReference(
+                    *graph, denseSyndrome(*graph, fired));
                 std::vector<std::uint32_t> nodes;
                 graph->projectSparse(fired, nodes);
                 EXPECT_EQ(dec.decodeSparse(nodes), dense)
@@ -76,38 +74,9 @@ TEST(PackedDecode, SparseUnionFindMatchesDenseOnRandomSyndromes)
     }
     // The empty syndrome decodes to the zero correction on both paths.
     EXPECT_EQ(dec_z.decodeSparse({}), 0u);
-}
-
-TEST(PackedDecode, SparseGreedyMatchesDenseOnRandomSyndromes)
-{
-    CircuitNoise noise;
-    noise.p2 = 3e-3;
-    const auto circuit = surfaceMemoryZ(3, 3, noise);
-    const auto setup = DecoderSetup::build(circuit, DecoderKind::GreedyDem);
-
-    Rng rng(515);
-    const std::size_t n_dets = circuit.numDetectors();
-    std::vector<std::uint32_t> residual, next;
-    for (const int permille : {5, 50, 200}) {
-        for (int trial = 0; trial < 40; ++trial) {
-            std::vector<std::uint8_t> detectors(n_dets, 0);
-            std::vector<std::uint32_t> fired;
-            for (std::uint32_t d = 0; d < n_dets; ++d) {
-                if (rng() % 1000 < static_cast<std::uint64_t>(permille)) {
-                    detectors[d] = 1;
-                    fired.push_back(d);
-                }
-            }
-            const auto dense = setup->greedy->decode(detectors);
-            // Both sparse entry points: member buffers and caller
-            // scratch.
-            EXPECT_EQ(setup->greedy->decodeSparse(fired), dense)
-                << "permille=" << permille << " trial=" << trial;
-            EXPECT_EQ(setup->greedy->decodeSparse(fired, residual, next),
-                      dense)
-                << "permille=" << permille << " trial=" << trial;
-        }
-    }
+    EXPECT_EQ(unionFindReference(setup->graphZ,
+                                 denseSyndrome(setup->graphZ, {})),
+              0u);
 }
 
 TEST(PackedDecode, TrivialShotCounterMatchesWeightZeroShotsExactly)

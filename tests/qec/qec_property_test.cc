@@ -74,14 +74,12 @@ TEST_P(CodeZoo, DecoderCorrectsEverySingleMechanism)
     const auto circ = codeCapacityMemoryZ(c, 1, 0.01, 0.01);
     const auto dem = stab::buildDetectorErrorModel(circ);
     DemDecoder dec(dem);
+    std::vector<std::uint32_t> residual, next;
     std::size_t bad = 0;
-    for (const auto& mech : dem.mechanisms) {
-        std::vector<std::uint8_t> syndrome(dem.numDetectors, 0);
-        for (auto d : mech.detectors)
-            syndrome[d] ^= 1;
-        if ((dec.decode(syndrome) & 1u) != (mech.observables & 1u))
+    for (const auto& mech : dem.mechanisms)
+        if ((dec.decodeSparse(mech.detectors, residual, next) & 1u) !=
+            (mech.observables & 1u))
             ++bad;
-    }
     EXPECT_EQ(bad, 0u) << c.name;
 }
 

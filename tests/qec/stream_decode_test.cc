@@ -168,8 +168,9 @@ TEST(StreamDecode, WindowBoundsPeakStorageIndependentOfRounds)
 
         EXPECT_EQ(result.peakStoredRounds, config.windowRounds)
             << rounds << " rounds";
-        if (prev_peak)
+        if (prev_peak) {
             EXPECT_EQ(result.peakStoredRounds, prev_peak);
+        }
         prev_peak = result.peakStoredRounds;
 
         // Window decode points per batch: one per commit step before

@@ -3,8 +3,8 @@
  * Test-side helpers over bit-packed stab::DetectorSamples.
  *
  * The library reads samples only as packed words (detWord / obsWord).
- * Tests also spot-check single bits, count fired detectors per shot,
- * compare the shot-major uint8 layout, and sample through explicit
+ * Tests also spot-check single bits, count or list fired detectors per
+ * shot, compare the shot-major uint8 layout, and sample through explicit
  * block widths, the stream or a scalar reference interpreter; those
  * helpers live here (bench_ablate_sampler reuses sampleAtWidth).  They
  * are free functions in namespace stab, so argument-dependent lookup
@@ -60,6 +60,18 @@ shotWeight(const DetectorSamples& s, std::size_t shot)
     for (std::size_t d = 0; d < s.numDetectors; ++d)
         weight += (s.detWords[d * s.numWords + w] & bit) != 0;
     return weight;
+}
+
+/** Each shot's fired detector ids, ascending: out[shot]. */
+inline std::vector<std::vector<std::uint32_t>>
+firedDetectors(const DetectorSamples& s)
+{
+    std::vector<std::vector<std::uint32_t>> out(s.shots);
+    for (std::size_t shot = 0; shot < s.shots; ++shot)
+        for (std::uint32_t d = 0; d < s.numDetectors; ++d)
+            if (detBit(s, shot, d))
+                out[shot].push_back(d);
+    return out;
 }
 
 /** Shot-major layout: detectors[shot * numDetectors + d]. */
