@@ -44,7 +44,11 @@ SCHEMA = "hetarch-obs-v1"
 # contractually required to emit (the trivial-shot decode bypass must
 # be live on every decoding path).
 REQUIRED_COMPANIONS = {
-    "qec.decode.shots": ("qec.decode.trivial_shots",),
+    # The union-find growth work (sweeps and frontier entries
+    # examined) is the decoder's deterministic cost model.
+    "qec.decode.shots": ("qec.decode.trivial_shots",
+                         "qec.decode.uf_sweeps",
+                         "qec.decode.uf_edge_visits"),
     # The schedule analyzer's memoization telemetry must stay live on
     # every pipeline that runs an analysis.
     "lint.sched.analyses": ("lint.sched.cache_hits",
@@ -204,6 +208,8 @@ def self_test():
         "schema": SCHEMA,
         "counters": {"exec.tasks": 128, "qec.decode.shots": 4096,
                      "qec.decode.trivial_shots": 512,
+                     "qec.decode.uf_sweeps": 40960,
+                     "qec.decode.uf_edge_visits": 2900000,
                      "lint.sched.analyses": 12,
                      "lint.sched.cache_hits": 6,
                      "lint.sched.cache_misses": 6,
@@ -284,6 +290,12 @@ def self_test():
     del no_companion["counters"]["qec.decode.trivial_shots"]
     checks.append(("companion counter dropped from both sides",
                    result(no_companion, no_companion, bench) == 1))
+
+    # Likewise for the union-find growth work.
+    no_visits = json.loads(json.dumps(metrics))
+    del no_visits["counters"]["qec.decode.uf_edge_visits"]
+    checks.append(("growth-work companion dropped from both sides",
+                   result(no_visits, no_visits, bench) == 1))
 
     # The companion rule is dormant when the key counter is absent.
     no_decode = json.loads(json.dumps(metrics))

@@ -24,6 +24,8 @@ namespace {
 obs::Counter& cShotsDecoded = obs::counter("qec.decode.shots");
 obs::Counter& cLogicalFailures = obs::counter("qec.decode.logical_failures");
 obs::Counter& cTrivialShots = obs::counter("qec.decode.trivial_shots");
+obs::Counter& cUfSweeps = obs::counter("qec.decode.uf_sweeps");
+obs::Counter& cUfEdgeVisits = obs::counter("qec.decode.uf_edge_visits");
 obs::Counter& cShotsCompleted =
     obs::counter("exec.scheduler.shots_completed");
 obs::Histogram& hSyndromeWeight = obs::histogram("qec.syndrome_weight");
@@ -49,16 +51,20 @@ countLogicalFailures(const DecoderSetup& setup, DecoderKind decoder,
 {
     obs::ScopedTimer timer(hDecodeChunkNs);
 
-    // The decode kernel is local to the call: construction is cheap
-    // (it only binds the shared graphs) and all per-decode arena state
-    // stays on this thread.
+    // The decode kernel is local to the call: construction binds the
+    // shared graphs and allocates the union-find decoders' flat
+    // per-node and per-edge records (O(graph), microseconds beside a
+    // chunk's decode), and all per-decode state stays on this thread.
     SlidingWindowDecoder kernel(setup, decoder);
     const std::size_t failures = kernel.decodeBuffer(samples);
 
-    hSyndromeWeight.merge(kernel.stats().syndromeWeights);
+    const auto& st = kernel.stats();
+    hSyndromeWeight.merge(st.syndromeWeights);
     cShotsDecoded.add(samples.shots);
     cLogicalFailures.add(failures);
-    cTrivialShots.add(kernel.stats().trivialShots);
+    cTrivialShots.add(st.trivialShots);
+    cUfSweeps.add(st.ufSweeps);
+    cUfEdgeVisits.add(st.ufEdgeVisits);
     return failures;
 }
 

@@ -190,6 +190,14 @@ SlidingWindowDecoder::decodeShots(const std::uint64_t* det,
             predicted[s] ^= dec->decodeSparse(nodesBuf);
         }
     }
+    syncGrowthWork();
+}
+
+void
+SlidingWindowDecoder::syncGrowthWork()
+{
+    acc.ufSweeps = decZ.sweeps() + decX.sweeps();
+    acc.ufEdgeVisits = decZ.edgeVisits() + decX.edgeVisits();
 }
 
 std::size_t
@@ -291,6 +299,7 @@ SlidingWindowDecoder::decodeWindow(std::size_t commit_end)
     for (std::size_t l = 0; l < lanes; ++l)
         for (std::size_t g = 0; g < 2; ++g)
             decodeWindowLane(g, l, commit_end, final_window);
+    syncGrowthWork();
 
     if (timed) {
         const std::uint64_t dt = nowNs() - t0;

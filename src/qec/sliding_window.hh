@@ -35,7 +35,7 @@
  *
  * Telemetry: the kernel accumulates plain (non-atomic) statistics so
  * each driver can publish exactly the counters its contract pins —
- * the batch drivers emit the legacy qec.decode.* values unchanged,
+ * both drivers emit qec.decode.* (union-find growth work included),
  * the streaming driver adds qec.stream.*.  Per-window decode latency
  * is recorded directly into the advisory qec.stream.window_decode_ns
  * histogram.
@@ -95,6 +95,9 @@ class SlidingWindowDecoder
         std::uint64_t committedRounds = 0;
         std::uint64_t carryDefects = 0;  ///< defects carried forward
         std::uint64_t decodeNs = 0; ///< decode wall time (if timing on)
+        /** Union-find growth work (UnionFindDecoder::sweeps/edgeVisits). */
+        std::uint64_t ufSweeps = 0;
+        std::uint64_t ufEdgeVisits = 0;
         std::uint64_t batchShots = 0;  ///< shots through decodeBuffer
         /**
          * Always 0: every shot is decoded from its own fired list, none
@@ -162,6 +165,7 @@ class SlidingWindowDecoder
     void decodeWindow(std::size_t commit_end);
     void decodeWindowLane(std::size_t graph, std::size_t lane,
                           std::size_t commit_end, bool final_window);
+    void syncGrowthWork();
 
     const DecoderSetup& setup;
     DecoderKind kind;

@@ -30,10 +30,14 @@ obs::Histogram& hBackpressureWaitNs =
 // Legacy decode telemetry: the streaming engine feeds the same
 // counters the batch path pins, with identical values for identical
 // sampled data (interned by name; defined in memory_experiment.cc).
+// The union-find growth counters match only in whole-buffer mode,
+// since windows re-decode retained rounds.
 obs::Counter& cShotsDecoded = obs::counter("qec.decode.shots");
 obs::Counter& cLogicalFailures =
     obs::counter("qec.decode.logical_failures");
 obs::Counter& cTrivialShots = obs::counter("qec.decode.trivial_shots");
+obs::Counter& cUfSweeps = obs::counter("qec.decode.uf_sweeps");
+obs::Counter& cUfEdgeVisits = obs::counter("qec.decode.uf_edge_visits");
 obs::Counter& cShotsCompleted =
     obs::counter("exec.scheduler.shots_completed");
 obs::Histogram& hSyndromeWeight = obs::histogram("qec.syndrome_weight");
@@ -145,6 +149,8 @@ runStreamingMemoryExperiment(const stab::Circuit& circuit,
     cShotsDecoded.add(shots);
     cLogicalFailures.add(failures);
     cTrivialShots.add(st.trivialShots);
+    cUfSweeps.add(st.ufSweeps);
+    cUfEdgeVisits.add(st.ufEdgeVisits);
     hSyndromeWeight.merge(st.syndromeWeights);
     if (obs::timingEnabled())
         hBackpressureWaitNs.record(producer_wait_ns);

@@ -1,8 +1,10 @@
 #include "qec/union_find.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
+#include <numeric>
 
 #include "core/logging.hh"
 
@@ -134,7 +136,6 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
             ++g.undecomposed;
     }
 
-    g.inc.assign(g.nNodes, {});
     for (const auto& [key, cand] : edge_map) {
         GraphEdge e;
         // key is (min, max), so a boundary (-1) always lands in first.
@@ -149,12 +150,25 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
             }
         }
         e.weight = weightFromProbability(cand.p);
-        const auto id = static_cast<std::int32_t>(g.edgeList.size());
         g.edgeList.push_back(e);
-        g.inc[static_cast<std::size_t>(e.u)].push_back(id);
-        if (e.v >= 0)
-            g.inc[static_cast<std::size_t>(e.v)].push_back(id);
     }
+
+    // CSR incidence, filled in edge-id order so every node's list is
+    // ascending: count into incBegin[v + 2], prefix-sum, then advance
+    // incBegin[v + 1] as v's fill cursor.
+    g.incBegin.assign(g.nNodes + 2, 0);
+    for (const auto& e : g.edgeList)
+        for (const std::int32_t v : {e.u, e.v})
+            if (v >= 0)
+                ++g.incBegin[static_cast<std::size_t>(v) + 2];
+    std::partial_sum(g.incBegin.begin(), g.incBegin.end(),
+                     g.incBegin.begin());
+    g.incEdges.resize(g.incBegin.back());
+    for (std::uint32_t id = 0; id < g.edgeList.size(); ++id)
+        for (const std::int32_t v : {g.edgeList[id].u, g.edgeList[id].v})
+            if (v >= 0)
+                g.incEdges[g.incBegin[static_cast<std::size_t>(v) + 1]++] = id;
+    g.incBegin.pop_back();
     return g;
 }
 
@@ -172,82 +186,90 @@ DecodingGraph::projectSparse(std::span<const std::uint32_t> fired,
 }
 
 UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
-    : g(graph)
+    : g(graph), nodes(graph.numNodes() + 1), // + virtual boundary
+      edgeState(graph.edges().size())
 {
-    const std::size_t slots = g.numNodes() + 1; // + virtual boundary
-    nodeEpoch.assign(slots, 0);
-    adjNodeEpoch.assign(slots, 0);
-    visitedEpoch.assign(slots, 0);
-    parent.assign(slots, 0);
-    odd.assign(slots, 0);
-    touchesBoundary.assign(slots, 0);
-    materialized.assign(slots, 0);
-    defect.assign(slots, 0);
-    frontier.resize(slots);
-    members.resize(slots);
-    adj.resize(slots);
-    parentEdge.assign(slots, {SIZE_MAX, SIZE_MAX});
-    edgeEpoch.assign(g.edges().size(), 0);
-    grown.assign(g.edges().size(), 0);
+    nodeSet.words.assign(nodes.size() / 64 + 1, 0);
+    grownSet.words.assign(edgeState.size() / 64 + 1, 0);
+    for (std::size_t e = 0; e < edgeState.size(); ++e)
+        edgeState[e].weight = g.edges()[e].weight;
 }
 
 void
-UnionFindDecoder::touchNode(std::size_t v)
+UnionFindDecoder::IdSet::insert(std::size_t id)
 {
-    if (nodeEpoch[v] == epoch)
-        return;
-    nodeEpoch[v] = epoch;
-    const std::size_t boundary = g.numNodes();
-    parent[v] = static_cast<std::int32_t>(v);
-    odd[v] = 0;
-    touchesBoundary[v] = v == boundary;
-    materialized[v] = v == boundary;
-    defect[v] = 0;
-    frontier[v].clear();
-    members[v].clear();
-    members[v].push_back(static_cast<std::int32_t>(v));
-    touchedNodes.push_back(v);
+    words[id / 64] |= std::uint64_t{1} << (id % 64);
+    lo = std::min(lo, id / 64);
+    hi = std::max(hi, id / 64);
 }
 
-std::vector<std::pair<std::size_t, std::size_t>>&
-UnionFindDecoder::adjOf(std::size_t v)
+void
+UnionFindDecoder::IdSet::drain(std::vector<std::uint32_t>& out)
 {
-    if (adjNodeEpoch[v] != epoch) {
-        adjNodeEpoch[v] = epoch;
-        adj[v].clear();
+    out.clear();
+    for (std::size_t w = lo; w <= hi; ++w) {
+        for (std::uint64_t word = words[w]; word; word &= word - 1)
+            out.push_back(static_cast<std::uint32_t>(
+                w * 64 + static_cast<std::size_t>(std::countr_zero(word))));
+        words[w] = 0;
     }
-    return adj[v];
+    lo = SIZE_MAX;
+    hi = 0;
 }
 
-std::size_t
+[[gnu::always_inline]] inline void
+UnionFindDecoder::reach(std::size_t v)
+{
+    auto& node = nodes[v];
+    if (node.epoch == epoch)
+        return;
+    node = {epoch, static_cast<std::uint32_t>(v), 1};
+    node.head = node.tail = static_cast<std::int32_t>(segments.size());
+    segments.push_back({g.incBegin[v], g.incBegin[v + 1], -1, false});
+}
+
+void
+UnionFindDecoder::splice(NodeState& root, std::int32_t head,
+                         std::int32_t tail)
+{
+    if (head < 0)
+        return;
+    if (root.head >= 0)
+        segments[static_cast<std::size_t>(root.tail)].next = head;
+    else
+        root.head = head;
+    root.tail = tail;
+}
+
+[[gnu::always_inline]] inline std::size_t
 UnionFindDecoder::findRoot(std::size_t x)
 {
-    while (parent[x] != static_cast<std::int32_t>(x)) {
-        parent[x] = parent[static_cast<std::size_t>(parent[x])];
-        x = static_cast<std::size_t>(parent[x]);
+    while (nodes[x].parent != x) {
+        nodes[x].parent = nodes[nodes[x].parent].parent;
+        x = nodes[x].parent;
     }
     return x;
 }
 
-std::size_t
+[[gnu::always_inline]] inline std::size_t
 UnionFindDecoder::unite(std::size_t a, std::size_t b)
 {
     std::size_t ra = findRoot(a), rb = findRoot(b);
     if (ra == rb)
         return ra;
-    // Union by member count; ties keep the first argument's root, as
-    // in the dense reference.
-    if (members[ra].size() < members[rb].size())
+    // Union by size; ties keep the first argument's root, as in the
+    // dense reference.
+    if (nodes[ra].size < nodes[rb].size)
         std::swap(ra, rb);
-    parent[rb] = static_cast<std::int32_t>(ra);
-    odd[ra] ^= odd[rb];
-    touchesBoundary[ra] |= touchesBoundary[rb];
-    members[ra].insert(members[ra].end(), members[rb].begin(),
-                       members[rb].end());
-    members[rb].clear();
-    frontier[ra].insert(frontier[ra].end(), frontier[rb].begin(),
-                        frontier[rb].end());
-    frontier[rb].clear();
+    auto& keep = nodes[ra];
+    auto& gone = nodes[rb];
+    gone.parent = static_cast<std::uint32_t>(ra);
+    keep.size += gone.size;
+    keep.odd ^= gone.odd;
+    keep.boundary |= gone.boundary;
+    // The absorbed frontier follows the survivor's.  Only a root's
+    // list is ever read, so rb's stale head/tail need no reset.
+    splice(keep, gone.head, gone.tail);
     return ra;
 }
 
@@ -255,157 +277,175 @@ std::uint32_t
 UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
                                std::vector<std::uint32_t>* applied_edges)
 {
-    const std::size_t n = g.numNodes();
-    const std::size_t boundary = n; // virtual boundary node id
+    const std::size_t boundary = g.numNodes(); // virtual boundary node id
     if (fired.empty())
         return 0;
 
     ++epoch;
-    worklist.clear();
-    touchedNodes.clear();
-    grownEdges.clear();
-
-    touchNode(boundary);
+    active.clear();
+    segments.clear();
+    keptLen = 0;
+    nodes[boundary] = {epoch, static_cast<std::uint32_t>(boundary), 1};
+    nodes[boundary].boundary = 1;
     for (auto v : fired) {
-        HETARCH_DEBUG_ASSERT(v < n, "node id ", v, " out of range");
-        touchNode(v);
-        odd[v] = 1;
-        defect[v] = 1;
-        frontier[v] = g.incidence()[v];
-        materialized[v] = 1;
-        worklist.push_back(v);
+        HETARCH_DEBUG_ASSERT(v < boundary, "node id ", v, " out of range");
+        reach(v);
+        nodes[v].odd = 1;
+        nodes[v].defect = 1;
+        active.push_back(v);
     }
+    grow();
+    return peel(applied_edges);
+}
 
-    // --- growth ------------------------------------------------------
+void
+UnionFindDecoder::grow()
+{
     // Round-robin: grow every active cluster's frontier by one unit
     // until all clusters are neutral (even parity or boundary-touching).
-    // Same schedule as the dense reference; only the state storage
-    // differs (lazily re-initialized arena instead of fresh vectors).
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        rootsBuf.clear();
-        for (auto v : worklist) {
+    // Same schedule as the dense reference: roots ascending, frontier
+    // entries in list order.  Every active cluster contains a cluster
+    // that was active at the previous sweep (a fresh node is even), so
+    // the roots of last sweep's list find all of them.
+    const std::size_t boundary = g.numNodes();
+    const std::uint64_t ep = epoch;
+    for (bool progress = true; progress;) {
+        for (const auto v : active) {
             const auto r = findRoot(v);
-            if (odd[r] && !touchesBoundary[r])
-                rootsBuf.push_back(r);
+            if (nodes[r].odd && !nodes[r].boundary)
+                nodeSet.insert(r);
         }
-        std::sort(rootsBuf.begin(), rootsBuf.end());
-        rootsBuf.erase(std::unique(rootsBuf.begin(), rootsBuf.end()),
-                       rootsBuf.end());
-        if (rootsBuf.empty())
+        nodeSet.drain(active);
+        if (active.empty())
             break;
+        ++nSweeps;
+        progress = false;
 
-        for (auto r : rootsBuf) {
-            if (findRoot(r) != r || !odd[r] || touchesBoundary[r])
+        for (const auto r : active) {
+            auto& root = nodes[r];
+            if (root.parent != r || !root.odd || root.boundary)
                 continue; // merged or neutralized earlier this sweep
-            keepBuf.clear();
-            edgesNowBuf = frontier[r];
-            frontier[r].clear();
-            for (auto eid : edgesNowBuf) {
-                const auto e_idx = static_cast<std::size_t>(eid);
-                const auto& e = g.edges()[e_idx];
-                if (edgeEpoch[e_idx] != epoch) {
-                    edgeEpoch[e_idx] = epoch;
-                    grown[e_idx] = 0;
-                }
-                if (grown[e_idx] >= e.weight) {
-                    continue; // already fully grown and merged
-                }
-                grown[e_idx] += 2;
-                progress = true;
-                if (grown[e_idx] >= e.weight) {
-                    grownEdges.push_back(e_idx);
+            // Detach the frontier: merges during the walk only touch
+            // lists that are still attached to a root.
+            std::int32_t s = root.head;
+            root.head = root.tail = -1;
+            const auto kept_begin = static_cast<std::uint32_t>(keptLen);
+            while (s >= 0) {
+                const Segment seg = segments[static_cast<std::size_t>(s)];
+                s = seg.next;
+                const std::size_t len = seg.end - seg.begin;
+                nEdgeVisits += len;
+                // Room for every entry, so the pool stays put while a
+                // walk reads and appends to it.
+                if (kept.size() < keptLen + len)
+                    kept.resize(2 * (keptLen + len));
+                const std::uint32_t* ids =
+                    (seg.kept ? kept.data() : g.incEdges.data()) + seg.begin;
+                std::uint32_t* out = kept.data() + keptLen;
+                for (std::size_t i = 0; i < len; ++i) {
+                    const std::uint32_t eid = ids[i];
+                    auto& es = edgeState[eid];
+                    // About half the visits are an edge's first this
+                    // decode, so reset by mask rather than by branch.
+                    const std::int32_t grown =
+                        es.grown & -static_cast<std::int32_t>(es.epoch == ep);
+                    es.epoch = ep;
+                    if (grown >= es.weight)
+                        continue; // already fully grown and merged
+                    es.grown = grown + 2;
+                    progress = true;
+                    if (es.grown < es.weight) {
+                        *out++ = eid;
+                        continue;
+                    }
+                    grownSet.insert(eid);
+                    const auto& e = g.edges()[eid];
                     const std::size_t a = static_cast<std::size_t>(e.u);
                     const std::size_t b =
                         e.v < 0 ? boundary : static_cast<std::size_t>(e.v);
-                    // Materialize far endpoints' incident edges.
-                    for (std::size_t endpoint : {a, b}) {
-                        touchNode(endpoint);
-                        if (endpoint != boundary &&
-                            !materialized[endpoint]) {
-                            materialized[endpoint] = 1;
-                            const auto er = findRoot(endpoint);
-                            frontier[er].insert(
-                                frontier[er].end(),
-                                g.incidence()[endpoint].begin(),
-                                g.incidence()[endpoint].end());
-                        }
-                    }
-                    const auto nr = unite(unite(a, b), r);
-                    worklist.push_back(nr);
-                } else {
-                    keepBuf.push_back(eid);
+                    reach(a);
+                    reach(b);
+                    unite(unite(a, b), r);
                 }
+                keptLen = static_cast<std::size_t>(out - kept.data());
             }
-            const auto r2 = findRoot(r);
-            frontier[r2].insert(frontier[r2].end(), keepBuf.begin(),
-                                keepBuf.end());
+            // Edges still growing go after whatever the walk appended.
+            if (keptLen > kept_begin) {
+                const auto k = static_cast<std::int32_t>(segments.size());
+                segments.push_back(
+                    {kept_begin, static_cast<std::uint32_t>(keptLen), -1,
+                     true});
+                splice(nodes[findRoot(r)], k, k);
+            }
         }
     }
+}
 
-    // --- peeling ------------------------------------------------------
+std::uint32_t
+UnionFindDecoder::peel(std::vector<std::uint32_t>* applied_edges)
+{
     // For each cluster, build a spanning forest of fully grown edges
-    // and peel from the leaves, emitting correction edges.  Roots are
-    // visited in ascending id order and adjacency lists are built in
-    // ascending edge-id order so the spanning trees — and with them the
+    // and peel from the leaves, emitting correction edges.  Trees start
+    // from the roots in ascending id order and adjacency lists hold
+    // ascending edge ids, so the spanning trees — and with them the
     // emitted corrections — match the dense reference bit for bit.
-    std::uint32_t correction = 0;
-
-    std::sort(grownEdges.begin(), grownEdges.end());
-    for (auto eid : grownEdges) {
-        const auto& e = g.edges()[eid];
+    const std::size_t boundary = g.numNodes();
+    grownSet.drain(grownEdges);
+    adjacency.resize(2 * grownEdges.size());
+    std::size_t n_adj = 0;
+    const auto link = [&](std::size_t from, std::size_t to,
+                          std::uint32_t eid) {
+        adjacency[n_adj] = {static_cast<std::uint32_t>(to), eid,
+                            nodes[from].adj};
+        nodes[from].adj = static_cast<std::int32_t>(n_adj++);
+    };
+    for (auto it = grownEdges.rbegin(); it != grownEdges.rend(); ++it) {
+        // Prepending in descending order leaves each list ascending.
+        const auto& e = g.edges()[*it];
         const std::size_t a = static_cast<std::size_t>(e.u);
         const std::size_t b =
             e.v < 0 ? boundary : static_cast<std::size_t>(e.v);
-        adjOf(a).push_back({b, eid});
-        adjOf(b).push_back({a, eid});
+        link(a, b, *it);
+        link(b, a, *it);
+        // Tree roots: exactly the clusters holding a grown edge (a
+        // singleton has nothing to peel).
+        nodeSet.insert(findRoot(a));
     }
+    nodeSet.drain(active);
 
-    std::sort(touchedNodes.begin(), touchedNodes.end());
-    for (auto r : touchedNodes) {
-        if (findRoot(r) != r || members[r].empty())
-            continue;
-        // Pick a tree root: boundary if in this cluster, else r itself.
-        std::size_t tree_root = r;
-        if (touchesBoundary[r]) {
-            for (auto m : members[r]) {
-                if (static_cast<std::size_t>(m) == boundary) {
-                    tree_root = boundary;
-                    break;
-                }
-            }
-        }
-        if (visitedEpoch[tree_root] == epoch)
-            continue;
-        // BFS spanning tree.
-        orderBuf.clear();
-        visitedEpoch[tree_root] = epoch;
-        orderBuf.push_back(tree_root);
-        for (std::size_t head = 0; head < orderBuf.size(); ++head) {
-            const auto u = orderBuf[head];
-            for (const auto& [w, eid] : adjOf(u)) {
-                if (visitedEpoch[w] != epoch) {
-                    visitedEpoch[w] = epoch;
-                    parentEdge[w] = {u, eid};
-                    orderBuf.push_back(w);
-                }
+    // A tree spans at most every grown edge plus its root; the slot
+    // past the last one takes the unconditional write of a revisit.
+    order.resize(grownEdges.size() + 2);
+    std::uint32_t correction = 0;
+    for (const auto r : active) {
+        // The tree root: the boundary if in this cluster, else r.
+        const auto tree_root =
+            nodes[r].boundary ? static_cast<std::uint32_t>(boundary) : r;
+        nodes[tree_root].visited = 1;
+        order[0] = {tree_root, 0, tree_root};
+        std::size_t len = 1;
+        for (std::size_t head = 0; head < len; ++head) {
+            const auto u = order[head].node;
+            for (auto a = nodes[u].adj; a >= 0;) {
+                const auto& entry = adjacency[static_cast<std::size_t>(a)];
+                a = entry.next;
+                auto& w = nodes[entry.other];
+                order[len] = {entry.other, entry.edge, u};
+                len += !w.visited;
+                w.visited = 1;
             }
         }
         // Peel leaves-first (reverse BFS order).
-        for (std::size_t k = orderBuf.size(); k-- > 1;) {
-            const auto v = orderBuf[k];
-            if (defect[v]) {
-                const auto [p, eid] = parentEdge[v];
-                correction ^= g.edges()[eid].observables;
-                if (applied_edges)
-                    applied_edges->push_back(
-                        static_cast<std::uint32_t>(eid));
-                defect[v] = 0;
-                defect[p] ^= 1;
-            }
+        for (std::size_t k = len; k-- > 1;) {
+            const auto& step = order[k];
+            const std::uint8_t d = nodes[step.node].defect;
+            correction ^= g.edges()[step.edge].observables & (0u - d);
+            if (applied_edges && d)
+                applied_edges->push_back(step.edge);
+            nodes[step.node].defect = 0;
+            nodes[step.parent].defect ^= d;
         }
-        defect[boundary] = 0; // boundary absorbs anything
+        nodes[boundary].defect = 0; // boundary absorbs anything
     }
     return correction;
 }

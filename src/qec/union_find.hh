@@ -9,16 +9,19 @@
  * the class become boundary edges; with two, ordinary edges; with more
  * than two, they are decomposed onto existing elementary edges (the
  * same convention Stim/PyMatching use for Y-type correlations).
+ * Incidence is CSR, each node's edge ids ascending.
  *
  * The decoder has one entry point, decodeSparse(span of fired node
- * ids), which runs on an epoch-versioned scratch arena owned by the
- * decoder: per-node/per-edge state is lazily re-initialized the first
- * time a decode touches it, so a weight-w syndrome costs O(cluster
- * size), not O(graph size), and no per-shot allocation survives
- * warm-up.  Tests pin it bit for bit against a dense reference
- * (tests/support/reference_decoders.hh) that replicates the growth
+ * ids), which runs on flat epoch-stamped records owned by the decoder
+ * (one per node, one per edge, lazily reset when a decode first
+ * touches them), so a weight-w syndrome costs O(cluster size), not
+ * O(graph size).  A cluster's frontier is a linked list of segments,
+ * each a CSR range or a run of a per-decode pool of still-growing
+ * edges, so a merge is an O(1) splice.  Tests pin it bit for bit,
+ * correction edges included, against a dense reference
+ * (tests/support/union_find_reference.hh) that replicates the growth
  * schedule, frontier merge order and peeling order with fresh
- * per-call state and shares no code with the arena.
+ * per-call state and shares no code with the decoder.
  */
 
 #pragma once
@@ -65,10 +68,11 @@ class DecodingGraph
     /** Number of (kept) detector nodes. */
     std::size_t numNodes() const { return nNodes; }
     const std::vector<GraphEdge>& edges() const { return edgeList; }
-    /** Edge ids incident to a node. */
-    const std::vector<std::vector<std::int32_t>>& incidence() const
+    /** Edge ids incident to node @p v, ascending. */
+    std::span<const std::uint32_t> incident(std::size_t v) const
     {
-        return inc;
+        return {incEdges.data() + incBegin[v],
+                incBegin[v + 1] - incBegin[v]};
     }
     /** Map from global detector id to node id (-1 when filtered out). */
     const std::vector<std::int32_t>& detectorToNode() const
@@ -87,9 +91,12 @@ class DecodingGraph
                        std::vector<std::uint32_t>& out) const;
 
   private:
+    friend class UnionFindDecoder; // frontier segments index the CSR
+
     std::size_t nNodes = 0;
     std::vector<GraphEdge> edgeList;
-    std::vector<std::vector<std::int32_t>> inc;
+    std::vector<std::uint32_t> incBegin; ///< numNodes() + 1 offsets
+    std::vector<std::uint32_t> incEdges;
     std::vector<std::int32_t> det2node;
     std::size_t undecomposed = 0;
 };
@@ -122,42 +129,88 @@ class UnionFindDecoder
                                std::vector<std::uint32_t>* applied_edges =
                                    nullptr);
 
+    /**
+     * Growth work since construction: sweeps, and frontier entries
+     * examined (already-grown entries a sweep drops included).  Both
+     * are functions of the decoded fired lists alone.
+     */
+    std::uint64_t sweeps() const { return nSweeps; }
+    std::uint64_t edgeVisits() const { return nEdgeVisits; }
+
   private:
-    void touchNode(std::size_t v);
-    std::vector<std::pair<std::size_t, std::size_t>>&
-    adjOf(std::size_t v);
+    /** Per-node record; valid iff `epoch` equals the decoder's. */
+    struct NodeState
+    {
+        std::uint64_t epoch = 0;
+        std::uint32_t parent = 0, size = 0; ///< size: roots only
+        std::int32_t head = -1, tail = -1;  ///< frontier segments (roots)
+        std::int32_t adj = -1;              ///< first peel-adjacency entry
+        std::uint8_t odd = 0, boundary = 0; ///< cluster flags (roots)
+        std::uint8_t defect = 0, visited = 0;
+    };
+    /** Per-edge growth; valid iff `epoch` equals the decoder's. */
+    struct EdgeState
+    {
+        std::uint64_t epoch = 0;
+        std::int32_t grown = 0, weight = 0;
+    };
+    /** A run of frontier edge ids in the graph's CSR or the kept pool. */
+    struct Segment
+    {
+        std::uint32_t begin = 0, end = 0;
+        std::int32_t next = -1;
+        bool kept = false;
+    };
+    /** Peel adjacency: a grown edge seen from one endpoint. */
+    struct AdjEntry
+    {
+        std::uint32_t other = 0, edge = 0;
+        std::int32_t next = -1;
+    };
+    /** A BFS-tree node with the edge and node it was reached from. */
+    struct TreeStep
+    {
+        std::uint32_t node = 0, edge = 0, parent = 0;
+    };
+    /** Bitset of ids read back ascending; all-zero between drains. */
+    struct IdSet
+    {
+        std::vector<std::uint64_t> words;
+        std::size_t lo = SIZE_MAX, hi = 0; ///< words that may be set
+        void insert(std::size_t id);
+        void drain(std::vector<std::uint32_t>& out);
+    };
+
+    /** First reach of @p v this decode: reset it, frontier = CSR. */
+    void reach(std::size_t v);
+    /** Append segments head..tail (none if head < 0) to @p root's. */
+    void splice(NodeState& root, std::int32_t head, std::int32_t tail);
     std::size_t findRoot(std::size_t x);
     std::size_t unite(std::size_t a, std::size_t b);
+    void grow();
+    std::uint32_t peel(std::vector<std::uint32_t>* applied_edges);
 
     const DecodingGraph& g;
 
-    // --- epoch-versioned scratch arena -------------------------------
-    // A slot is valid iff its epoch stamp equals `epoch`; bumping
-    // `epoch` invalidates everything in O(1).  Sized n+1 (last slot =
-    // virtual boundary node) or #edges at construction.
+    // Bumping `epoch` invalidates every record in O(1).  Sized
+    // numNodes() + 1 (last slot = virtual boundary node) or #edges.
     std::uint64_t epoch = 0;
-    std::vector<std::uint64_t> nodeEpoch;
-    std::vector<std::uint64_t> edgeEpoch;
-    std::vector<std::uint64_t> adjNodeEpoch;
-    std::vector<std::uint64_t> visitedEpoch;
-    std::vector<std::int32_t> parent;
-    std::vector<std::uint8_t> odd;
-    std::vector<std::uint8_t> touchesBoundary;
-    std::vector<std::uint8_t> materialized;
-    std::vector<std::uint8_t> defect;
-    std::vector<std::vector<std::int32_t>> frontier;
-    std::vector<std::vector<std::int32_t>> members;
-    std::vector<std::int32_t> grown;
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adj;
-    std::vector<std::pair<std::size_t, std::size_t>> parentEdge;
-    // Reused per-decode buffers (cleared, never shrunk).
-    std::vector<std::size_t> worklist;
-    std::vector<std::size_t> touchedNodes;
-    std::vector<std::size_t> grownEdges;
-    std::vector<std::size_t> rootsBuf;
-    std::vector<std::size_t> orderBuf;
-    std::vector<std::int32_t> keepBuf;
-    std::vector<std::int32_t> edgesNowBuf;
+    std::vector<NodeState> nodes;
+    std::vector<EdgeState> edgeState;
+    IdSet nodeSet;  ///< active roots per sweep, then tree roots
+    IdSet grownSet; ///< fully grown edges
+
+    // Per-decode pools (cleared, never shrunk).
+    std::vector<std::uint32_t> active; ///< roots to grow, then to peel
+    std::vector<Segment> segments;
+    std::vector<std::uint32_t> kept; ///< first keptLen entries in use
+    std::size_t keptLen = 0;
+    std::vector<std::uint32_t> grownEdges;
+    std::vector<AdjEntry> adjacency;
+    std::vector<TreeStep> order;
+
+    std::uint64_t nSweeps = 0;
+    std::uint64_t nEdgeVisits = 0;
 };
 
 } // namespace qec

@@ -6,13 +6,15 @@
  *     trivial shots and syndrome weights of a per-shot loop built from
  *     tests/support (unpacked fired lists, the dense union-find
  *     reference, greedy decodeSparse), for both decoder kinds;
- *   - runMemoryExperiment failures and every deterministic counter are
- *     invariant across workers {1, 2, 8} (sampler widths are pinned in
+ *   - runMemoryExperiment failures and every deterministic counter,
+ *     the union-find growth work included, are invariant across
+ *     workers {1, 2, 8} (sampler widths are pinned in
  *     tests/stab/frame_block_test.cc).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -123,6 +125,16 @@ TEST(BatchDecode, MemoryExperimentInvariantAcrossWorkers)
     const auto reference = run(1);
     EXPECT_GT(reference.failures, 0u);
     EXPECT_FALSE(reference.counters.empty());
+    // Growth work is a function of the fired lists alone, so it joins
+    // the exact cross-worker comparison below.
+    for (const char* name :
+         {"qec.decode.uf_sweeps", "qec.decode.uf_edge_visits"}) {
+        const auto it = std::find_if(
+            reference.counters.begin(), reference.counters.end(),
+            [&](const auto& c) { return c.first == name; });
+        ASSERT_NE(it, reference.counters.end()) << name;
+        EXPECT_GT(it->second, 0u) << name;
+    }
     for (const unsigned workers : {1u, 2u, 8u}) {
         const auto got = run(workers);
         EXPECT_EQ(got.failures, reference.failures)

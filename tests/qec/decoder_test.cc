@@ -1,10 +1,15 @@
 /**
  * @file
- * Decoder tests: union-find on repetition/surface graphs, greedy DEM
- * decoder on small codes, end-to-end logical error rates.
+ * Decoder tests: decoding-graph CSR incidence, union-find on
+ * repetition/surface graphs, greedy DEM decoder on small codes,
+ * end-to-end logical error rates.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <vector>
 
 #include "qec/css_circuit.hh"
 #include "qec/css_code.hh"
@@ -36,6 +41,41 @@ TEST(DecoderGraph, RepetitionGraphShape)
         if (e.v == -1)
             has_boundary = true;
     EXPECT_TRUE(has_boundary);
+}
+
+TEST(DecoderGraph, IncidenceIsAscendingAndListsEdgesAtTheirEndpoints)
+{
+    // The union-find decoder's bit-identity contract rests on this
+    // order: a frontier grows through incident(v) front to back.
+    for (const std::size_t d : {std::size_t{5}, std::size_t{13}}) {
+        const auto circ = surfaceMemoryZ(d, d, CircuitNoise{});
+        const auto dem = stab::buildDetectorErrorModel(circ);
+        for (const auto tag : {kTagZ, kTagX}) {
+            const auto graph =
+                DecodingGraph::fromDem(dem, circ.detectorTags(), tag);
+            const auto& edges = graph.edges();
+            std::vector<std::size_t> listed(edges.size(), 0);
+            for (std::size_t v = 0; v < graph.numNodes(); ++v) {
+                const auto inc = graph.incident(v);
+                EXPECT_EQ(std::adjacent_find(inc.begin(), inc.end(),
+                                             std::greater_equal<>()),
+                          inc.end())
+                    << "d=" << d << " node " << v << " not ascending";
+                for (const auto eid : inc) {
+                    ASSERT_LT(eid, edges.size());
+                    const auto& e = edges[eid];
+                    EXPECT_TRUE(static_cast<std::size_t>(e.u) == v ||
+                                static_cast<std::size_t>(e.v) == v)
+                        << "d=" << d << " edge " << eid << " at node " << v;
+                    ++listed[eid];
+                }
+            }
+            // Twice for an interior edge, once for a boundary edge.
+            for (std::size_t eid = 0; eid < edges.size(); ++eid)
+                EXPECT_EQ(listed[eid], edges[eid].v < 0 ? 1u : 2u)
+                    << "d=" << d << " edge " << eid;
+        }
+    }
 }
 
 TEST(UnionFind, CorrectsSingleErrorsRepetition)

@@ -2,10 +2,11 @@
  * @file
  * Tests for the bit-packed sparse decode pipeline: the arena-backed
  * union-find decoder must be bit-identical to the dense reference in
- * tests/support, weight-0 shots must be counted by the trivial-shot
- * bypass, all observables must be failure-checked, and the packed
- * samples plus every decode counter must be invariant across 1/2/8
- * workers.
+ * tests/support — predicted mask and correction edges in peel order,
+ * on random syndromes and at the d = 13 Fig. 6 operating point —
+ * weight-0 shots must be counted by the trivial-shot bypass, all
+ * observables must be failure-checked, and the packed samples plus
+ * every decode counter must be invariant across 1/2/8 workers.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/rng.hh"
+#include "core/units.hh"
 #include "exec/shot_scheduler.hh"
 #include "exec/thread_pool.hh"
 #include "obs/obs.hh"
@@ -63,11 +65,14 @@ TEST(PackedDecode, SparseUnionFindMatchesDenseOnRandomSyndromes)
 
             for (const auto* graph : {&setup->graphZ, &setup->graphX}) {
                 auto& dec = graph == &setup->graphZ ? dec_z : dec_x;
+                std::vector<std::uint32_t> dense_edges, sparse_edges;
                 const auto dense = unionFindReference(
-                    *graph, denseSyndrome(*graph, fired));
+                    *graph, denseSyndrome(*graph, fired), &dense_edges);
                 std::vector<std::uint32_t> nodes;
                 graph->projectSparse(fired, nodes);
-                EXPECT_EQ(dec.decodeSparse(nodes), dense)
+                EXPECT_EQ(dec.decodeSparse(nodes, &sparse_edges), dense)
+                    << "permille=" << permille << " trial=" << trial;
+                EXPECT_EQ(sparse_edges, dense_edges)
                     << "permille=" << permille << " trial=" << trial;
             }
         }
@@ -77,6 +82,46 @@ TEST(PackedDecode, SparseUnionFindMatchesDenseOnRandomSyndromes)
     EXPECT_EQ(unionFindReference(setup->graphZ,
                                  denseSyndrome(setup->graphZ, {})),
               0u);
+}
+
+TEST(PackedDecode, SparseUnionFindMatchesDenseAtFig6Distance13)
+{
+    // The production regime: ~117 defects and ~160 merges per graph
+    // decode, where a wrong union tie-break or frontier order changes
+    // the correction edges even when the 1-bit mask survives.
+    CircuitNoise noise;
+    noise.p2 = 1e-2;
+    noise.p1 = 1e-3;
+    noise.dataT1 = noise.dataT2 = 0.1 * units::ms;
+    noise.ancT1 = noise.ancT2 = 0.1 * units::ms;
+    const auto circuit = surfaceMemoryZ(13, 13, noise);
+    const auto setup = DecoderSetup::build(circuit, DecoderKind::UnionFind);
+
+    const stab::FrameSimulator frame(circuit);
+    Rng rng(1313);
+    const auto samples = frame.sampleDetectors(256, rng);
+    const auto fired = firedDetectors(samples);
+
+    // One decoder pair reused across every shot, as a chunk kernel is.
+    UnionFindDecoder dec_z(setup->graphZ);
+    UnionFindDecoder dec_x(setup->graphX);
+    std::size_t edges_compared = 0;
+    for (std::size_t s = 0; s < samples.shots; ++s) {
+        for (const auto* graph : {&setup->graphZ, &setup->graphX}) {
+            auto& dec = graph == &setup->graphZ ? dec_z : dec_x;
+            std::vector<std::uint32_t> dense_edges, sparse_edges;
+            const auto dense = unionFindReference(
+                *graph, denseSyndrome(*graph, fired[s]), &dense_edges);
+            std::vector<std::uint32_t> nodes;
+            graph->projectSparse(fired[s], nodes);
+            EXPECT_EQ(dec.decodeSparse(nodes, &sparse_edges), dense)
+                << "shot " << s;
+            EXPECT_EQ(sparse_edges, dense_edges) << "shot " << s;
+            edges_compared += dense_edges.size();
+        }
+    }
+    // Dozens of correction edges per graph decode, not a sparse tail.
+    EXPECT_GT(edges_compared, 2 * samples.shots * 30);
 }
 
 TEST(PackedDecode, TrivialShotCounterMatchesWeightZeroShotsExactly)

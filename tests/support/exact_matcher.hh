@@ -130,7 +130,7 @@ class ExactMatcher
             queue.pop();
             if (cost > dist[u].cost || u == boundary)
                 continue;
-            for (const auto eid : g.incidence()[u]) {
+            for (const auto eid : g.incident(u)) {
                 const auto& e = g.edges()[static_cast<std::size_t>(eid)];
                 const std::size_t other =
                     e.v < 0 ? boundary

@@ -38,11 +38,14 @@ denseSyndrome(const DecodingGraph& g, std::span<const std::uint32_t> fired)
 
 /**
  * Decode one dense syndrome (bit per node of @p g); returns the
- * predicted logical-observable mask of the correction.
+ * predicted logical-observable mask of the correction.  When
+ * @p applied is non-null, the correction edges are appended to it in
+ * peel order.
  */
 inline std::uint32_t
 unionFindReference(const DecodingGraph& g,
-                   const std::vector<std::uint8_t>& syndrome)
+                   const std::vector<std::uint8_t>& syndrome,
+                   std::vector<std::uint32_t>* applied = nullptr)
 {
     const std::size_t n = g.numNodes();
     HETARCH_ASSERT(syndrome.size() == n, "syndrome size mismatch");
@@ -66,7 +69,7 @@ unionFindReference(const DecodingGraph& g,
 
     std::vector<std::int32_t> grown(g.edges().size(), 0);
     // Frontier edge lists per root and cluster member lists.
-    std::vector<std::vector<std::int32_t>> frontier(n + 1);
+    std::vector<std::vector<std::uint32_t>> frontier(n + 1);
     std::vector<std::vector<std::int32_t>> members(n + 1);
     std::vector<std::uint8_t> materialized(n + 1, 0);
 
@@ -75,7 +78,8 @@ unionFindReference(const DecodingGraph& g,
         members[v] = {static_cast<std::int32_t>(v)};
         if (syndrome[v]) {
             odd[v] = 1;
-            frontier[v] = g.incidence()[v];
+            const auto inc = g.incident(v);
+            frontier[v].assign(inc.begin(), inc.end());
             materialized[v] = 1;
             worklist.push_back(v);
         }
@@ -122,17 +126,17 @@ unionFindReference(const DecodingGraph& g,
         for (auto r : roots) {
             if (find(r) != r || !odd[r] || touches_boundary[r])
                 continue; // merged or neutralized earlier this sweep
-            std::vector<std::int32_t> keep;
+            std::vector<std::uint32_t> keep;
             auto edges_now = frontier[r];
             frontier[r].clear();
             for (auto eid : edges_now) {
-                const auto& e = g.edges()[static_cast<std::size_t>(eid)];
-                if (grown[static_cast<std::size_t>(eid)] >= e.weight) {
+                const auto& e = g.edges()[eid];
+                if (grown[eid] >= e.weight) {
                     continue; // already fully grown and merged
                 }
-                grown[static_cast<std::size_t>(eid)] += 2;
+                grown[eid] += 2;
                 progress = true;
-                if (grown[static_cast<std::size_t>(eid)] >= e.weight) {
+                if (grown[eid] >= e.weight) {
                     const std::size_t a = static_cast<std::size_t>(e.u);
                     const std::size_t b =
                         e.v < 0 ? boundary : static_cast<std::size_t>(e.v);
@@ -142,10 +146,9 @@ unionFindReference(const DecodingGraph& g,
                             !materialized[endpoint]) {
                             materialized[endpoint] = 1;
                             const auto er = find(endpoint);
-                            frontier[er].insert(
-                                frontier[er].end(),
-                                g.incidence()[endpoint].begin(),
-                                g.incidence()[endpoint].end());
+                            const auto inc = g.incident(endpoint);
+                            frontier[er].insert(frontier[er].end(),
+                                                inc.begin(), inc.end());
                         }
                     }
                     const auto nr = unite(unite(a, b), r);
@@ -193,6 +196,8 @@ unionFindReference(const DecodingGraph& g,
     }
 
     std::vector<std::uint8_t> visited(n + 1, 0);
+    std::vector<std::pair<std::size_t, std::size_t>> parent_edge(
+        n + 1, {SIZE_MAX, SIZE_MAX});
     for (auto r : roots) {
         // Pick a tree root: boundary if in this cluster, else r itself.
         std::size_t tree_root = r;
@@ -208,8 +213,6 @@ unionFindReference(const DecodingGraph& g,
             continue;
         // BFS spanning tree.
         std::vector<std::size_t> order;
-        std::vector<std::pair<std::size_t, std::size_t>> parent_edge(
-            n + 1, {SIZE_MAX, SIZE_MAX});
         visited[tree_root] = 1;
         order.push_back(tree_root);
         for (std::size_t head = 0; head < order.size(); ++head) {
@@ -228,6 +231,8 @@ unionFindReference(const DecodingGraph& g,
             if (defect[v]) {
                 const auto [p, eid] = parent_edge[v];
                 correction ^= g.edges()[eid].observables;
+                if (applied)
+                    applied->push_back(static_cast<std::uint32_t>(eid));
                 defect[v] = 0;
                 defect[p] ^= 1;
             }
