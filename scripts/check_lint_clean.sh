@@ -3,8 +3,9 @@
 #
 #   good/    must pass --strict, and the --format=json document must
 #            parse with strict_clean=true
-#   bad/     must be rejected (parse failure -> exit 1, or findings
-#            -> exit 2; never 0)
+#   bad/     must be rejected under --strict --distance (parse failure
+#            -> exit 1, or findings -> exit 2; never 0, never a crash);
+#            an "# expect-exit:" annotation pins the exact code
 #   faults/  structurally clean circuits with injected fault-tolerance
 #            damage; each file's "# expect-distance:" and
 #            "# expect-finding:" annotations are checked against the
@@ -104,9 +105,13 @@ for f in "$DIR"/good/*.circ; do
 done
 
 for f in "$DIR"/bad/*.circ; do
-    "$LINT" --strict "$f" > /dev/null 2>&1
+    expect_exit=$(annotation "$f" expect-exit)
+    "$LINT" --strict --distance "$f" > /dev/null 2>&1
     rc=$?
-    if [ "$rc" -ne 1 ] && [ "$rc" -ne 2 ]; then
+    if [ -n "$expect_exit" ] && [ "$rc" -ne "$expect_exit" ]; then
+        echo "FAIL: expected exit $expect_exit, got $rc: $f"
+        fail=1
+    elif [ "$rc" -ne 1 ] && [ "$rc" -ne 2 ]; then
         echo "FAIL: expected rejection (exit 1 or 2), got $rc: $f"
         fail=1
     fi
@@ -321,6 +326,23 @@ expect_rc "warnings accepted without --strict" 0 \
     "$LINT" --distance "$DIR/faults/miswired_observable.circ"
 expect_rc "--strict fails on warnings" 2 \
     "$LINT" --strict --distance "$DIR/faults/miswired_observable.circ"
+# Numeric flags take a whole token: no sign or blank on counts, and
+# doubles must be finite.
+GOOD=$DIR/good/bell_pair.circ
+expect_rc "--max-weight=-1 is a usage error" 1 \
+    "$LINT" --distance --max-weight=-1 "$GOOD"
+expect_rc "--max-weight=' 3' is a usage error" 1 \
+    "$LINT" --distance "--max-weight= 3" "$GOOD"
+expect_rc "--max-weight beyond the mechanism count is valid" 0 \
+    "$LINT" --distance --max-weight=100000000000000 "$GOOD"
+expect_rc "--scale-durations=nan is a usage error" 1 \
+    "$LINT" --timing --scale-durations=nan "$GOOD"
+expect_rc "--expect-latency=nan is a usage error" 1 \
+    "$LINT" --timing --expect-latency=nan "$GOOD"
+expect_rc "--expect-latency=inf is a usage error" 1 \
+    "$LINT" --timing --expect-latency=inf "$GOOD"
+expect_rc "--stale-after=nan is a usage error" 1 \
+    "$LINT" --flow --stale-after=nan "$GOOD"
 
 if [ "$fail" -eq 0 ]; then
     echo "all fixtures behave as expected"

@@ -188,12 +188,14 @@ Scanner::parseI64()
 }
 
 std::size_t
-Scanner::parseU64OrNull(std::size_t sentinel)
+Scanner::numberTokenEnd() const
 {
-    skipWs();
-    if (consumeWord("null"))
-        return sentinel;
-    return static_cast<std::size_t>(parseU64());
+    std::size_t end = pos;
+    while (end < src.size() &&
+           (std::isalnum(static_cast<unsigned char>(src[end])) ||
+            src[end] == '.' || src[end] == '+' || src[end] == '-'))
+        ++end;
+    return end;
 }
 
 double
@@ -201,10 +203,7 @@ Scanner::parseDouble()
 {
     skipWs();
     const std::size_t begin = pos;
-    while (pos < src.size() &&
-           (std::isalnum(static_cast<unsigned char>(src[pos])) ||
-            src[pos] == '.' || src[pos] == '+' || src[pos] == '-'))
-        ++pos;
+    pos = numberTokenEnd();
     if (pos == begin)
         fail("expected a number");
     const std::string token = src.substr(begin, pos - begin);

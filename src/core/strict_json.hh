@@ -1,23 +1,20 @@
 /**
  * @file
- * Shared recursive-descent scanner for the strict hetarch-*-v1 JSON
- * schemas.
+ * Shared writer and scanner for the strict hetarch-*-v1 JSON dialect.
  *
  * Every stable machine interface in the repo (hetarch-lint-v1,
  * hetarch-sched-v1, hetarch-flow-v1, hetarch-job-v1, hetarch-obs-v1)
  * uses the same dialect: fixed field order, sorted key names, no
  * unknown fields, no duplicate keys, ASCII strings with a four-escape
  * repertoire, and numbers that are either u64 counts or doubles.  The
- * parsers exist for our own artifacts (scripts, CI gates, round-trip
- * tests), not for arbitrary JSON, so every deviation is an error with
- * a byte offset.
+ * writers below emit it for all five.
  *
- * This header is the one copy of the token-level machinery.  Domain
- * parsers subclass Scanner (members are protected for dialect
- * extensions like the wire protocol's number-shape classification)
- * and translate ScanError at their boundary: CLI-facing parsers
- * rethrow via HETARCH_FATAL, the job service converts it into a
- * returned diagnostic so a malformed line can't kill the daemon.
+ * Only the hetarch-job-v1 wire protocol is read back in C++: the
+ * reports and metrics snapshots are written only and pinned by golden
+ * tests.  The wire parser subclasses Scanner (members are protected
+ * for its number-shape classification) and converts ScanError into a
+ * returned diagnostic, so a malformed line can't kill the daemon.
+ * Every deviation is an error with a byte offset.
  */
 
 #pragma once
@@ -80,9 +77,6 @@ class Scanner
 
     std::int64_t parseI64();
 
-    /** A u64 or the literal null mapping to @p sentinel. */
-    std::size_t parseU64OrNull(std::size_t sentinel);
-
     /**
      * A number token parsed as a double.  The whole token must
      * convert: "1.2.3" is an error, not 1.2.
@@ -101,6 +95,9 @@ class Scanner
     std::size_t offset() const { return pos; }
 
   protected:
+    /** End of the number token (alphanumerics, '.', '+', '-') at pos. */
+    std::size_t numberTokenEnd() const;
+
     const std::string& src;
     std::size_t pos = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "core/logging.hh"
 #include "core/strict_json.hh"
 
 namespace hetarch {
@@ -12,13 +11,66 @@ namespace {
 
 namespace cj = core::json;
 
+const char*
+boolName(bool b)
+{
+    return b ? "true" : "false";
+}
+
+/** "[x, y, ...]", with @p write_item rendering each element. */
+template <typename T, typename WriteItem>
+void
+writeArray(std::ostream& os, const std::vector<T>& xs,
+           WriteItem&& write_item)
+{
+    os << '[';
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        if (i)
+            os << ", ";
+        write_item(xs[i]);
+    }
+    os << ']';
+}
+
 void
 writeIndexArray(std::ostream& os, const std::vector<std::uint32_t>& xs)
 {
-    os << '[';
-    for (std::size_t i = 0; i < xs.size(); ++i)
-        os << (i ? ", " : "") << xs[i];
-    os << ']';
+    writeArray(os, xs, [&os](std::uint32_t x) { os << x; });
+}
+
+/** The finding objects of all three schemas ("findings"/"hazards"). */
+void
+writeFindings(std::ostream& os, const std::vector<LintFinding>& findings)
+{
+    writeArray(os, findings, [&os](const LintFinding& f) {
+        os << "{\"message\": ";
+        cj::writeString(os, f.message);
+        os << ", \"op\": ";
+        cj::writeOrNull(os, f.opIndex, kNoOpIndex);
+        os << ", \"pass\": ";
+        cj::writeString(os, f.pass);
+        os << ", \"severity\": \"" << severityName(f.severity) << "\"}";
+    });
+}
+
+/**
+ * The shared envelope {"files": [...], "schema": @p schema}, one file
+ * object per line, with @p write_file rendering each.
+ */
+template <typename File, typename WriteFile>
+std::string
+writeDocument(const std::vector<File>& files, const char* schema,
+              WriteFile&& write_file)
+{
+    std::ostringstream os;
+    os << "{\n  \"files\": [";
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        os << (i ? ",\n    " : "\n    ");
+        write_file(os, files[i]);
+    }
+    os << (files.empty() ? "" : "\n  ") << "],\n  \"schema\": \""
+       << schema << "\"\n}\n";
+    return os.str();
 }
 
 void
@@ -31,251 +83,159 @@ writeFaults(std::ostream& os, const FaultAnalysis& fa)
     cj::writeOrNull(os, fa.minDistance(), kInfiniteDistance);
     os << ", \"num_detectors\": " << fa.numDetectors
        << ", \"num_mechanisms\": " << fa.numMechanisms
-       << ", \"observables\": [";
-    bool first = true;
-    for (const auto& of : fa.observables) {
-        os << (first ? "" : ", ") << "{\"certificate\": ";
+       << ", \"observables\": ";
+    writeArray(os, fa.observables, [&os](const ObservableFaults& of) {
+        os << "{\"certificate\": ";
         writeIndexArray(os, of.certificate.mechanisms);
         os << ", \"distance\": ";
         cj::writeOrNull(os, of.distance, kInfiniteDistance);
-        os << ", \"graphlike\": " << (of.graphlike ? "true" : "false")
+        os << ", \"graphlike\": " << boolName(of.graphlike)
            << ", \"observable\": " << of.observable
            << ", \"union_bound\": ";
         cj::writeDouble(os, of.unionBound);
         os << ", \"union_bound_weight\": " << of.unionBoundWeight
            << '}';
-        first = false;
-    }
-    os << "], \"undetectable_mechanisms\": ";
+    });
+    os << ", \"undetectable_mechanisms\": ";
     writeIndexArray(os, fa.undetectableMechanisms);
     os << '}';
 }
-
-/**
- * Recursive-descent parser for the v1 lint document on the shared
- * strict scanner: every deviation is fatal with a byte offset.
- */
-class Parser : private cj::Scanner
-{
-  public:
-    explicit Parser(const std::string& text) : Scanner(text) {}
-
-    LintDocument parse()
-    {
-        LintDocument doc;
-        expect('{');
-        expectKey("files");
-        expect('[');
-        if (!consume(']')) {
-            do
-                doc.files.push_back(parseFile());
-            while (consume(','));
-            expect(']');
-        }
-        expect(',');
-        expectKey("schema");
-        const auto schema = parseString();
-        if (schema != "hetarch-lint-v1")
-            fail("unsupported lint report schema '" + schema + "'");
-        expect('}');
-        finish();
-        return doc;
-    }
-
-  private:
-    std::vector<std::uint32_t> parseIndexArray()
-    {
-        std::vector<std::uint32_t> out;
-        expect('[');
-        if (consume(']'))
-            return out;
-        do
-            out.push_back(static_cast<std::uint32_t>(parseU64()));
-        while (consume(','));
-        expect(']');
-        return out;
-    }
-
-    Severity parseSeverity()
-    {
-        const auto name = parseString();
-        if (name == "info")
-            return Severity::Info;
-        if (name == "warning")
-            return Severity::Warning;
-        if (name == "error")
-            return Severity::Error;
-        fail("unknown severity '" + name + "'");
-    }
-
-    FaultAnalysis parseFaults()
-    {
-        FaultAnalysis fa;
-        expect('{');
-        expectKey("dead_detectors");
-        fa.deadDetectors = parseIndexArray();
-        expect(',');
-        expectKey("hyperedge_mechanisms");
-        fa.numHyperedges = parseU64();
-        expect(',');
-        expectKey("min_distance");
-        // Derived from the observables on output; discard on input.
-        (void)parseU64OrNull(kInfiniteDistance);
-        expect(',');
-        expectKey("num_detectors");
-        fa.numDetectors = parseU64();
-        expect(',');
-        expectKey("num_mechanisms");
-        fa.numMechanisms = parseU64();
-        expect(',');
-        expectKey("observables");
-        expect('[');
-        if (!consume(']')) {
-            do {
-                ObservableFaults of;
-                expect('{');
-                expectKey("certificate");
-                of.certificate.mechanisms = parseIndexArray();
-                expect(',');
-                expectKey("distance");
-                of.distance = parseU64OrNull(kInfiniteDistance);
-                expect(',');
-                expectKey("graphlike");
-                of.graphlike = parseBool();
-                expect(',');
-                expectKey("observable");
-                of.observable = static_cast<std::uint32_t>(parseU64());
-                expect(',');
-                expectKey("union_bound");
-                of.unionBound = parseDouble();
-                expect(',');
-                expectKey("union_bound_weight");
-                of.unionBoundWeight = parseU64();
-                expect('}');
-                fa.observables.push_back(std::move(of));
-            } while (consume(','));
-            expect(']');
-        }
-        expect(',');
-        expectKey("undetectable_mechanisms");
-        fa.undetectableMechanisms = parseIndexArray();
-        expect('}');
-        return fa;
-    }
-
-    FileReport parseFile()
-    {
-        FileReport file;
-        expect('{');
-        expectKey("clean");
-        (void)parseBool(); // derived from the findings
-        expect(',');
-        expectKey("errors");
-        (void)parseU64();
-        expect(',');
-        expectKey("faults");
-        skipWs();
-        if (consumeNull()) {
-            file.hasFaults = false;
-        } else {
-            file.hasFaults = true;
-            file.faults = parseFaults();
-        }
-        expect(',');
-        expectKey("findings");
-        expect('[');
-        if (!consume(']')) {
-            do {
-                LintFinding f;
-                expect('{');
-                expectKey("message");
-                f.message = parseString();
-                expect(',');
-                expectKey("op");
-                f.opIndex = parseU64OrNull(kNoOpIndex);
-                expect(',');
-                expectKey("pass");
-                f.pass = parseString();
-                expect(',');
-                expectKey("severity");
-                f.severity = parseSeverity();
-                expect('}');
-                file.report.findings.push_back(std::move(f));
-            } while (consume(','));
-            expect(']');
-        }
-        expect(',');
-        expectKey("infos");
-        (void)parseU64();
-        expect(',');
-        expectKey("path");
-        file.path = parseString();
-        expect(',');
-        expectKey("strict_clean");
-        (void)parseBool();
-        expect(',');
-        expectKey("warnings");
-        (void)parseU64();
-        expect('}');
-        return file;
-    }
-};
 
 } // namespace
 
 std::string
 toLintJson(const LintDocument& doc)
 {
-    std::ostringstream os;
-    os << "{\n  \"files\": [";
-    bool first = true;
-    for (const auto& file : doc.files) {
+    return writeDocument(doc.files, "hetarch-lint-v1",
+                         [](std::ostream& os, const FileReport& file) {
         const auto errors = file.report.errorCount();
         const auto warnings = file.report.warningCount();
         const auto infos =
             file.report.findings.size() - errors - warnings;
-        os << (first ? "\n    " : ",\n    ");
-        os << "{\"clean\": " << (errors == 0 ? "true" : "false")
+        os << "{\"clean\": " << boolName(errors == 0)
            << ", \"errors\": " << errors << ", \"faults\": ";
         if (file.hasFaults)
             writeFaults(os, file.faults);
         else
             os << "null";
-        os << ", \"findings\": [";
-        bool first_finding = true;
-        for (const auto& f : file.report.findings) {
-            os << (first_finding ? "" : ", ") << "{\"message\": ";
-            cj::writeString(os, f.message);
-            os << ", \"op\": ";
-            cj::writeOrNull(os, f.opIndex, kNoOpIndex);
-            os << ", \"pass\": ";
-            cj::writeString(os, f.pass);
-            os << ", \"severity\": \"" << severityName(f.severity)
-               << "\"}";
-            first_finding = false;
-        }
-        os << "], \"infos\": " << infos << ", \"path\": ";
+        os << ", \"findings\": ";
+        writeFindings(os, file.report.findings);
+        os << ", \"infos\": " << infos << ", \"path\": ";
         cj::writeString(os, file.path);
-        os << ", \"strict_clean\": "
-           << (errors + warnings == 0 ? "true" : "false")
+        os << ", \"strict_clean\": " << boolName(errors + warnings == 0)
            << ", \"warnings\": " << warnings << '}';
-        first = false;
-    }
-    os << (first ? "" : "\n  ")
-       << "],\n  \"schema\": \"hetarch-lint-v1\"\n}\n";
-    return os.str();
+    });
 }
 
-LintDocument
-parseLintJson(const std::string& text)
+namespace sched {
+
+std::string
+toSchedJson(const SchedDocument& doc)
 {
-    try {
-        return Parser(text).parse();
-    } catch (const cj::ScanError& e) {
-        HETARCH_FATAL("lint report parse error at byte ", e.offset,
-                      ": ", e.reason);
-    }
+    return writeDocument(doc.files, "hetarch-sched-v1",
+                         [](std::ostream& os,
+                            const SchedFileReport& file) {
+        const auto& a = file.analysis;
+        os << "{\"critical_path_ns\": ";
+        cj::writeDouble(os, a.criticalPathNs);
+        os << ", \"device\": ";
+        cj::writeString(os, file.device);
+        os << ", \"hazards\": ";
+        writeFindings(os, a.hazards);
+        os << ", \"observables\": ";
+        writeArray(os, a.observables,
+                   [&os](const ObservableIdleBound& b) {
+            os << "{\"idle_bound\": ";
+            cj::writeDouble(os, b.idleBound);
+            os << ", \"observable\": " << b.observable
+               << ", \"weight\": " << b.weight << '}';
+        });
+        os << ", \"path\": ";
+        cj::writeString(os, file.path);
+        os << ", \"qubits\": ";
+        writeArray(os, a.qubits, [&os](const QubitTimeline& tl) {
+            os << "{\"busy_ns\": ";
+            cj::writeDouble(os, tl.busyNs);
+            os << ", \"device\": ";
+            cj::writeString(os, tl.device);
+            os << ", \"idle_ns\": ";
+            cj::writeDouble(os, tl.idleNs);
+            os << ", \"idle_windows\": " << tl.idleWindows
+               << ", \"qubit\": " << tl.qubit << '}';
+        });
+        os << ", \"timed_ops\": " << a.opsScheduled
+           << ", \"total_idle_ns\": ";
+        cj::writeDouble(os, a.totalIdleNs);
+        os << '}';
+    });
 }
 
+} // namespace sched
+
+namespace flow {
+
+std::string
+toFlowJson(const FlowDocument& doc)
+{
+    return writeDocument(doc.files, "hetarch-flow-v1",
+                         [](std::ostream& os, const FlowFileReport& file) {
+        const auto& a = file.analysis;
+        os << "{\"critical_path_ns\": ";
+        cj::writeDouble(os, a.criticalPathNs);
+        os << ", \"device\": ";
+        cj::writeString(os, file.device);
+        os << ", \"hazards\": ";
+        writeFindings(os, a.hazards);
+        os << ", \"instances\": ";
+        writeArray(os, a.instances, [&os](const InstancePressure& p) {
+            os << "{\"device\": ";
+            cj::writeString(os, p.device);
+            os << ", \"instance\": " << p.instance
+               << ", \"modes\": " << p.modes
+               << ", \"peak_occupancy\": " << p.peakOccupancy
+               << ", \"residencies\": " << p.residencies
+               << ", \"storage_qubit_ns\": ";
+            cj::writeDouble(os, p.storageQubitNs);
+            os << '}';
+        });
+        os << ", \"live_idle_ns\": ";
+        cj::writeDouble(os, a.liveIdleNs);
+        os << ", \"live_idle_windows\": " << a.liveIdleWindows
+           << ", \"movement_ns\": ";
+        cj::writeDouble(os, a.movementNs);
+        os << ", \"observables\": ";
+        writeArray(os, a.observables, [&os](const ObservableBudget& b) {
+            os << "{\"budget\": ";
+            cj::writeDouble(os, b.budget);
+            os << ", \"gate_bound\": ";
+            cj::writeDouble(os, b.gateBound);
+            os << ", \"idle_bound\": ";
+            cj::writeDouble(os, b.idleBound);
+            os << ", \"observable\": " << b.observable
+               << ", \"weight\": " << b.weight << '}';
+        });
+        os << ", \"path\": ";
+        cj::writeString(os, file.path);
+        os << ", \"peak_storage\": " << a.peakStorageOccupancy
+           << ", \"residencies\": ";
+        writeArray(os, a.residencies, [&os](const ResidencyInterval& r) {
+            os << "{\"deposit_op\": " << r.depositOp << ", \"end_ns\": ";
+            cj::writeDouble(os, r.endNs);
+            os << ", \"instance\": " << r.instance
+               << ", \"orphaned\": " << boolName(r.orphaned)
+               << ", \"qubit\": " << r.qubit << ", \"retrieve_op\": ";
+            cj::writeOrNull(os, r.retrieveOp, kNoOpIndex);
+            os << ", \"start_ns\": ";
+            cj::writeDouble(os, r.startNs);
+            os << '}';
+        });
+        os << ", \"storage_qubit_ns\": ";
+        cj::writeDouble(os, a.storageQubitNs);
+        os << ", \"swaps\": " << a.swapCount
+           << ", \"timed_ops\": " << a.opsTracked << '}';
+    });
+}
+
+} // namespace flow
 } // namespace lint
 } // namespace hetarch

@@ -127,11 +127,13 @@ elementarySymmetricBound(const std::vector<double>& probs,
 {
     if (weight == 0)
         return 1.0; // zero mechanisms already "suffice": vacuous bound
+    if (weight > probs.size())
+        return 0.0; // no k-subset of n < k mechanisms: e_k = 0
     // e_k by the standard O(n * k) DP, accumulating in index order.
     std::vector<double> e(weight + 1, 0.0);
     e[0] = 1.0;
     for (const double p : probs)
-        for (std::size_t k = std::min(weight, probs.size()); k >= 1; --k)
+        for (std::size_t k = weight; k >= 1; --k)
             e[k] += e[k - 1] * p;
     return std::min(1.0, e[weight]);
 }

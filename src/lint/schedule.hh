@@ -185,7 +185,8 @@ struct SchedOptions
  * Elementary symmetric polynomial e_k over @p probs, capped at 1 —
  * the shared budget kernel of the fault analyzer's union bound and the
  * schedule analyzer's idle bound (O(n * k) DP, index order, exactly
- * deterministic).  k = 0 returns the vacuous bound 1.
+ * deterministic).  k = 0 returns the vacuous bound 1; k > n returns 0
+ * without allocating.
  */
 double elementarySymmetricBound(const std::vector<double>& probs,
                                 std::size_t weight);

@@ -105,7 +105,7 @@ struct TimingModel
     bool operator==(const TimingModel& o) const;
 };
 
-/** Content hash of a timing model (FNV-1a, like qec::hashCircuit). */
+/** Content hash of a timing model (FNV-1a, like stab::hashCircuit). */
 std::uint64_t hashTimingModel(const TimingModel& model);
 
 /**

@@ -26,15 +26,6 @@ obs::Counter& cFaultMisses = obs::counter("qec.decoder_cache.fault_misses");
 
 } // namespace
 
-std::uint64_t
-hashCircuit(const stab::Circuit& circuit)
-{
-    // Canonical implementation lives with the circuit IR so every
-    // cache (decoder setups, fault analyses, schedule analyses) keys
-    // on the identical content hash.
-    return stab::hashCircuit(circuit);
-}
-
 std::shared_ptr<const DecoderSetup>
 DecoderSetup::build(const stab::Circuit& circuit, DecoderKind kind)
 {
@@ -100,7 +91,7 @@ struct DecoderCache::Impl
     static BuildOnceCache<DecoderSetup, 4>::Key
     setupKey(const stab::Circuit& circuit, DecoderKind kind)
     {
-        return {qec::hashCircuit(circuit), circuit.ops().size(),
+        return {stab::hashCircuit(circuit), circuit.ops().size(),
                 circuit.numDetectors(), static_cast<std::uint64_t>(kind)};
     }
 };
@@ -128,7 +119,7 @@ DecoderCache::faultAnalysis(const stab::Circuit& circuit,
                             const lint::FaultOptions& options)
 {
     const BuildOnceCache<lint::FaultAnalysis, 5>::Key key{
-        qec::hashCircuit(circuit), circuit.ops().size(),
+        stab::hashCircuit(circuit), circuit.ops().size(),
         circuit.numDetectors(), options.maxWeight, options.unionBound};
     return impl->faults.get(key, [&] {
         // Reuse the DEM of a cached decoder setup for the same circuit

@@ -115,8 +115,5 @@ class DecoderCache
     std::unique_ptr<Impl> impl;
 };
 
-/** Content hash of a circuit (structure, targets, noise parameters). */
-std::uint64_t hashCircuit(const stab::Circuit& circuit);
-
 } // namespace qec
 } // namespace hetarch

@@ -1,6 +1,5 @@
 #include "service/wire.hh"
 
-#include <cctype>
 #include <charconv>
 #include <sstream>
 #include <string>
@@ -125,27 +124,15 @@ class Scanner : public core::json::Scanner
     ResultValue parseNumberValue()
     {
         skipWs();
-        const std::size_t begin = pos;
-        while (pos < src.size() &&
-               (std::isalnum(static_cast<unsigned char>(src[pos])) ||
-                src[pos] == '.' || src[pos] == '+' || src[pos] == '-'))
-            ++pos;
-        if (pos == begin)
-            fail("expected a number");
-        const std::string token = src.substr(begin, pos - begin);
+        const std::string token = src.substr(pos, numberTokenEnd() - pos);
         ResultValue value;
-        if (token.find_first_not_of("0123456789") == std::string::npos) {
-            pos = begin;
+        if (!token.empty() &&
+            token.find_first_not_of("0123456789") == std::string::npos) {
             value.kind = ResultValue::Kind::U64;
             value.u64 = parseU64();
-            return value;
-        }
-        value.kind = ResultValue::Kind::Real;
-        const char* end = token.c_str() + token.size();
-        const auto res = std::from_chars(token.c_str(), end, value.real);
-        if (res.ec != std::errc{} || res.ptr != end) {
-            pos = begin;
-            fail("malformed number '" + token + "'");
+        } else {
+            value.kind = ResultValue::Kind::Real;
+            value.real = parseDouble();
         }
         return value;
     }

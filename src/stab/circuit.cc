@@ -220,7 +220,7 @@ Circuit::appendOp(const Op& op, const std::string& context)
                           " params, got ", op.params.size());
     };
     auto need_prob = [&](double p) {
-        if (p < 0.0 || p > 1.0)
+        if (!(p >= 0.0 && p <= 1.0)) // NaN fails both comparisons
             HETARCH_FATAL(context, "'", name, "' probability ", p,
                           " outside [0, 1]");
     };

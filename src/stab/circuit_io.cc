@@ -1,9 +1,12 @@
 #include "stab/circuit_io.hh"
 
+#include <charconv>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "core/logging.hh"
+#include "stab/dem.hh"
 
 namespace hetarch {
 namespace stab {
@@ -13,24 +16,32 @@ namespace {
 struct ParsedLine
 {
     std::string name;
-    int observableId = -1;
+    /** The "(k)" suffix: an observable index or a detector tag. */
+    std::optional<std::uint32_t> id;
     std::vector<double> params;
-    std::vector<std::size_t> targets;
+    std::vector<std::uint32_t> targets;
 };
 
-std::size_t
-parseIndex(const std::string& token, std::size_t line_no, const char* what)
+/** Targets and record indices are stored as 32-bit ids. */
+constexpr std::size_t kIndexLimit = std::size_t{1} << 32;
+
+/** A decimal index below @p limit (at most 2^32), checked before the
+    narrowing to 32 bits. */
+std::uint32_t
+parseIndex(const std::string& token, std::size_t line_no, const char* what,
+           std::size_t limit)
 {
     if (token.empty() ||
         token.find_first_not_of("0123456789") != std::string::npos)
         HETARCH_FATAL("line ", line_no, ": expected ", what, ", got '",
                       token, "'");
-    try {
-        return static_cast<std::size_t>(std::stoull(token));
-    } catch (const std::out_of_range&) {
+    std::size_t value = 0;
+    const auto res =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (res.ec != std::errc{} || value >= limit)
         HETARCH_FATAL("line ", line_no, ": ", what, " '", token,
-                      "' out of range");
-    }
+                      "' out of range (must be below ", limit, ")");
+    return static_cast<std::uint32_t>(value);
 }
 
 double
@@ -58,26 +69,28 @@ tokenize(const std::string& line, std::size_t line_no)
     if (!(in >> token))
         return out; // blank
 
-    // OBSERVABLE_INCLUDE(k) carries its id in the mnemonic.
+    // OBSERVABLE_INCLUDE(k) and DETECTOR(tag) carry an id in the
+    // mnemonic.
     const auto paren = token.find('(');
+    out.name = token.substr(0, paren);
     if (paren != std::string::npos) {
         const auto close = token.find(')', paren);
         if (close == std::string::npos)
             HETARCH_FATAL("line ", line_no, ": unterminated '(' in '",
                           token, "'");
-        out.observableId = static_cast<int>(
-            parseIndex(token.substr(paren + 1, close - paren - 1),
-                       line_no, "an observable index"));
-        token = token.substr(0, paren);
+        const bool observable = out.name == "OBSERVABLE_INCLUDE";
+        out.id = parseIndex(token.substr(paren + 1, close - paren - 1),
+                            line_no,
+                            observable ? "an observable index" : "a tag",
+                            observable ? kMaxObservables : kIndexLimit);
     }
-    out.name = token;
 
     while (in >> token) {
         if (token.rfind("p=", 0) == 0) {
             out.params.push_back(parseParam(token.substr(2), line_no));
         } else {
             out.targets.push_back(
-                parseIndex(token, line_no, "a target index"));
+                parseIndex(token, line_no, "a target index", kIndexLimit));
         }
     }
     return out;
@@ -144,15 +157,12 @@ parseCircuit(const std::string& text)
         if (!lookupOpCode(l.name, op.code))
             HETARCH_FATAL("line ", line_no, ": unknown op '", l.name,
                           "'");
-        if (op.code == OpCode::OBSERVABLE && l.observableId < 0)
+        if (op.code == OpCode::OBSERVABLE && !l.id)
             HETARCH_FATAL("line ", line_no,
                           ": OBSERVABLE_INCLUDE needs an index");
-        if (l.observableId >= 0)
-            op.id = static_cast<std::uint32_t>(l.observableId);
+        op.id = l.id.value_or(0);
         op.params = l.params;
-        op.targets.reserve(l.targets.size());
-        for (auto t : l.targets)
-            op.targets.push_back(static_cast<std::uint32_t>(t));
+        op.targets = l.targets;
 
         // appendOp validates arity, probability ranges and
         // measurement-record references, and reports them against the

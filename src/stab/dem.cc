@@ -105,8 +105,8 @@ DetectorErrorModel::sample(Rng& rng) const
 DetectorErrorModel
 buildDetectorErrorModel(const Circuit& circuit)
 {
-    HETARCH_ASSERT(circuit.numObservables() <= 32,
-                   "at most 32 observables supported");
+    HETARCH_ASSERT(circuit.numObservables() <= kMaxObservables,
+                   "at most ", kMaxObservables, " observables supported");
 
     // Measurement index -> annotation ids referencing it.
     std::vector<SensSet> meas_ann(circuit.numMeasurements());

@@ -25,6 +25,9 @@
 namespace hetarch {
 namespace stab {
 
+/** Observable ids index one 32-bit mask (ErrorMechanism::observables). */
+inline constexpr std::size_t kMaxObservables = 32;
+
 /** One independent error mechanism. */
 struct ErrorMechanism
 {

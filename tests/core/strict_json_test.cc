@@ -1,9 +1,8 @@
 /**
  * @file
- * Unit tests for the shared strict-JSON scanner: every hetarch-*-v1
- * parser (lint, sched, flow, wire) sits on this one token layer, so
- * the duplicate/unknown-field rejection semantics and the byte
- * offsets in its diagnostics are pinned here once for all of them.
+ * Unit tests for the shared strict-JSON writer and scanner: the
+ * hetarch-job-v1 wire parser sits on this token layer, so the byte
+ * offsets in its diagnostics are pinned here.
  */
 
 #include <gtest/gtest.h>
@@ -168,9 +167,11 @@ TEST(StrictJson, NullSentinelRoundTrips)
     os << ' ';
     writeOrNull(os, 42, sentinel);
     const std::string text = os.str();
+    EXPECT_EQ(text, "null 42");
     Scanner sc(text);
-    EXPECT_EQ(sc.parseU64OrNull(sentinel), sentinel);
-    EXPECT_EQ(sc.parseU64OrNull(sentinel), 42u);
+    EXPECT_TRUE(sc.consumeNull());
+    EXPECT_FALSE(sc.consumeNull());
+    EXPECT_EQ(sc.parseU64(), 42u);
     sc.finish();
 }
 

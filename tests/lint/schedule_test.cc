@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "cells/characterize.hh"
@@ -227,6 +228,16 @@ TEST(ElementarySymmetricBound, MatchesUnionBoundAtWeight)
         EXPECT_DOUBLE_EQ(elementarySymmetricBound(probs, k),
                          unionBoundAtWeight(dem, k))
             << "k=" << k;
+}
+
+TEST(ElementarySymmetricBound, WeightAboveCountIsZeroWithoutAllocating)
+{
+    // e_k = 0 for k > n.  The DP once sized its buffer k + 1, which
+    // wraps to 0 at SIZE_MAX and cannot be allocated at 1e14.
+    const std::vector<double> p = {0.1, 0.2, 0.3};
+    EXPECT_EQ(elementarySymmetricBound(p, p.size() + 1), 0.0);
+    EXPECT_EQ(elementarySymmetricBound(p, 100000000000000u), 0.0);
+    EXPECT_EQ(elementarySymmetricBound(p, SIZE_MAX), 0.0);
 }
 
 TEST(ElementarySymmetricBound, EdgeCases)

@@ -17,6 +17,7 @@
 #include "qec/decoder_cache.hh"
 #include "qec/memory_experiment.hh"
 #include "qec/surface_circuit.hh"
+#include "stab/circuit_stats.hh"
 
 namespace hetarch {
 namespace qec {
@@ -132,13 +133,14 @@ TEST(DecoderCache, HashDistinguishesCircuits)
     noise.p2 = 2e-3;
     const auto c = surfaceMemoryZ(3, 2, noise);
 
-    EXPECT_EQ(hashCircuit(a), hashCircuit(surfaceMemoryZ(3, 2, [] {
+    EXPECT_EQ(stab::hashCircuit(a),
+              stab::hashCircuit(surfaceMemoryZ(3, 2, [] {
                   qec::CircuitNoise n;
                   n.p2 = 1e-3;
                   return n;
               }())));
-    EXPECT_NE(hashCircuit(a), hashCircuit(b));
-    EXPECT_NE(hashCircuit(a), hashCircuit(c));
+    EXPECT_NE(stab::hashCircuit(a), stab::hashCircuit(b));
+    EXPECT_NE(stab::hashCircuit(a), stab::hashCircuit(c));
 }
 
 } // namespace

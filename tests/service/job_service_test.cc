@@ -164,6 +164,21 @@ TEST(Validation, AnalysisResolvesCircuitSources)
     const Validation v = validateJob(inline_bad);
     EXPECT_FALSE(v.ok);
     EXPECT_FALSE(v.error.empty());
+
+    // Text that once parsed and then killed the daemon: a NaN
+    // probability (assert at admission) and an observable past the
+    // DEM's 32-bit mask (panic in the distance analysis).
+    for (const char* text :
+         {"X_ERROR p=nan 0\nM 0\n", "M 0\nOBSERVABLE_INCLUDE(40) 0\n"}) {
+        JobSpec hostile = inline_bad;
+        hostile.params[0].second = ParamValue::str(text);
+        hostile.add("distance", ParamValue::num(1));
+        const Validation rejected = validateJob(hostile);
+        EXPECT_FALSE(rejected.ok) << text;
+        EXPECT_NE(rejected.error.find("does not parse"),
+                  std::string::npos)
+            << rejected.error;
+    }
 }
 
 TEST(JobService, SingleJobMatchesDirectApi)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/units.hh"
 #include "qec/surface_circuit.hh"
 #include "stab/circuit_io.hh"
@@ -86,6 +88,61 @@ TEST(CircuitIo, RejectsDanglingRecordReference)
 {
     EXPECT_DEATH(parseCircuit("M 0\nDETECTOR 5"),
                  "references measurement");
+}
+
+/** The error tryParseCircuit reports for @p text, or "" if it parses. */
+std::string
+parseError(const std::string& text)
+{
+    Circuit out;
+    std::string error;
+    return tryParseCircuit(text, out, error) ? "" : error;
+}
+
+TEST(CircuitIo, RejectsNanProbability)
+{
+    // NaN fails both p < 0 and p > 1, so the range check must be
+    // phrased as !(0 <= p <= 1) or NaN reaches the noise builders.
+    for (const char* text :
+         {"X_ERROR p=nan 0\n", "DEPOLARIZE1 p=nan 0\n",
+          "PAULI_CHANNEL_1 p=0 p=nan p=0 0\n",
+          "DEPOLARIZE2 p=nan 0 1\n"}) {
+        const auto error = parseError(text);
+        EXPECT_NE(error.find("line 1"), std::string::npos) << text;
+        EXPECT_NE(error.find("outside [0, 1]"), std::string::npos)
+            << text;
+    }
+}
+
+TEST(CircuitIo, RejectsIndicesThatWouldNarrow)
+{
+    // Each once wrapped modulo 2^32 into a small valid-looking index.
+    for (const char* text :
+         {"X 4294967296\n", "M 0\nDETECTOR 4294967297\n",
+          "M 0\nOBSERVABLE_INCLUDE(4294967301) 0\n",
+          "M 0\nDETECTOR(4294967296) 0\n"}) {
+        EXPECT_NE(parseError(text).find("out of range"),
+                  std::string::npos)
+            << text;
+    }
+    // The largest 32-bit detector tag is kept, not reinterpreted.
+    Circuit c;
+    std::string error;
+    ASSERT_TRUE(tryParseCircuit("M 0\nDETECTOR(4294967295) 0\n", c, error))
+        << error;
+    ASSERT_EQ(c.detectorTags().size(), 1u);
+    EXPECT_EQ(c.detectorTags()[0], 4294967295u);
+}
+
+TEST(CircuitIo, RejectsObservablePastTheDemMask)
+{
+    // The DEM packs observables into a 32-bit mask; a larger index
+    // must fail at parse time, not as a panic in the DEM builder.
+    const auto error = parseError("M 0\nOBSERVABLE_INCLUDE(40) 0\n");
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+    EXPECT_NE(parseError("M 0\nOBSERVABLE_INCLUDE(32) 0\n"), "");
+    EXPECT_EQ(parseError("M 0\nOBSERVABLE_INCLUDE(31) 0\n"), "");
 }
 
 TEST(CircuitIo, CommentsAndBlanksIgnored)

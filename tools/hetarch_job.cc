@@ -31,6 +31,7 @@
  *   2  transcript parsed but an expectation failed
  */
 
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -63,18 +64,13 @@ usage()
     return 1;
 }
 
+/** A whole unsigned decimal token: no sign, no blanks, no overflow. */
 bool
 parseU64(const std::string& text, std::uint64_t& out)
 {
-    if (text.empty())
-        return false;
-    std::size_t consumed = 0;
-    try {
-        out = std::stoull(text, &consumed);
-    } catch (...) {
-        return false;
-    }
-    return consumed == text.size();
+    const char* end = text.data() + text.size();
+    const auto res = std::from_chars(text.data(), end, out);
+    return res.ec == std::errc{} && res.ptr == end;
 }
 
 bool

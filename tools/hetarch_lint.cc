@@ -71,6 +71,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -85,10 +86,8 @@
 #include "dse/builder_registry.hh"
 #include "lint/dataflow.hh"
 #include "lint/faults.hh"
-#include "lint/flow_json.hh"
 #include "lint/lint.hh"
 #include "lint/report_json.hh"
-#include "lint/sched_json.hh"
 #include "lint/schedule.hh"
 #include "obs/json.hh"
 #include "obs/obs.hh"
@@ -136,32 +135,22 @@ struct Unit
     const dse::CircuitBuilder* builder = nullptr; ///< null: file path
 };
 
+/** A whole unsigned decimal token: no sign, no blanks, no overflow. */
 bool
 parseSize(const std::string& text, std::size_t& out)
 {
-    if (text.empty())
-        return false;
-    std::size_t consumed = 0;
-    try {
-        out = std::stoull(text, &consumed);
-    } catch (const std::exception&) {
-        return false;
-    }
-    return consumed == text.size();
+    const char* end = text.data() + text.size();
+    const auto res = std::from_chars(text.data(), end, out);
+    return res.ec == std::errc{} && res.ptr == end;
 }
 
+/** A whole decimal token naming a finite double. */
 bool
 parseDouble(const std::string& text, double& out)
 {
-    if (text.empty())
-        return false;
-    std::size_t consumed = 0;
-    try {
-        out = std::stod(text, &consumed);
-    } catch (const std::exception&) {
-        return false;
-    }
-    return consumed == text.size();
+    const char* end = text.data() + text.size();
+    const auto res = std::from_chars(text.data(), end, out);
+    return res.ec == std::errc{} && res.ptr == end && std::isfinite(out);
 }
 
 bool
@@ -533,7 +522,7 @@ main(int argc, char** argv)
         doc.files.push_back(std::move(file));
     }
     // --flow --format=json emits the flow document, --timing the sched
-    // document; the lint-v1 schema stays exactly as its parser pins it.
+    // document, and otherwise the lint-v1 document.
     if (json) {
         if (flow)
             std::cout << lint::flow::toFlowJson(flow_doc);
