@@ -20,6 +20,8 @@
 #   - a corrupted transcript makes `hetarch-job check` exit 1
 #   - an empty transcript makes `hetarch-job check` exit 1
 #   - wrong --require-counters makes `hetarch-job check` exit 2
+#   - signed, overflowing or over-cap numeric flags make
+#     hetarch-serve exit 1 (probed with empty stdin)
 #
 # The request script and transcript are left in OUT-DIR so CI can
 # upload them as artifacts.
@@ -113,6 +115,15 @@ expect_rc "empty transcript is rejected" 1 \
 expect_rc "wrong counter expectation is caught" 2 \
     bash -c "'$JOB' check --require-counters=submitted=4 \
              < '$OUT/transcript.jsonl'"
+
+# Numeric flags take a whole unsigned token: a sign once wrapped to
+# 2^64 - 1 (an unbounded queue, or 2^32 - 1 pool threads), and thread
+# requests above the exec cap are fatal.  Empty stdin, so no job runs.
+for flag in --threads=-1 --max-queue=-1 --max-concurrent=-1 \
+            --threads=4294967296 --threads=1025; do
+    expect_rc "hetarch-serve $flag exits 1" 1 \
+        bash -c "'$SERVE' $flag < /dev/null"
+done
 
 expect_rc "hetarch-serve --help exits 0" 0 "$SERVE" --help
 expect_rc "hetarch-job --help exits 0" 0 "$JOB" --help

@@ -48,8 +48,7 @@ defaultThreadCount()
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
     if (const char* env = std::getenv("HETARCH_THREADS")) {
         const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed >= 1 &&
-            parsed <= std::numeric_limits<int>::max())
+        if (parsed >= 1 && parsed <= long{kMaxThreads})
             return static_cast<unsigned>(parsed);
     }
     const unsigned hw = std::thread::hardware_concurrency();
@@ -221,6 +220,9 @@ threadCount()
 void
 setThreadCount(unsigned n)
 {
+    if (n > kMaxThreads)
+        HETARCH_FATAL("thread count ", n, " exceeds the cap of ",
+                      kMaxThreads);
     gOverride.store(n, std::memory_order_relaxed);
 }
 

@@ -24,7 +24,8 @@
  * The worker count comes from, in priority order: setThreadCount(),
  * the HETARCH_THREADS environment variable, then
  * std::thread::hardware_concurrency().  A count of 1 bypasses the pool
- * entirely and runs inline on the calling thread.
+ * entirely and runs inline on the calling thread.  Explicit requests
+ * are capped at kMaxThreads.
  */
 
 #pragma once
@@ -37,6 +38,14 @@ namespace hetarch {
 namespace exec {
 
 /**
+ * Most workers an explicit request may ask for: setThreadCount() is
+ * fatal above it and a larger HETARCH_THREADS is ignored, so a typo or
+ * a wrapped negative count cannot start billions of threads.  The
+ * hardware default is not capped.
+ */
+inline constexpr unsigned kMaxThreads = 1024;
+
+/**
  * Effective worker count for parallelFor: the setThreadCount override
  * if set, else HETARCH_THREADS, else hardware concurrency (min 1).
  */
@@ -44,8 +53,9 @@ unsigned threadCount();
 
 /**
  * Programmatic override of the worker count (0 restores the
- * environment/hardware default).  Takes effect on the next parallelFor;
- * existing pool threads are retired lazily.
+ * environment/hardware default; above kMaxThreads is fatal).  Takes
+ * effect on the next parallelFor; existing pool threads are retired
+ * lazily.
  */
 void setThreadCount(unsigned n);
 

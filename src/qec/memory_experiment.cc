@@ -1,34 +1,25 @@
 #include "qec/memory_experiment.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <vector>
 
-#include "core/logging.hh"
 #include "exec/shot_scheduler.hh"
 #include "exec/thread_pool.hh"
 #include "obs/obs.hh"
 #include "qec/sliding_window.hh"
 #include "qec/surface_circuit.hh"
-#include "stab/dem.hh"
 
 namespace hetarch {
 namespace qec {
 
 namespace {
 
-// Telemetry.  Counters and the syndrome-weight histogram are functions
-// of the sampled data alone, hence thread-count invariant; only the
-// chunk-decode timer varies between runs.
-obs::Counter& cShotsDecoded = obs::counter("qec.decode.shots");
-obs::Counter& cLogicalFailures = obs::counter("qec.decode.logical_failures");
-obs::Counter& cTrivialShots = obs::counter("qec.decode.trivial_shots");
-obs::Counter& cUfSweeps = obs::counter("qec.decode.uf_sweeps");
-obs::Counter& cUfEdgeVisits = obs::counter("qec.decode.uf_edge_visits");
+// Telemetry.  The shot counter is fixed by the partition, hence
+// thread-count invariant; only the chunk-decode timer varies between
+// runs.  The qec.decode.* set is fed by publishDecodeStats.
 obs::Counter& cShotsCompleted =
     obs::counter("exec.scheduler.shots_completed");
-obs::Histogram& hSyndromeWeight = obs::histogram("qec.syndrome_weight");
 obs::Histogram& hDecodeChunkNs = obs::histogram("qec.decode_chunk_ns");
 
 } // namespace
@@ -57,14 +48,7 @@ countLogicalFailures(const DecoderSetup& setup, DecoderKind decoder,
     // chunk's decode), and all per-decode state stays on this thread.
     SlidingWindowDecoder kernel(setup, decoder);
     const std::size_t failures = kernel.decodeBuffer(samples);
-
-    const auto& st = kernel.stats();
-    hSyndromeWeight.merge(st.syndromeWeights);
-    cShotsDecoded.add(samples.shots);
-    cLogicalFailures.add(failures);
-    cTrivialShots.add(st.trivialShots);
-    cUfSweeps.add(st.ufSweeps);
-    cUfEdgeVisits.add(st.ufEdgeVisits);
+    publishDecodeStats(kernel.stats());
     return failures;
 }
 

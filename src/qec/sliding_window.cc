@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <utility>
 
 #include "core/logging.hh"
@@ -12,21 +11,32 @@ namespace qec {
 
 namespace {
 
+// Decode telemetry.  Counters and the syndrome-weight histogram are
+// functions of the decoded data alone, hence thread-count invariant.
+obs::Counter& cShotsDecoded = obs::counter("qec.decode.shots");
+obs::Counter& cLogicalFailures = obs::counter("qec.decode.logical_failures");
+obs::Counter& cTrivialShots = obs::counter("qec.decode.trivial_shots");
+obs::Counter& cUfSweeps = obs::counter("qec.decode.uf_sweeps");
+obs::Counter& cUfEdgeVisits = obs::counter("qec.decode.uf_edge_visits");
+obs::Histogram& hSyndromeWeight = obs::histogram("qec.syndrome_weight");
+
 // Advisory decode-latency distribution, one record per window decode
 // point (timing-gated like every duration histogram).
 obs::Histogram& hWindowDecodeNs =
     obs::histogram("qec.stream.window_decode_ns");
 
-std::uint64_t
-nowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 } // namespace
+
+void
+publishDecodeStats(const SlidingWindowDecoder::Stats& stats)
+{
+    cShotsDecoded.add(stats.shots);
+    cLogicalFailures.add(stats.failures);
+    cTrivialShots.add(stats.trivialShots);
+    cUfSweeps.add(stats.ufSweeps);
+    cUfEdgeVisits.add(stats.ufEdgeVisits);
+    hSyndromeWeight.merge(stats.syndromeWeights);
+}
 
 SlidingWindowDecoder::SlidingWindowDecoder(const DecoderSetup& setup,
                                            DecoderKind kind,
@@ -290,9 +300,7 @@ SlidingWindowDecoder::decodeWindowLane(std::size_t graph, std::size_t lane,
 void
 SlidingWindowDecoder::decodeWindow(std::size_t commit_end)
 {
-    const bool timed = obs::timingEnabled();
-    const std::uint64_t t0 = timed ? nowNs() : 0;
-
+    obs::ScopedTimer timer(hWindowDecodeNs);
     const bool final_window = commit_end >= nRounds;
     ++acc.windows;
     acc.committedRounds += commit_end - windowBase;
@@ -300,12 +308,6 @@ SlidingWindowDecoder::decodeWindow(std::size_t commit_end)
         for (std::size_t g = 0; g < 2; ++g)
             decodeWindowLane(g, l, commit_end, final_window);
     syncGrowthWork();
-
-    if (timed) {
-        const std::uint64_t dt = nowNs() - t0;
-        acc.decodeNs += dt;
-        hWindowDecodeNs.record(dt);
-    }
 }
 
 std::size_t
@@ -313,9 +315,6 @@ SlidingWindowDecoder::finishBatch()
 {
     HETARCH_ASSERT(pushedRounds == nRounds,
                    "finishBatch before every round was pushed");
-    const bool timed = obs::timingEnabled();
-    const std::uint64_t t0 = timed ? nowNs() : 0;
-
     if (!isWindowed) {
         decodeShots(detColumn.data(), 1, lanes);
     } else {
@@ -325,10 +324,7 @@ SlidingWindowDecoder::finishBatch()
                 ++acc.trivialShots;
         }
     }
-    const std::size_t failures = countFailures(obsAccum.data(), 1, lanes);
-    if (timed)
-        acc.decodeNs += nowNs() - t0;
-    return failures;
+    return countFailures(obsAccum.data(), 1, lanes);
 }
 
 std::size_t
@@ -339,16 +335,10 @@ SlidingWindowDecoder::decodeBuffer(const stab::DetectorSamples& samples)
     HETARCH_ASSERT(samples.numDetectors == detColumn.size() &&
                        samples.numObservables == obsAccum.size(),
                    "sample buffer does not match the decoder's program");
-    const bool timed = obs::timingEnabled();
-    const std::uint64_t t0 = timed ? nowNs() : 0;
-
     decodeShots(samples.detWords.data(), samples.numWords, samples.shots);
     acc.batchShots += samples.shots;
-    const std::size_t failures = countFailures(
-        samples.obsWords.data(), samples.numWords, samples.shots);
-    if (timed)
-        acc.decodeNs += nowNs() - t0;
-    return failures;
+    return countFailures(samples.obsWords.data(), samples.numWords,
+                         samples.shots);
 }
 
 } // namespace qec

@@ -33,12 +33,13 @@
  * defect, and the carried flips record precisely the parity the
  * committed edges deposited on retained rounds.
  *
- * Telemetry: the kernel accumulates plain (non-atomic) statistics so
- * each driver can publish exactly the counters its contract pins —
- * both drivers emit qec.decode.* (union-find growth work included),
- * the streaming driver adds qec.stream.*.  Per-window decode latency
- * is recorded directly into the advisory qec.stream.window_decode_ns
- * histogram.
+ * Telemetry: the kernel accumulates plain (non-atomic) statistics,
+ * and each driver hands a finished kernel's Stats to
+ * publishDecodeStats(), the one place the qec.decode.* counters
+ * (union-find growth work included) and the qec.syndrome_weight
+ * histogram are fed; the streaming driver adds qec.stream.*.
+ * Per-window decode latency is recorded directly into the advisory
+ * qec.stream.window_decode_ns histogram.
  */
 
 #pragma once
@@ -94,7 +95,6 @@ class SlidingWindowDecoder
         std::uint64_t laneDecodes = 0;   ///< non-empty per-lane decodes
         std::uint64_t committedRounds = 0;
         std::uint64_t carryDefects = 0;  ///< defects carried forward
-        std::uint64_t decodeNs = 0; ///< decode wall time (if timing on)
         /** Union-find growth work (UnionFindDecoder::sweeps/edgeVisits). */
         std::uint64_t ufSweeps = 0;
         std::uint64_t ufEdgeVisits = 0;
@@ -119,9 +119,9 @@ class SlidingWindowDecoder
     /** Effective commit stride (numRounds() when batch). */
     std::size_t effectiveCommit() const { return commit; }
     /**
-     * Upper bound on simultaneously stored syndrome rounds: the
-     * window in windowed mode (independent of the round count), the
-     * full buffer otherwise.
+     * Upper bound on the syndrome rounds this kernel stores at once:
+     * the window in windowed mode (independent of the round count),
+     * the full buffer otherwise.
      */
     std::size_t peakStoredRounds() const { return window; }
 
@@ -207,6 +207,15 @@ class SlidingWindowDecoder
     std::vector<std::uint32_t> residual; ///< greedy scratch
     std::vector<std::uint32_t> residualNext;
 };
+
+/**
+ * Add one finished kernel's statistics to the qec.decode.* counters
+ * (shots, logical failures, trivial shots, union-find growth work) and
+ * the qec.syndrome_weight histogram.  Every value is a function of the
+ * decoded data alone, so publishing per chunk keeps the totals
+ * identical at any worker count.
+ */
+void publishDecodeStats(const SlidingWindowDecoder::Stats& stats);
 
 } // namespace qec
 } // namespace hetarch

@@ -1,32 +1,24 @@
 /**
  * @file
- * Streaming syndrome engine: sampler -> bounded block queue ->
- * sliding-window decoder, as a producer/consumer pair on the exec
- * pool.
+ * Streaming syndrome engine: round-sliced sampling into a
+ * sliding-window decoder, chunk-parallel on the exec pool.
  *
  * runStreamingMemoryExperiment() re-expresses the batch memory
- * experiment as a stream: the frame sampler emits packed per-round
- * SyndromeBlocks (stab::DetectorStream) into a bounded queue and a
- * single decoder task consumes them through one SlidingWindowDecoder.
- * With the default (whole-buffer) window the result is bit-identical
- * to runMemoryExperiment() for the same rng state and chunk size; with
- * windowRounds < rounds the decoder commits as it goes and peak
- * syndrome storage drops to the window, independent of the total round
- * count.
+ * experiment as a stream.  Like runMemoryExperiment it runs
+ * exec::parallelFor over the ShotScheduler chunks; each chunk feeds
+ * its own stab::DetectorStream, one packed per-round SyndromeBlock at
+ * a time, straight into its own SlidingWindowDecoder.  With the
+ * default (whole-buffer) window the result is bit-identical to
+ * runMemoryExperiment() for the same rng state and chunk size; with
+ * windowRounds < rounds each kernel commits as it goes and its peak
+ * syndrome storage drops to the window, independent of the total
+ * round count.  At most one kernel is live per worker.
  *
  * Determinism contract: one base stream draw, the ShotScheduler
  * partition, and per-chunk derived generators fix the sampled bits;
- * blocks travel in FIFO order through a single consumer, so failure
- * counts and every data-dependent qec.stream.* counter are
- * bit-identical at any worker count.  When the pool cannot actually
- * run two tasks at once (one worker, or already inside a parallel
- * region) the producer decodes each block inline in the same order —
- * same stream, same result, no queue.
- *
- * Backpressure: the queue holds at most queueBlocks blocks, so a slow
- * decoder stalls the sampler instead of letting syndromes accumulate.
- * Stall time is advisory telemetry (qec.stream.backpressure_wait_ns),
- * never a counter — it varies with scheduling.
+ * every result field and every qec.* counter is a sum of per-chunk
+ * contributions, so all of them are bit-identical at any worker
+ * count.
  */
 
 #pragma once
@@ -50,8 +42,6 @@ struct StreamConfig
     std::size_t windowRounds = 0;
     /** Rounds committed per window step; 0 picks windowRounds/2. */
     std::size_t commitRounds = 0;
-    /** Bounded queue capacity in blocks (producer/consumer mode). */
-    std::size_t queueBlocks = 8;
     /** Shots per scheduler chunk (0 = ShotScheduler default). */
     std::size_t chunkShots = 0;
 };
@@ -64,12 +54,14 @@ struct StreamingResult
     /** Effective window/commit after mode resolution. */
     std::size_t windowRounds = 0;
     std::size_t commitRounds = 0;
-    /** Peak simultaneously stored syndrome rounds (the memory bound). */
+    /**
+     * Peak simultaneously stored syndrome rounds of one chunk's
+     * kernel (the memory bound per kernel, not summed over workers).
+     */
     std::size_t peakStoredRounds = 0;
-    /** Whether sampler and decoder actually ran as a concurrent pair. */
-    bool paired = false;
 
-    // Deterministic decode statistics (see SlidingWindowDecoder::Stats).
+    // Decode statistics summed over chunks (see
+    // SlidingWindowDecoder::Stats).
     std::uint64_t blocks = 0;
     std::uint64_t windows = 0;
     std::uint64_t laneDecodes = 0;
@@ -77,27 +69,8 @@ struct StreamingResult
     std::uint64_t carryDefects = 0;
     std::uint64_t trivialShots = 0;
 
-    // Advisory (populated only when obs timing is enabled).
-    std::uint64_t decodeNs = 0;
-    std::uint64_t backpressureWaitNs = 0;
-
-    /**
-     * Exact comparison over the deterministic fields.  `paired` and
-     * the advisory ns fields are scheduling-dependent and excluded —
-     * two runs that decoded the same stream compare equal regardless
-     * of whether the producer/consumer pair actually ran concurrently.
-     */
-    bool operator==(const StreamingResult& o) const
-    {
-        return memory == o.memory && windowRounds == o.windowRounds &&
-               commitRounds == o.commitRounds &&
-               peakStoredRounds == o.peakStoredRounds &&
-               blocks == o.blocks && windows == o.windows &&
-               laneDecodes == o.laneDecodes &&
-               committedRounds == o.committedRounds &&
-               carryDefects == o.carryDefects &&
-               trivialShots == o.trivialShots;
-    }
+    /** Exact comparison: every field is deterministic. */
+    bool operator==(const StreamingResult&) const = default;
 };
 
 /**

@@ -141,7 +141,6 @@ validateStream(const JobSpec& spec)
     std::vector<ParamRule> rules = memoryRules();
     rules.push_back({"window", false, true, 0, 100000});
     rules.push_back({"commit", false, true, 0, 100000});
-    rules.push_back({"queue", false, true, 1, 4096});
     rules.push_back({"chunk", false, true, 0, 1000000});
     Validation v = checkParams(spec, rules, {"decoder"});
     if (!v.ok)

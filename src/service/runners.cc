@@ -91,7 +91,6 @@ runStream(const JobSpec& spec, JobContext& ctx)
     qec::StreamConfig config;
     config.windowRounds = sizeParam(spec, "window", 0);
     config.commitRounds = sizeParam(spec, "commit", 0);
-    config.queueBlocks = sizeParam(spec, "queue", config.queueBlocks);
     config.chunkShots = sizeParam(spec, "chunk", 0);
     const stab::Circuit circuit =
         qec::surfaceMemoryZ(distance, rounds, noiseFromSpec(spec));

@@ -241,6 +241,13 @@ Circuit::appendOp(const Op& op, const std::string& context)
                           "target");
     };
 
+    // Annotation targets are record indices, not qubits.
+    if (op.code != OpCode::DETECTOR && op.code != OpCode::OBSERVABLE)
+        for (auto q : op.targets)
+            if (q >= kMaxQubits)
+                HETARCH_FATAL(context, "'", name, "' targets qubit ", q,
+                              ", past the register cap of ", kMaxQubits);
+
     switch (op.code) {
       case OpCode::H:
       case OpCode::S:

@@ -17,12 +17,21 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace hetarch {
 namespace stab {
+
+/**
+ * Register cap of Circuit::appendOp: qubit targets must lie below it.
+ * Far above any builder's register (the d = 25 surface memory has
+ * 1,249 qubits), and small enough that a hostile index cannot ask a
+ * simulator for a multi-gigabyte register.
+ */
+inline constexpr std::size_t kMaxQubits = std::size_t{1} << 16;
 
 /** Operation codes of the circuit IR. */
 enum class OpCode : std::uint8_t
@@ -129,10 +138,11 @@ class Circuit
     /**
      * Validating raw append: checks target arity (pair ops take an
      * even, stim-style target list and are split into canonical
-     * two-target ops), param counts, probability ranges, and
-     * measurement-record references, then dispatches to the typed
-     * helpers.  Malformed ops are rejected with a clear diagnostic
-     * (fatal), prefixed with @p context (e.g. "line 12: ") when given.
+     * two-target ops), qubit targets against kMaxQubits, param
+     * counts, probability ranges, and measurement-record references,
+     * then dispatches to the typed helpers.  Malformed ops are
+     * rejected with a clear diagnostic (fatal), prefixed with
+     * @p context (e.g. "line 12: ") when given.
      * This is the one entry point for programmatic construction from
      * untrusted data (parsers, tools).
      */

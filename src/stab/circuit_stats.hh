@@ -30,11 +30,6 @@ struct CircuitStats
      * occupies its targets for one step).
      */
     std::size_t depth = 0;
-
-    std::size_t totalGates() const
-    {
-        return oneQubitGates + twoQubitGates;
-    }
 };
 
 /** Compute statistics for @p circuit. */

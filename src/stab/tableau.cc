@@ -110,24 +110,8 @@ TableauSimulator::swapQubits(std::size_t a, std::size_t b)
     cx(a, b);
 }
 
-void
-TableauSimulator::applyPauli(const PauliString& p)
-{
-    HETARCH_ASSERT(p.numQubits() == nq, "Pauli size mismatch");
-    for (std::size_t q = 0; q < nq; ++q) {
-        const bool xb = p.xBit(q), zb = p.zBit(q);
-        if (xb && zb)
-            y(q);
-        else if (xb)
-            x(q);
-        else if (zb)
-            z(q);
-    }
-}
-
 bool
-TableauSimulator::measure(std::size_t q, Rng& rng, bool* was_random,
-                          std::optional<bool> forced_outcome)
+TableauSimulator::measure(std::size_t q, Rng& rng, bool* was_random)
 {
     HETARCH_ASSERT(q < nq, "qubit out of range");
 
@@ -144,8 +128,7 @@ TableauSimulator::measure(std::size_t q, Rng& rng, bool* was_random,
         // Random outcome.
         if (was_random)
             *was_random = true;
-        const bool outcome =
-            forced_outcome.has_value() ? *forced_outcome : rng.bernoulli(0.5);
+        const bool outcome = rng.bernoulli(0.5);
 
         for (std::size_t i = 0; i < 2 * nq; ++i)
             if (i != p && rows[i].xBit(q))
@@ -285,48 +268,6 @@ TableauSimulator::run(const Circuit& circuit, Rng& rng)
           case OpCode::DETECTOR:
           case OpCode::OBSERVABLE:
             break; // evaluated from the record afterwards
-        }
-    }
-    return record;
-}
-
-std::vector<bool>
-TableauSimulator::referenceRun(const Circuit& circuit,
-                               std::vector<bool>* random_mask)
-{
-    Rng unused(0);
-    std::vector<bool> record;
-    if (random_mask)
-        random_mask->clear();
-
-    for (const auto& op : circuit.ops()) {
-        switch (op.code) {
-          case OpCode::H: h(op.targets[0]); break;
-          case OpCode::S: s(op.targets[0]); break;
-          case OpCode::SDG: sdg(op.targets[0]); break;
-          case OpCode::X: x(op.targets[0]); break;
-          case OpCode::Y: y(op.targets[0]); break;
-          case OpCode::Z: z(op.targets[0]); break;
-          case OpCode::CX: cx(op.targets[0], op.targets[1]); break;
-          case OpCode::CZ: cz(op.targets[0], op.targets[1]); break;
-          case OpCode::SWAP: swapQubits(op.targets[0], op.targets[1]); break;
-          case OpCode::M:
-          case OpCode::MR: {
-            bool was_random = false;
-            const bool m = measure(op.targets[0], unused, &was_random,
-                                   /*forced_outcome=*/false);
-            record.push_back(m);
-            if (random_mask)
-                random_mask->push_back(was_random);
-            if (op.code == OpCode::MR && m)
-                x(op.targets[0]);
-            break;
-          }
-          case OpCode::R:
-            reset(op.targets[0], unused);
-            break;
-          default:
-            break; // noise skipped; annotations evaluated later
         }
     }
     return record;

@@ -10,7 +10,6 @@
 
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "core/rng.hh"
@@ -43,17 +42,11 @@ class TableauSimulator
     void cz(std::size_t a, std::size_t b);
     void swapQubits(std::size_t a, std::size_t b);
 
-    /** Apply an arbitrary Pauli string as an error. */
-    void applyPauli(const PauliString& p);
-
     /**
      * Measure @p q in Z.  Returns the outcome; sets @p was_random (if
-     * non-null) to whether the outcome was a coin flip.  When
-     * @p forced_outcome is set and the measurement is random, that
-     * outcome is used instead of consulting the RNG.
+     * non-null) to whether the outcome was a coin flip.
      */
-    bool measure(std::size_t q, Rng& rng, bool* was_random = nullptr,
-                 std::optional<bool> forced_outcome = std::nullopt);
+    bool measure(std::size_t q, Rng& rng, bool* was_random = nullptr);
 
     /** Reset @p q to |0>. */
     void reset(std::size_t q, Rng& rng);
@@ -69,14 +62,6 @@ class TableauSimulator
      * measurement record.
      */
     std::vector<bool> run(const Circuit& circuit, Rng& rng);
-
-    /**
-     * Noiseless reference run: noise ops are skipped and every random
-     * measurement outcome is forced to 0.  @p random_mask (if non-null)
-     * receives one flag per measurement telling whether it was random.
-     */
-    std::vector<bool> referenceRun(const Circuit& circuit,
-                                   std::vector<bool>* random_mask = nullptr);
 
     /**
      * Compute detector and observable values from a measurement record.

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/logging.hh"
 #include "core/rng.hh"
 #include "exec/thread_pool.hh"
 
@@ -75,6 +78,34 @@ TEST(ParallelFor, SetThreadCountOverridesEnvironment)
     EXPECT_EQ(threadCount(), 3u);
     setThreadCount(0);
     EXPECT_GE(threadCount(), 1u);
+}
+
+TEST(ParallelFor, ThreadCountRequestsAboveTheCapAreRefused)
+{
+    // No parallelFor runs here, so no pool thread is started.
+    {
+        ScopedFatalCapture capture;
+        EXPECT_THROW(setThreadCount(kMaxThreads + 1), FatalError);
+        // --threads=-1 once reached the pool as 2^32 - 1.
+        EXPECT_THROW(setThreadCount(4294967295u), FatalError);
+    }
+    EXPECT_NE(threadCount(), 4294967295u); // the refusal stored nothing
+    {
+        ThreadCountGuard guard(kMaxThreads);
+        EXPECT_EQ(threadCount(), kMaxThreads);
+    }
+
+    // An oversized HETARCH_THREADS is ignored like a non-positive one.
+    const char* saved = std::getenv("HETARCH_THREADS");
+    const std::string previous = saved ? saved : "";
+    ASSERT_EQ(setenv("HETARCH_THREADS", "100000", 1), 0);
+    EXPECT_NE(threadCount(), 100000u);
+    ASSERT_EQ(setenv("HETARCH_THREADS", "16", 1), 0);
+    EXPECT_EQ(threadCount(), 16u);
+    if (saved)
+        setenv("HETARCH_THREADS", previous.c_str(), 1);
+    else
+        unsetenv("HETARCH_THREADS");
 }
 
 TEST(ParallelFor, FirstExceptionInTaskOrderPropagates)

@@ -6,8 +6,9 @@
  *     experiment reproduces runMemoryExperiment bit-for-bit (same
  *     seed, same failures) across surface distances at the fig. 6
  *     noise point;
- *   - streaming failure counts and every qec.stream.* counter are
- *     thread-count invariant (single consumer, FIFO order);
+ *   - every streaming result field and every counter is
+ *     thread-count invariant (each a sum over fixed chunks), also when
+ *     the call is made from inside a pool task;
  *   - sliding-window mode bounds peak syndrome storage by the window,
  *     independent of the total round count, while still correcting
  *     errors at low noise.
@@ -101,27 +102,36 @@ TEST(StreamDecode, GreedyDecoderSupportedInWholeBufferMode)
 TEST(StreamDecode, StreamingCountersAndFailuresAreThreadInvariant)
 {
     const auto circuit = surfaceMemoryZ(5, 15, fig6Noise());
-    StreamConfig config;
-    config.windowRounds = 5;
-    config.commitRounds = 2;
+    // 1,000 shots in 128-shot chunks are 7 full chunks and a 104-shot
+    // tail, run in both kernel modes.
+    const struct
+    {
+        std::size_t shots;
+        StreamConfig config;
+    } cases[] = {
+        {500, {.windowRounds = 5, .commitRounds = 2}},
+        {1000, {.windowRounds = 5, .commitRounds = 2, .chunkShots = 128}},
+        {1000, {.chunkShots = 128}},
+    };
 
     struct RunState
     {
-        std::size_t failures = 0;
-        bool paired = false;
+        StreamingResult result;
         std::vector<std::pair<std::string, std::uint64_t>> counters;
         obs::Snapshot::HistogramEntry syndromeWeight;
     };
-    const auto run = [&](unsigned workers) {
+    const auto call = [&](std::size_t shots, const StreamConfig& config) {
+        Rng rng(777);
+        return runStreamingMemoryExperiment(
+            circuit, shots, 15, DecoderKind::UnionFind, rng, config);
+    };
+    const auto run = [&](unsigned workers, std::size_t shots,
+                         const StreamConfig& config) {
         ThreadCountGuard guard(workers);
         DecoderCache::instance().clear();
         obs::Registry::instance().reset();
-        Rng rng(777);
-        const auto result = runStreamingMemoryExperiment(
-            circuit, 500, 15, DecoderKind::UnionFind, rng, config);
         RunState state;
-        state.failures = result.memory.failures;
-        state.paired = result.paired;
+        state.result = call(shots, config);
         const auto snap = obs::Registry::instance().snapshot();
         state.counters = snap.counters;
         for (const auto& h : snap.histograms)
@@ -130,26 +140,43 @@ TEST(StreamDecode, StreamingCountersAndFailuresAreThreadInvariant)
         return state;
     };
 
-    const auto reference = run(1);
-    EXPECT_FALSE(reference.paired); // one worker: cooperative mode
-    EXPECT_FALSE(reference.counters.empty());
-    for (unsigned workers : {2u, 8u}) {
-        const auto got = run(workers);
-        EXPECT_TRUE(got.paired) << workers << " workers";
-        EXPECT_EQ(got.failures, reference.failures)
-            << workers << " workers";
-        ASSERT_EQ(got.counters.size(), reference.counters.size());
-        for (std::size_t i = 0; i < reference.counters.size(); ++i) {
-            EXPECT_EQ(got.counters[i].first, reference.counters[i].first);
-            EXPECT_EQ(got.counters[i].second,
-                      reference.counters[i].second)
-                << got.counters[i].first << " at " << workers
-                << " workers";
+    for (const auto& c : cases) {
+        const auto reference = run(1, c.shots, c.config);
+        EXPECT_EQ(reference.result.memory.shots, c.shots);
+        EXPECT_GT(reference.result.memory.failures, 0u);
+        EXPECT_FALSE(reference.counters.empty());
+        for (unsigned workers : {2u, 8u}) {
+            const auto got = run(workers, c.shots, c.config);
+            EXPECT_TRUE(got.result == reference.result)
+                << workers << " workers, " << c.shots << " shots";
+            ASSERT_EQ(got.counters.size(), reference.counters.size());
+            for (std::size_t i = 0; i < reference.counters.size(); ++i) {
+                EXPECT_EQ(got.counters[i].first,
+                          reference.counters[i].first);
+                EXPECT_EQ(got.counters[i].second,
+                          reference.counters[i].second)
+                    << got.counters[i].first << " at " << workers
+                    << " workers, " << c.shots << " shots";
+            }
+            EXPECT_EQ(got.syndromeWeight.count,
+                      reference.syndromeWeight.count);
+            EXPECT_EQ(got.syndromeWeight.sum, reference.syndromeWeight.sum);
+            EXPECT_EQ(got.syndromeWeight.buckets,
+                      reference.syndromeWeight.buckets);
         }
-        EXPECT_EQ(got.syndromeWeight.count, reference.syndromeWeight.count);
-        EXPECT_EQ(got.syndromeWeight.sum, reference.syndromeWeight.sum);
-        EXPECT_EQ(got.syndromeWeight.buckets,
-                  reference.syndromeWeight.buckets);
+
+        // Called from inside a pool task, as the job service's batch
+        // dispatch does: the chunk loop runs inline on that worker and
+        // must return the top-level result.
+        ThreadCountGuard guard(4);
+        StreamingResult nested[2];
+        exec::parallelFor(2, [&](std::size_t i) {
+            nested[i] = call(c.shots, c.config);
+        });
+        for (const auto& got : nested) {
+            EXPECT_TRUE(got == reference.result)
+                << "nested call, " << c.shots << " shots";
+        }
     }
 }
 

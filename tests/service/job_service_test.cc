@@ -127,6 +127,15 @@ TEST(Validation, StreamDecoderAndWindowConstraints)
     commit_too_big.add("window", ParamValue::num(2));
     commit_too_big.add("commit", ParamValue::num(3));
     EXPECT_FALSE(validateJob(commit_too_big).ok);
+
+    // The stream driver has no block queue, so `queue` is unknown.
+    JobSpec with_queue = spec;
+    with_queue.add("queue", ParamValue::num(8));
+    const Validation queue_rejected = validateJob(with_queue);
+    EXPECT_FALSE(queue_rejected.ok);
+    EXPECT_NE(queue_rejected.error.find("unknown param 'queue'"),
+              std::string::npos)
+        << queue_rejected.error;
 }
 
 TEST(Validation, AnalysisResolvesCircuitSources)
@@ -165,11 +174,13 @@ TEST(Validation, AnalysisResolvesCircuitSources)
     EXPECT_FALSE(v.ok);
     EXPECT_FALSE(v.error.empty());
 
-    // Text that once parsed and then killed the daemon: a NaN
-    // probability (assert at admission) and an observable past the
-    // DEM's 32-bit mask (panic in the distance analysis).
+    // Text that once parsed and then killed the daemon or failed the
+    // job: a NaN probability (assert at admission), an observable past
+    // the DEM's 32-bit mask (panic in the distance analysis), and a
+    // 4e9-qubit register (std::bad_alloc).
     for (const char* text :
-         {"X_ERROR p=nan 0\nM 0\n", "M 0\nOBSERVABLE_INCLUDE(40) 0\n"}) {
+         {"X_ERROR p=nan 0\nM 0\n", "M 0\nOBSERVABLE_INCLUDE(40) 0\n",
+          "H 4000000000\n"}) {
         JobSpec hostile = inline_bad;
         hostile.params[0].second = ParamValue::str(text);
         hostile.add("distance", ParamValue::num(1));

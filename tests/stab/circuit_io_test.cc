@@ -134,6 +134,26 @@ TEST(CircuitIo, RejectsIndicesThatWouldNarrow)
     EXPECT_EQ(c.detectorTags()[0], 4294967295u);
 }
 
+TEST(CircuitIo, RejectsQubitsPastTheRegisterCap)
+{
+    // The index fits 32 bits, so it parses as a number; as a qubit it
+    // once asked for a 4e9-qubit register (std::bad_alloc).
+    for (const char* text :
+         {"H 4000000000\n", "M 65536\n", "CX 0 65536\n",
+          "X_ERROR p=0.1 65536\n", "DEPOLARIZE2 p=0.1 1 65536\n"}) {
+        const auto error = parseError(std::string("H 0\n") + text);
+        EXPECT_NE(error.find("line 2"), std::string::npos) << text;
+        EXPECT_NE(error.find("register cap"), std::string::npos)
+            << text;
+    }
+    Circuit c;
+    std::string error;
+    ASSERT_TRUE(tryParseCircuit("H 65535\n", c, error)) << error;
+    EXPECT_EQ(c.numQubits(), kMaxQubits);
+    // Record indices and detector tags are not qubits.
+    EXPECT_EQ(parseError("M 0\nDETECTOR(70000) 0\n"), "");
+}
+
 TEST(CircuitIo, RejectsObservablePastTheDemMask)
 {
     // The DEM packs observables into a 32-bit mask; a larger index

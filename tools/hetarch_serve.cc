@@ -12,7 +12,8 @@
  *                       deterministic (the smoke test relies on this)
  *   --job-metrics       attach advisory per-job obs counter deltas to
  *                       status responses
- *   --threads=N         exec pool worker count (0 = hardware)
+ *   --threads=N         exec pool worker count (0 = hardware; at
+ *                       most exec::kMaxThreads, else fatal)
  *   --metrics-out=FILE  write an obs metrics snapshot on exit
  *
  * Reads one hetarch-job-v1 request per stdin line and answers with
@@ -26,6 +27,7 @@
  *   2  at least one request line was malformed
  */
 
+#include <charconv>
 #include <iostream>
 #include <string>
 
@@ -49,18 +51,14 @@ usage()
     return 1;
 }
 
+/** A whole unsigned decimal token: no sign, no blanks, no overflow. */
+template <typename T>
 bool
-parseSize(const std::string& text, std::size_t& out)
+parseCount(const std::string& text, T& out)
 {
-    if (text.empty())
-        return false;
-    std::size_t consumed = 0;
-    try {
-        out = std::stoull(text, &consumed);
-    } catch (...) {
-        return false;
-    }
-    return consumed == text.size();
+    const char* end = text.data() + text.size();
+    const auto res = std::from_chars(text.data(), end, out);
+    return res.ec == std::errc{} && res.ptr == end;
 }
 
 void
@@ -118,15 +116,15 @@ main(int argc, char** argv)
 
     service::ServiceConfig config;
     config.autoStart = true;
-    std::size_t threads = 0;
+    unsigned threads = 0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--max-queue=", 0) == 0) {
-            if (!parseSize(arg.substr(12), config.maxQueued) ||
+            if (!parseCount(arg.substr(12), config.maxQueued) ||
                 config.maxQueued == 0)
                 return usage();
         } else if (arg.rfind("--max-concurrent=", 0) == 0) {
-            if (!parseSize(arg.substr(17), config.maxConcurrent) ||
+            if (!parseCount(arg.substr(17), config.maxConcurrent) ||
                 config.maxConcurrent == 0)
                 return usage();
         } else if (arg == "--hold") {
@@ -134,7 +132,7 @@ main(int argc, char** argv)
         } else if (arg == "--job-metrics") {
             config.captureMetrics = true;
         } else if (arg.rfind("--threads=", 0) == 0) {
-            if (!parseSize(arg.substr(10), threads))
+            if (!parseCount(arg.substr(10), threads))
                 return usage();
         } else if (arg == "--help" || arg == "-h") {
             usage();
