@@ -4,16 +4,18 @@
 # Drives hetarch-serve over the hetarch-job-v1 wire protocol with a
 # scripted client session built by hetarch-job:
 #
-#   - four submits against a deliberately tiny queue
+#   - five submits against a deliberately tiny queue
 #     (--hold --max-queue=3): memory, sweep-point, analysis are
 #     accepted; the fourth (distill) must be REJECTED by admission
-#     control
+#     control, and the fifth (memory at d = 25 with 100,000 rounds)
+#     by the memory-job size cap (kMaxDistanceSqRounds), which the
+#     daemon checks before it would build a ~1e9-op circuit
 #   - job 2 cancelled while queued
 #   - wait (runs the surviving batch to completion), then shutdown
 #
 # The transcript must strict-parse under `hetarch-job check`, and the
 # service.jobs.* bye tallies must match exactly:
-#   submitted=3 completed=2 cancelled=1 rejected=1 failed=0
+#   submitted=3 completed=2 cancelled=1 rejected=2 failed=0
 #
 # Negative self-checks prove the gate has teeth:
 #   - a malformed request line makes hetarch-serve exit 2
@@ -71,6 +73,8 @@ expect_rc() { # DESCRIPTION EXPECTED_RC CMD...
         --param builder=surface-d3 --param distance=1 --param timing=1
     "$JOB" submit --kind=distill --name=reject-me --seed=13 \
         --param trajectories=2 --param horizon_us=10
+    "$JOB" submit --kind=memory --name=oversize --seed=17 \
+        --param distance=25 --param rounds=100000 --param shots=1
     "$JOB" cancel --id=2
     "$JOB" wait
     "$JOB" shutdown
@@ -86,7 +90,7 @@ if [ "$rc" -ne 0 ]; then
 fi
 
 if ! "$JOB" check \
-     --require-counters=submitted=3,completed=2,cancelled=1,rejected=1,failed=0 \
+     --require-counters=submitted=3,completed=2,cancelled=1,rejected=2,failed=0 \
      < "$OUT/transcript.jsonl"; then
     echo "FAIL: transcript did not validate under hetarch-job check"
     cat "$OUT/transcript.jsonl"
@@ -96,6 +100,12 @@ fi
 done_count=$(grep -c '"state":"done"' "$OUT/transcript.jsonl")
 if [ "$done_count" -ne 2 ]; then
     echo "FAIL: expected 2 done status lines, saw $done_count"
+    fail=1
+fi
+
+if ! grep '"name":"oversize"' "$OUT/transcript.jsonl" |
+     grep -q '"type":"rejected".*kMaxDistanceSqRounds'; then
+    echo "FAIL: the oversize memory job was not rejected by the size cap"
     fail=1
 fi
 
@@ -129,6 +139,6 @@ expect_rc "hetarch-serve --help exits 0" 0 "$SERVE" --help
 expect_rc "hetarch-job --help exits 0" 0 "$JOB" --help
 
 if [ "$fail" -eq 0 ]; then
-    echo "service smoke holds (3 accepted + reject + cancel + bye tallies)"
+    echo "service smoke holds (3 accepted + 2 rejects + cancel + bye tallies)"
 fi
 exit "$fail"

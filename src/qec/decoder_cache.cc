@@ -40,11 +40,14 @@ DecoderSetup::build(const stab::Circuit& circuit, DecoderKind kind)
         return setup;
     }
 
-    // Union-find path: decode the two tagged graphs independently.
-    // Exactly one graph carries the logical observable: the one whose
-    // detector class co-occurs with observable-flipping mechanisms
-    // (Z-stabilizer detectors for memory-Z, X for memory-X).  Detect
-    // it from the DEM instead of assuming a basis.
+    // Union-find path: one graph per tagged detector class.  Exactly
+    // one graph carries the logical observable: the one whose detector
+    // class co-occurs with observable-flipping mechanisms (Z-stabilizer
+    // detectors for memory-Z, X for memory-X).  Detect it from the DEM
+    // instead of assuming a basis.  The other graph gets empty
+    // observable masks, so SlidingWindowDecoder decodes the carrying
+    // graph alone; both are still built, for the shot benchmark's
+    // setup check and for tests that decode each graph directly.
     const auto& tags = circuit.detectorTags();
     // Vote with mechanisms whose detectors sit *exclusively* in one
     // class: a pure Z error (X-detector-only) can never flip logical Z,

@@ -57,8 +57,9 @@ struct MemoryResult
  * observable (all observables are XOR-compared, not just observable 0).
  *
  * For DecoderKind::UnionFind the circuit's detectors must be tagged
- * (kTagZ/kTagX); both graphs are decoded and their observable
- * predictions combined.
+ * (kTagZ/kTagX).  Only the graph that carries the observable is
+ * decoded: the setup builds the other graph with empty observable
+ * masks, so it could only ever predict 0.
  *
  * Draws exactly one word from @p rng (the experiment's base stream
  * id); all sampling randomness is derived from it per chunk, so the
@@ -80,8 +81,8 @@ MemoryResult runMemoryExperiment(const stab::Circuit& circuit,
  * SlidingWindowDecoder::decodeBuffer: one detector-major pass collects
  * every shot's fired detectors, weight-0 shots bypass the decoder
  * entirely (counted by qec.decode.trivial_shots), and the rest are
- * decoded through the sparse entry points (decodeSparse), graph by
- * graph over the whole buffer.  Also publishes the qec.decode.*
+ * decoded through the sparse entry points (decodeSparse), union-find
+ * on the observable-carrying graph only.  Also publishes the qec.decode.*
  * counters, the syndrome-weight histogram and the advisory
  * qec.decode_chunk_ns timer.
  */

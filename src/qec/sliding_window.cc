@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
 
 #include "core/logging.hh"
 
@@ -41,7 +40,9 @@ publishDecodeStats(const SlidingWindowDecoder::Stats& stats)
 SlidingWindowDecoder::SlidingWindowDecoder(const DecoderSetup& setup,
                                            DecoderKind kind,
                                            const WindowConfig& config)
-    : setup(setup), kind(kind), decZ(setup.graphZ), decX(setup.graphX)
+    : setup(setup), kind(kind),
+      graph(setup.zCarriesObservable ? setup.graphZ : setup.graphX),
+      dec(graph)
 {
     const auto& prog = *setup.program;
     nRounds = std::max<std::size_t>(prog.numSlices(), 1);
@@ -62,19 +63,16 @@ SlidingWindowDecoder::SlidingWindowDecoder(const DecoderSetup& setup,
                  : std::max<std::size_t>(window / 2, 1);
     obsAccum.assign(prog.numObservables(), 0);
 
-    // Node -> round maps, from the program's slice detector ranges.
-    const DecodingGraph* graphs[2] = {&setup.graphZ, &setup.graphX};
-    for (std::size_t g = 0; g < 2; ++g)
-        nodeRound[g].assign(graphs[g]->numNodes(), 0);
+    // Node -> round map, from the program's slice detector ranges.
+    nodeRound.assign(graph.numNodes(), 0);
     for (std::size_t s = 0; s < prog.numSlices(); ++s) {
         const auto& info = prog.sliceInfo(s);
-        for (std::size_t d = info.detBegin; d < info.detEnd; ++d)
-            for (std::size_t g = 0; g < 2; ++g) {
-                const auto n = graphs[g]->detectorToNode()[d];
-                if (n >= 0)
-                    nodeRound[g][static_cast<std::size_t>(n)] =
-                        static_cast<std::uint32_t>(s);
-            }
+        for (std::size_t d = info.detBegin; d < info.detEnd; ++d) {
+            const auto n = graph.detectorToNode()[d];
+            if (n >= 0)
+                nodeRound[static_cast<std::size_t>(n)] =
+                    static_cast<std::uint32_t>(s);
+        }
     }
 }
 
@@ -92,9 +90,8 @@ SlidingWindowDecoder::beginBatch(std::size_t n_lanes)
     if (!isWindowed) {
         std::fill(detColumn.begin(), detColumn.end(), 0);
     } else {
-        for (auto& per_graph : pending)
-            for (auto& pend : per_graph)
-                pend.clear();
+        for (auto& pend : pending)
+            pend.clear();
     }
 }
 
@@ -115,7 +112,7 @@ SlidingWindowDecoder::pushBlock(const stab::SyndromeBlock& block)
     }
 
     // Extract the round's fired detectors per lane and project them
-    // onto both graphs; the pending lists are the only syndrome
+    // onto the carrying graph; the pending lists are the only syndrome
     // storage, so a consumed block can be recycled immediately.
     collectFired(block.detWords.data(), 1, 1, block.detWords.size(),
                  block.detBegin);
@@ -123,10 +120,7 @@ SlidingWindowDecoder::pushBlock(const stab::SyndromeBlock& block)
         if (fired[l].empty())
             continue;
         shotWeight[l] += static_cast<std::uint32_t>(fired[l].size());
-        if (setup.graphZ.numNodes())
-            setup.graphZ.projectSparse(fired[l], pending[0][l]);
-        if (setup.graphX.numNodes())
-            setup.graphX.projectSparse(fired[l], pending[1][l]);
+        graph.projectSparse(fired[l], pending[l]);
     }
 
     if (pushedRounds == nRounds) {
@@ -183,22 +177,15 @@ SlidingWindowDecoder::decodeShots(const std::uint64_t* det,
                                                           residualNext);
         return;
     }
-    // Graph-major over the whole buffer: every shot on graphZ, then
-    // every shot on graphX.  No sort and no dedup: reusing repeated
-    // syndromes never paid for its sort, and per-word loops
-    // (lane-major or graph-major) measured slower than this order.
-    const std::pair<const DecodingGraph*, UnionFindDecoder*> graphs[2] = {
-        {&setup.graphZ, &decZ}, {&setup.graphX, &decX}};
-    for (const auto& [graph, dec] : graphs) {
-        if (!graph->numNodes())
+    // Shot order over the whole buffer, on the carrying graph only.
+    // No sort and no dedup: reusing repeated syndromes never paid for
+    // its sort, and per-word loops measured slower than this order.
+    for (std::size_t s = 0; s < shots; ++s) {
+        if (fired[s].empty())
             continue;
-        for (std::size_t s = 0; s < shots; ++s) {
-            if (fired[s].empty())
-                continue;
-            nodesBuf.clear();
-            graph->projectSparse(fired[s], nodesBuf);
-            predicted[s] ^= dec->decodeSparse(nodesBuf);
-        }
+        nodesBuf.clear();
+        graph.projectSparse(fired[s], nodesBuf);
+        predicted[s] = dec.decodeSparse(nodesBuf);
     }
     syncGrowthWork();
 }
@@ -206,8 +193,8 @@ SlidingWindowDecoder::decodeShots(const std::uint64_t* det,
 void
 SlidingWindowDecoder::syncGrowthWork()
 {
-    acc.ufSweeps = decZ.sweeps() + decX.sweeps();
-    acc.ufEdgeVisits = decZ.edgeVisits() + decX.edgeVisits();
+    acc.ufSweeps = dec.sweeps();
+    acc.ufEdgeVisits = dec.edgeVisits();
 }
 
 std::size_t
@@ -234,15 +221,14 @@ SlidingWindowDecoder::countFailures(const std::uint64_t* obs,
 }
 
 void
-SlidingWindowDecoder::decodeWindowLane(std::size_t graph, std::size_t lane,
+SlidingWindowDecoder::decodeWindowLane(std::size_t lane,
                                        std::size_t commit_end,
                                        bool final_window)
 {
-    auto& pend = pending[graph][lane];
+    auto& pend = pending[lane];
     if (pend.empty())
         return;
     ++acc.laneDecodes;
-    auto& dec = graph == 0 ? decZ : decX;
 
     if (final_window) {
         // Everything commits: apply the full correction mask, no edge
@@ -255,15 +241,13 @@ SlidingWindowDecoder::decodeWindowLane(std::size_t graph, std::size_t lane,
     edgesBuf.clear();
     (void)dec.decodeSparse(pend, &edgesBuf);
 
-    const auto& edges =
-        (graph == 0 ? setup.graphZ : setup.graphX).edges();
-    const auto& rounds = nodeRound[graph];
+    const auto& edges = graph.edges();
     flipsBuf.clear();
     for (const auto eid : edgesBuf) {
         const auto& e = edges[eid];
-        const std::uint32_t ru = rounds[static_cast<std::size_t>(e.u)];
+        const std::uint32_t ru = nodeRound[static_cast<std::size_t>(e.u)];
         const std::uint32_t rv =
-            e.v < 0 ? ru : rounds[static_cast<std::size_t>(e.v)];
+            e.v < 0 ? ru : nodeRound[static_cast<std::size_t>(e.v)];
         if (std::min(ru, rv) >= commit_end)
             continue; // entirely retained: re-decoded next window
         predicted[lane] ^= e.observables;
@@ -288,7 +272,7 @@ SlidingWindowDecoder::decodeWindowLane(std::size_t graph, std::size_t lane,
     }
     keepBuf.clear();
     for (const auto v : pend)
-        if (rounds[v] >= commit_end)
+        if (nodeRound[v] >= commit_end)
             keepBuf.push_back(v);
     pend.clear();
     std::set_symmetric_difference(keepBuf.begin(), keepBuf.end(),
@@ -305,8 +289,7 @@ SlidingWindowDecoder::decodeWindow(std::size_t commit_end)
     ++acc.windows;
     acc.committedRounds += commit_end - windowBase;
     for (std::size_t l = 0; l < lanes; ++l)
-        for (std::size_t g = 0; g < 2; ++g)
-            decodeWindowLane(g, l, commit_end, final_window);
+        decodeWindowLane(l, commit_end, final_window);
     syncGrowthWork();
 }
 

@@ -11,10 +11,9 @@
  *     assembled into the batch's full detector column and decoded at
  *     finishBatch() by the same routine that decodeBuffer() runs over
  *     a packed sample buffer: one detector-major pass collects every
- *     shot's fired detectors, then every shot is decoded on graphZ and
- *     then every shot on graphX (or each shot once by the greedy
- *     decoder).  Each decode is a pure function of its fired list, so
- *     the batch API is literally "window spans the whole buffer".
+ *     shot's fired detectors, then each non-trivial shot is decoded
+ *     once.  Each decode is a pure function of its fired list, so the
+ *     batch API is literally "window spans the whole buffer".
  *
  *   - **Sliding-window** (windowRounds < rounds, union-find only): a
  *     window of W rounds is decoded whenever it fills; the first C
@@ -26,6 +25,14 @@
  *     are discarded and re-decoded in the next window.  Peak syndrome
  *     storage is the defects of W rounds plus the carry, independent
  *     of the total round count.
+ *
+ * Union-find decodes only the graph that carries the observable
+ * (DecoderSetup::zCarriesObservable).  The setup builds the other
+ * graph with every observable mask empty, and a union-find prediction
+ * is the XOR of its correction edges' masks, so decoding that graph
+ * would always predict 0: skipping it loses no prediction and halves
+ * the decode work.  The setup still builds both graphs, which tests
+ * and the shot benchmark's setup check read.
  *
  * The commit rule is sound because every edge incident to a
  * commit-region node has its earliest endpoint in the commit region:
@@ -72,7 +79,7 @@ struct WindowConfig
 
 /**
  * Streaming decode kernel over one DecoderSetup.  Not thread-safe;
- * create one per worker (construction only binds the shared graphs).
+ * create one per worker (construction only binds the shared graph).
  *
  * Usage per 64-shot batch: beginBatch(lanes), pushBlock() for every
  * round in order, then finishBatch() which returns the batch's logical
@@ -163,8 +170,8 @@ class SlidingWindowDecoder
     std::size_t countFailures(const std::uint64_t* obs, std::size_t stride,
                               std::size_t shots);
     void decodeWindow(std::size_t commit_end);
-    void decodeWindowLane(std::size_t graph, std::size_t lane,
-                          std::size_t commit_end, bool final_window);
+    void decodeWindowLane(std::size_t lane, std::size_t commit_end,
+                          bool final_window);
     void syncGrowthWork();
 
     const DecoderSetup& setup;
@@ -174,8 +181,9 @@ class SlidingWindowDecoder
     std::size_t window = 1;
     std::size_t commit = 1;
 
-    UnionFindDecoder decZ;
-    UnionFindDecoder decX;
+    /** The observable-carrying graph and its union-find decoder. */
+    const DecodingGraph& graph;
+    UnionFindDecoder dec;
 
     Stats acc;
 
@@ -190,12 +198,12 @@ class SlidingWindowDecoder
     // Whole-buffer mode: the batch's full detector column.
     std::vector<std::uint64_t> detColumn;
 
-    // Windowed mode: per-graph per-lane pending defect node ids
-    // (sorted ascending; node order follows round order).  This *is*
-    // the bounded syndrome storage.
-    std::array<std::array<std::vector<std::uint32_t>, 64>, 2> pending;
+    // Windowed mode: per-lane pending defect node ids (sorted
+    // ascending; node order follows round order).  This *is* the
+    // bounded syndrome storage.
+    std::array<std::vector<std::uint32_t>, 64> pending;
     /** Round of each graph node (windowed mode only). */
-    std::array<std::vector<std::uint32_t>, 2> nodeRound;
+    std::vector<std::uint32_t> nodeRound;
 
     // Reused scratch.  fired[s]: shot s's fired detector ids,
     // ascending (64 entries per packed word; cleared, never shrunk).

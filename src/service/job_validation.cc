@@ -1,8 +1,10 @@
 #include "service/job_validation.hh"
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "dse/builder_registry.hh"
 #include "lint/lint.hh"
@@ -101,12 +103,30 @@ checkDecoderName(const JobSpec& spec)
     return Validation::pass();
 }
 
+// Size cap on the surface-code memory circuit of a memory, stream or
+// sweep-point job, as distance^2 x rounds.  The per-param ranges alone
+// admit d = 25 at 100,000 rounds: a d = 25 circuit has 9,991 ops per
+// round, so that is ~1e9 ops, while a d = 25, 100-round setup already
+// peaks at 351 MiB.  2^17 admits d = 25 up to 209 rounds and d = 13
+// up to 775, keeping one setup near 0.75 GiB.
+constexpr std::uint64_t kMaxDistanceSqRounds = std::uint64_t{1} << 17;
+
+// Shape checks of the surface-memory kinds, run after checkParams (so
+// both params are in-range integers): odd distance, and the size cap.
 Validation
-checkOddDistance(const JobSpec& spec)
+checkSurfaceShape(const JobSpec& spec)
 {
-    const double d = spec.numberOr("distance", 3);
-    if (static_cast<std::uint64_t>(d) % 2 == 0)
+    const auto d = static_cast<std::uint64_t>(spec.numberOr("distance", 3));
+    if (d % 2 == 0)
         return Validation::fail("param 'distance' must be odd");
+    const std::uint64_t size =
+        d * d * static_cast<std::uint64_t>(spec.numberOr("rounds", 1));
+    if (size > kMaxDistanceSqRounds) {
+        return Validation::fail(
+            "distance^2 x rounds = " + std::to_string(size) +
+            " exceeds the memory-job size cap kMaxDistanceSqRounds = " +
+            std::to_string(kMaxDistanceSqRounds));
+    }
     return Validation::pass();
 }
 
@@ -129,7 +149,7 @@ validateMemory(const JobSpec& spec)
     Validation v = checkParams(spec, memoryRules(), {"decoder"});
     if (!v.ok)
         return v;
-    v = checkOddDistance(spec);
+    v = checkSurfaceShape(spec);
     if (!v.ok)
         return v;
     return checkDecoderName(spec);
@@ -145,7 +165,7 @@ validateStream(const JobSpec& spec)
     Validation v = checkParams(spec, rules, {"decoder"});
     if (!v.ok)
         return v;
-    v = checkOddDistance(spec);
+    v = checkSurfaceShape(spec);
     if (!v.ok)
         return v;
     v = checkDecoderName(spec);
@@ -166,17 +186,10 @@ validateStream(const JobSpec& spec)
 Validation
 validateSweepPoint(const JobSpec& spec)
 {
-    static const std::vector<ParamRule> rules = {
-        {"distance", true, true, 3, 25},
-        {"rounds", true, true, 1, 100000},
-        {"shots", true, true, 1, 100000000},
-        {"p1", false, false, 0.0, 1.0},
-        {"p2", false, false, 0.0, 1.0},
-    };
-    Validation v = checkParams(spec, rules);
+    Validation v = checkParams(spec, memoryRules());
     if (!v.ok)
         return v;
-    return checkOddDistance(spec);
+    return checkSurfaceShape(spec);
 }
 
 Validation

@@ -11,7 +11,7 @@
  *     the call is made from inside a pool task;
  *   - sliding-window mode bounds peak syndrome storage by the window,
  *     independent of the total round count, while still correcting
- *     errors at low noise.
+ *     errors at low noise in memory-Z and memory-X.
  */
 
 #include <gtest/gtest.h>
@@ -217,22 +217,26 @@ TEST(StreamDecode, SlidingWindowStillCorrectsAtLowNoise)
 {
     // At p2 = 1e-3 a d=5 code corrects essentially every shot; the
     // windowed decoder must not fall off that cliff (a broken commit
-    // rule would push the failure rate toward 50%).
+    // rule would push the failure rate toward 50%).  Memory-X covers
+    // windowed decoding on graphX, the carrying graph there.
     CircuitNoise noise;
     noise.p2 = 1e-3;
     noise.p1 = 1e-4;
     const std::size_t rounds = 12;
-    const auto circuit = surfaceMemoryZ(5, rounds, noise);
+    for (const auto basis : {MemoryBasis::Z, MemoryBasis::X}) {
+        SCOPED_TRACE(basis == MemoryBasis::Z ? "memory-Z" : "memory-X");
+        const auto circuit = surfaceMemory(5, rounds, noise, basis);
 
-    StreamConfig config;
-    config.windowRounds = 4;
-    config.commitRounds = 2;
-    Rng rng(4242);
-    const auto result = runStreamingMemoryExperiment(
-        circuit, 1024, rounds, DecoderKind::UnionFind, rng, config);
-    EXPECT_LT(result.memory.perShot(), 0.02);
-    EXPECT_GT(result.trivialShots, 0u);
-    EXPECT_GT(result.laneDecodes, 0u);
+        StreamConfig config;
+        config.windowRounds = 4;
+        config.commitRounds = 2;
+        Rng rng(4242);
+        const auto result = runStreamingMemoryExperiment(
+            circuit, 1024, rounds, DecoderKind::UnionFind, rng, config);
+        EXPECT_LT(result.memory.perShot(), 0.02);
+        EXPECT_GT(result.trivialShots, 0u);
+        EXPECT_GT(result.laneDecodes, 0u);
+    }
 }
 
 } // namespace

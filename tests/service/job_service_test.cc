@@ -108,6 +108,27 @@ TEST(Validation, RejectsMalformedSpecs)
     JobSpec bad_decoder = spec;
     bad_decoder.add("decoder", ParamValue::str("mwpm"));
     EXPECT_FALSE(validateJob(bad_decoder).ok);
+
+    // Each param in range, but distance^2 x rounds past the size cap:
+    // d = 25 at 100,000 rounds is a ~1e9-op circuit.  The largest
+    // admitted d = 25 job has 209 rounds (625 x 209 <= 2^17).
+    for (const JobKind kind :
+         {JobKind::Memory, JobKind::Stream, JobKind::SweepPoint}) {
+        JobSpec sized = spec;
+        sized.kind = kind;
+        sized.params[0].second = ParamValue::num(25);     // distance
+        sized.params[1].second = ParamValue::num(100000); // rounds
+        sized.params[2].second = ParamValue::num(1);      // shots
+        const Validation oversize = validateJob(sized);
+        EXPECT_FALSE(oversize.ok) << jobKindName(kind);
+        EXPECT_NE(oversize.error.find("kMaxDistanceSqRounds"),
+                  std::string::npos)
+            << oversize.error;
+        sized.params[1].second = ParamValue::num(210);
+        EXPECT_FALSE(validateJob(sized).ok) << jobKindName(kind);
+        sized.params[1].second = ParamValue::num(209);
+        EXPECT_TRUE(validateJob(sized).ok) << jobKindName(kind);
+    }
 }
 
 TEST(Validation, StreamDecoderAndWindowConstraints)
