@@ -49,15 +49,13 @@ REQUIRED_COMPANIONS = {
     "qec.decode.shots": ("qec.decode.trivial_shots",
                          "qec.decode.uf_sweeps",
                          "qec.decode.uf_edge_visits"),
-    # The schedule analyzer's memoization telemetry must stay live on
+    # The schedule analyzer's work and hazard counts must stay live on
     # every pipeline that runs an analysis.
-    "lint.sched.analyses": ("lint.sched.cache_hits",
-                            "lint.sched.cache_misses"),
-    # Likewise for the dataflow analyzer: hazard and memoization
-    # telemetry must stay live wherever a flow analysis runs.
-    "lint.flow.analyses": ("lint.flow.hazards",
-                           "lint.flow.cache_hits",
-                           "lint.flow.cache_misses"),
+    "lint.sched.analyses": ("lint.sched.ops_scheduled",
+                            "lint.sched.hazards"),
+    # Likewise for the dataflow analyzer's hazard count wherever a flow
+    # analysis runs.
+    "lint.flow.analyses": ("lint.flow.hazards",),
     # The streaming engine's window accounting must stay live wherever
     # streaming decode runs: dropping any of these silently would hide
     # a commit-rule or storage-bound regression.
@@ -211,12 +209,10 @@ def self_test():
                      "qec.decode.uf_sweeps": 40960,
                      "qec.decode.uf_edge_visits": 2900000,
                      "lint.sched.analyses": 12,
-                     "lint.sched.cache_hits": 6,
-                     "lint.sched.cache_misses": 6,
+                     "lint.sched.ops_scheduled": 1644,
+                     "lint.sched.hazards": 1,
                      "lint.flow.analyses": 9,
                      "lint.flow.hazards": 2,
-                     "lint.flow.cache_hits": 4,
-                     "lint.flow.cache_misses": 5,
                      "qec.stream.shots": 4096,
                      "qec.stream.blocks": 448,
                      "qec.stream.windows": 64,
@@ -304,13 +300,17 @@ def self_test():
     checks.append(("companion rule dormant without key counter",
                    result(no_decode, no_decode, bench) == 0))
 
-    # Same contract for the schedule analyzer's cache telemetry.
-    no_sched_cache = json.loads(json.dumps(metrics))
-    del no_sched_cache["counters"]["lint.sched.cache_hits"]
-    checks.append(("sched cache companion dropped from both sides",
-                   result(no_sched_cache, no_sched_cache, bench) == 1))
+    # Same contract for the schedule analyzer's work and hazard counts.
+    no_sched_ops = json.loads(json.dumps(metrics))
+    del no_sched_ops["counters"]["lint.sched.ops_scheduled"]
+    checks.append(("sched work companion dropped from both sides",
+                   result(no_sched_ops, no_sched_ops, bench) == 1))
+    no_sched_hazards = json.loads(json.dumps(metrics))
+    del no_sched_hazards["counters"]["lint.sched.hazards"]
+    checks.append(("sched hazard companion dropped from both sides",
+                   result(no_sched_hazards, no_sched_hazards, bench) == 1))
 
-    # And for the dataflow analyzer's hazard/cache telemetry.
+    # And for the dataflow analyzer's hazard count.
     no_flow_hazards = json.loads(json.dumps(metrics))
     del no_flow_hazards["counters"]["lint.flow.hazards"]
     checks.append(("flow hazard companion dropped from both sides",

@@ -41,21 +41,20 @@ ScheduleBurden
 estimateScheduleBurden(const stab::Circuit& circuit,
                        const lint::sched::TimingModel& model)
 {
-    // Both layers are memoized: sweeps re-cost the same circuit under
-    // many timing assignments, sharing one fault analysis, and re-cost
-    // the same (circuit, model) pair across repetitions for free.
+    // Sweeps re-cost the same circuit under many timing assignments,
+    // so the fault analysis comes from the cache; the schedule pass
+    // itself is cheap and runs fresh for each model.
     const auto faults =
         qec::DecoderCache::instance().faultAnalysis(circuit);
     lint::sched::SchedOptions options;
     options.faults = faults.get();
     const auto analysis =
-        lint::sched::ScheduleCache::instance().analysis(circuit, model,
-                                                        options);
+        lint::sched::analyzeSchedule(circuit, model, options);
     ScheduleBurden out;
-    out.criticalPathNs = analysis->criticalPathNs;
-    out.totalIdleNs = analysis->totalIdleNs;
-    out.idleBound = analysis->certifiedIdleBound();
-    out.hazardErrors = analysis->hazardErrors();
+    out.criticalPathNs = analysis.criticalPathNs;
+    out.totalIdleNs = analysis.totalIdleNs;
+    out.idleBound = analysis.certifiedIdleBound();
+    out.hazardErrors = analysis.hazardErrors();
     return out;
 }
 
@@ -63,24 +62,22 @@ FlowPressure
 estimateFlowPressure(const stab::Circuit& circuit,
                      const lint::sched::TimingModel& model)
 {
-    // Same two-layer memoization as estimateScheduleBurden: sweeps
-    // share one fault analysis per circuit and one flow analysis per
-    // (circuit, model, options) triple.
+    // Same split as estimateScheduleBurden: one cached fault analysis
+    // per circuit, a fresh flow pass per model.
     const auto faults =
         qec::DecoderCache::instance().faultAnalysis(circuit);
     lint::flow::FlowOptions options;
     options.faults = faults.get();
     options.gateBudget = true;
     const auto analysis =
-        lint::flow::FlowCache::instance().analysis(circuit, model,
-                                                   options);
+        lint::flow::analyzeFlow(circuit, model, options);
     FlowPressure out;
-    out.swaps = analysis->swapCount;
-    out.movementNs = analysis->movementNs;
-    out.peakStorage = analysis->peakStorageOccupancy;
-    out.storageQubitNs = analysis->storageQubitNs;
-    out.hazardErrors = analysis->hazardErrors();
-    out.budget = analysis->maxBudget();
+    out.swaps = analysis.swapCount;
+    out.movementNs = analysis.movementNs;
+    out.peakStorage = analysis.peakStorageOccupancy;
+    out.storageQubitNs = analysis.storageQubitNs;
+    out.hazardErrors = analysis.hazardErrors();
+    out.budget = analysis.maxBudget();
     return out;
 }
 

@@ -71,7 +71,7 @@ struct ScheduleBurden
 };
 
 /**
- * Analyze @p circuit under @p model (memoized via ScheduleCache and
+ * Analyze @p circuit under @p model (the fault analysis is cached in
  * qec::DecoderCache; the circuit must have deterministic detectors).
  */
 ScheduleBurden estimateScheduleBurden(const stab::Circuit& circuit,
@@ -108,7 +108,7 @@ struct FlowPressure
 };
 
 /**
- * Analyze @p circuit under @p model (memoized via FlowCache and
+ * Analyze @p circuit under @p model (the fault analysis is cached in
  * qec::DecoderCache; the circuit must have deterministic detectors).
  */
 FlowPressure estimateFlowPressure(const stab::Circuit& circuit,

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/build_once_cache.hh"
 #include "core/logging.hh"
 #include "exec/thread_pool.hh"
 #include "lint/schedule.hh"
 #include "obs/obs.hh"
-#include "stab/circuit_stats.hh"
 #include "stab/dem.hh"
 
 namespace hetarch {
@@ -24,8 +22,6 @@ namespace {
 // exec/obs two-tier contract.  The histogram (wall time) is advisory.
 obs::Counter& cAnalyses = obs::counter("lint.flow.analyses");
 obs::Counter& cHazards = obs::counter("lint.flow.hazards");
-obs::Counter& cCacheHits = obs::counter("lint.flow.cache_hits");
-obs::Counter& cCacheMisses = obs::counter("lint.flow.cache_misses");
 obs::Histogram& hAnalyzeNs = obs::histogram("lint.flow.analyze_ns");
 
 /** Tolerance for "simultaneous" interval endpoints (ns). */
@@ -105,33 +101,6 @@ FlowAnalysis::maxBudget() const
     return worst;
 }
 
-bool
-FlowAnalysis::operator==(const FlowAnalysis& o) const
-{
-    auto hazardsEqual = [](const std::vector<LintFinding>& a,
-                           const std::vector<LintFinding>& b) {
-        if (a.size() != b.size())
-            return false;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            if (a[i].pass != b[i].pass ||
-                a[i].severity != b[i].severity ||
-                a[i].opIndex != b[i].opIndex ||
-                a[i].message != b[i].message)
-                return false;
-        }
-        return true;
-    };
-    return opsTracked == o.opsTracked && swapCount == o.swapCount &&
-           movementNs == o.movementNs &&
-           criticalPathNs == o.criticalPathNs &&
-           peakStorageOccupancy == o.peakStorageOccupancy &&
-           storageQubitNs == o.storageQubitNs &&
-           liveIdleWindows == o.liveIdleWindows &&
-           liveIdleNs == o.liveIdleNs && residencies == o.residencies &&
-           instances == o.instances && observables == o.observables &&
-           hazardsEqual(hazards, o.hazards);
-}
-
 FlowAnalysis
 analyzeFlow(const stab::Circuit& circuit, const TimingModel& model,
             const FlowOptions& options)
@@ -144,17 +113,16 @@ analyzeFlow(const stab::Circuit& circuit, const TimingModel& model,
                    "timing model covers ", model.assignment.size(),
                    " qubits, circuit needs ", nq);
 
-    // The ASAP schedule supplies every op's start/end time (memoized;
-    // dse sweeps and the CLI ask for both analyses on the same pair).
-    const auto sched_analysis = sched::ScheduleCache::instance().analysis(
+    // The ASAP schedule supplies every op's start/end time.
+    const auto sched_analysis = sched::analyzeSchedule(
         circuit, model, sched::SchedOptions{options.faults});
 
     FlowAnalysis out;
-    out.criticalPathNs = sched_analysis->criticalPathNs;
+    out.criticalPathNs = sched_analysis.criticalPathNs;
 
     const auto& ops = circuit.ops();
     std::vector<sched::ScheduledOp> at(ops.size());
-    for (const auto& s : sched_analysis->schedule)
+    for (const auto& s : sched_analysis.schedule)
         at[s.op] = s;
 
     // --- the abstract walk -------------------------------------------
@@ -485,79 +453,6 @@ flowFindings(const FlowAnalysis& analysis, LintReport& report)
             os << " (no undetected fault path)";
         report.add("flow-budget", Severity::Info, kNoOpIndex, os.str());
     }
-}
-
-// --- cache ------------------------------------------------------------
-
-struct FlowCache::Impl
-{
-    /** (circuit hash, op count, timing-model hash, options hash). */
-    BuildOnceCache<FlowAnalysis, 4> analyses{[](bool hit, std::size_t) {
-        (hit ? cCacheHits : cCacheMisses).add();
-    }};
-};
-
-namespace {
-
-/** The parts of FlowOptions the analysis depends on. */
-std::uint64_t
-hashFlowOptions(const FlowOptions& options)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    if (options.faults) {
-        mix(options.faults->observables.size());
-        for (const auto& of : options.faults->observables) {
-            mix(of.observable);
-            mix(of.distance);
-        }
-    }
-    mix(options.gateBudget ? 1 : 2);
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof options.staleAfterNs);
-    __builtin_memcpy(&bits, &options.staleAfterNs, sizeof bits);
-    mix(bits);
-    return h;
-}
-
-} // namespace
-
-FlowCache::FlowCache() : impl(std::make_unique<Impl>()) {}
-FlowCache::~FlowCache() = default;
-
-FlowCache&
-FlowCache::instance()
-{
-    static FlowCache cache;
-    return cache;
-}
-
-std::shared_ptr<const FlowAnalysis>
-FlowCache::analysis(const stab::Circuit& circuit,
-                    const TimingModel& model, const FlowOptions& options)
-{
-    return impl->analyses.get(
-        {stab::hashCircuit(circuit), circuit.ops().size(),
-         sched::hashTimingModel(model), hashFlowOptions(options)},
-        [&] {
-            return std::make_shared<const FlowAnalysis>(
-                analyzeFlow(circuit, model, options));
-        });
-}
-
-void
-FlowCache::clear()
-{
-    impl->analyses.clear();
-}
-
-std::size_t
-FlowCache::size() const
-{
-    return impl->analyses.size();
 }
 
 } // namespace flow

@@ -53,16 +53,14 @@
  * Observables fan out over exec::parallelFor with ordered reduction:
  * bit-identical at any worker count.
  *
- * Analyses are memoized in a process-wide FlowCache keyed on (circuit
- * hash, timing-model hash, options hash) with the ScheduleCache
- * build-once / burst-eviction discipline and `lint.flow.*` telemetry.
+ * Like analyzeSchedule, the analysis is a pure function of its inputs
+ * and is not memoized; it runs its own schedule pass.
  */
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -91,13 +89,7 @@ struct ResidencyInterval
 
     double durationNs() const { return endNs - startNs; }
 
-    bool operator==(const ResidencyInterval& o) const
-    {
-        return qubit == o.qubit && instance == o.instance &&
-               startNs == o.startNs && endNs == o.endNs &&
-               depositOp == o.depositOp && retrieveOp == o.retrieveOp &&
-               orphaned == o.orphaned;
-    }
+    bool operator==(const ResidencyInterval&) const = default;
 };
 
 /** Storage-pressure summary of one storage instance. */
@@ -110,13 +102,7 @@ struct InstancePressure
     std::size_t peakOccupancy = 0; ///< max simultaneous live modes
     double storageQubitNs = 0.0; ///< total residency time (qubit-ns)
 
-    bool operator==(const InstancePressure& o) const
-    {
-        return instance == o.instance && device == o.device &&
-               modes == o.modes && residencies == o.residencies &&
-               peakOccupancy == o.peakOccupancy &&
-               storageQubitNs == o.storageQubitNs;
-    }
+    bool operator==(const InstancePressure&) const = default;
 };
 
 /** Certified end-to-end error budget of one observable. */
@@ -132,12 +118,7 @@ struct ObservableBudget
     /** e_k over both families combined; >= max(gate, idle). */
     double budget = 0.0;
 
-    bool operator==(const ObservableBudget& o) const
-    {
-        return observable == o.observable && weight == o.weight &&
-               gateBound == o.gateBound && idleBound == o.idleBound &&
-               budget == o.budget;
-    }
+    bool operator==(const ObservableBudget&) const = default;
 };
 
 /** Full analyzer output for one circuit / timing model. */
@@ -161,7 +142,7 @@ struct FlowAnalysis
     /** Largest certified budget over all observables. */
     double maxBudget() const;
 
-    bool operator==(const FlowAnalysis& o) const;
+    bool operator==(const FlowAnalysis&) const = default;
 };
 
 /** Knobs for analyzeFlow. */
@@ -207,34 +188,6 @@ FlowAnalysis analyzeFlow(const stab::Circuit& circuit,
  * per-observable budgets are reported as infos.
  */
 void flowFindings(const FlowAnalysis& analysis, LintReport& report);
-
-/**
- * Process-wide memoization of flow analyses, keyed on (circuit
- * content, timing model content, options content) in a BuildOnceCache
- * like ScheduleCache's (`lint.flow.cache_hits` /
- * `lint.flow.cache_misses`).
- */
-class FlowCache
-{
-  public:
-    static FlowCache& instance();
-
-    /** Cached or freshly built analysis. */
-    std::shared_ptr<const FlowAnalysis>
-    analysis(const stab::Circuit& circuit, const TimingModel& model,
-             const FlowOptions& options = {});
-
-    /** Drop every cached analysis. */
-    void clear();
-    /** Number of cached analyses. */
-    std::size_t size() const;
-
-  private:
-    struct Impl;
-    FlowCache();
-    ~FlowCache();
-    std::unique_ptr<Impl> impl;
-};
 
 } // namespace flow
 } // namespace lint

@@ -62,6 +62,8 @@ struct LintFinding
     Severity severity = Severity::Error;
     std::size_t opIndex = kNoOpIndex; ///< offending op, or kNoOpIndex
     std::string message;
+
+    bool operator==(const LintFinding&) const = default;
 };
 
 /** Structured result of a lint run. */

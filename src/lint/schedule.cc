@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/build_once_cache.hh"
 #include "core/logging.hh"
 #include "exec/thread_pool.hh"
 #include "obs/obs.hh"
-#include "stab/circuit_stats.hh"
 
 namespace hetarch {
 namespace lint {
@@ -23,8 +21,6 @@ namespace {
 obs::Counter& cAnalyses = obs::counter("lint.sched.analyses");
 obs::Counter& cOpsScheduled = obs::counter("lint.sched.ops_scheduled");
 obs::Counter& cHazards = obs::counter("lint.sched.hazards");
-obs::Counter& cCacheHits = obs::counter("lint.sched.cache_hits");
-obs::Counter& cCacheMisses = obs::counter("lint.sched.cache_misses");
 obs::Histogram& hAnalyzeNs = obs::histogram("lint.sched.analyze_ns");
 
 /** Tolerance for "simultaneous" interval endpoints (ns). */
@@ -103,22 +99,6 @@ ScheduleAnalysis::hazardErrors() const
     for (const auto& h : hazards)
         n += h.severity == Severity::Error ? 1 : 0;
     return n;
-}
-
-bool
-ScheduleAnalysis::hazardsEqual(const std::vector<LintFinding>& a,
-                               const std::vector<LintFinding>& b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].pass != b[i].pass ||
-            a[i].severity != b[i].severity ||
-            a[i].opIndex != b[i].opIndex ||
-            a[i].message != b[i].message)
-            return false;
-    }
-    return true;
 }
 
 double
@@ -405,75 +385,6 @@ scheduleFindings(const ScheduleAnalysis& analysis, LintReport& report)
         report.add("sched-idle-bound", Severity::Info, kNoOpIndex,
                    os.str());
     }
-}
-
-// --- cache ------------------------------------------------------------
-
-struct ScheduleCache::Impl
-{
-    /** (circuit hash, op count, timing-model hash, fault hash). */
-    BuildOnceCache<ScheduleAnalysis, 4> analyses{[](bool hit, std::size_t) {
-        (hit ? cCacheHits : cCacheMisses).add();
-    }};
-};
-
-namespace {
-
-/** The part of a FaultAnalysis the idle bound depends on. */
-std::uint64_t
-hashFaultStructure(const FaultAnalysis* faults)
-{
-    if (!faults)
-        return 0;
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-    };
-    mix(faults->observables.size());
-    for (const auto& of : faults->observables) {
-        mix(of.observable);
-        mix(of.distance);
-    }
-    return h;
-}
-
-} // namespace
-
-ScheduleCache::ScheduleCache() : impl(std::make_unique<Impl>()) {}
-ScheduleCache::~ScheduleCache() = default;
-
-ScheduleCache&
-ScheduleCache::instance()
-{
-    static ScheduleCache cache;
-    return cache;
-}
-
-std::shared_ptr<const ScheduleAnalysis>
-ScheduleCache::analysis(const stab::Circuit& circuit,
-                        const TimingModel& model,
-                        const SchedOptions& options)
-{
-    return impl->analyses.get(
-        {stab::hashCircuit(circuit), circuit.ops().size(),
-         hashTimingModel(model), hashFaultStructure(options.faults)},
-        [&] {
-            return std::make_shared<const ScheduleAnalysis>(
-                analyzeSchedule(circuit, model, options));
-        });
-}
-
-void
-ScheduleCache::clear()
-{
-    impl->analyses.clear();
-}
-
-std::size_t
-ScheduleCache::size() const
-{
-    return impl->analyses.size();
 }
 
 } // namespace sched

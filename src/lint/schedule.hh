@@ -51,16 +51,15 @@
  *  (no forward references) — what survives statically is the record
  *  that never completes at all, which is sched-feedback.
  *
- * Analyses are memoized in a process-wide ScheduleCache keyed on
- * (circuit hash, timing-model hash, fault-structure hash), the same
- * build-once / burst-eviction discipline as qec::DecoderCache.
+ * The analysis is a pure function of (circuit, model, options) and is
+ * not memoized: hashing the circuit for a cache key costs a quarter to
+ * a half of a fresh analysis, and callers rarely repeat a triple.
  */
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "lint/faults.hh"
@@ -79,10 +78,7 @@ struct ScheduledOp
     double startNs = 0.0;
     double endNs = 0.0;
 
-    bool operator==(const ScheduledOp& o) const
-    {
-        return op == o.op && startNs == o.startNs && endNs == o.endNs;
-    }
+    bool operator==(const ScheduledOp&) const = default;
 };
 
 /** A gap between two timed ops on one qubit. */
@@ -96,11 +92,7 @@ struct IdleWindow
 
     double durationNs() const { return endNs - startNs; }
 
-    bool operator==(const IdleWindow& o) const
-    {
-        return qubit == o.qubit && startNs == o.startNs &&
-               endNs == o.endNs && errorProb == o.errorProb;
-    }
+    bool operator==(const IdleWindow&) const = default;
 };
 
 /** Busy/idle decomposition of one qubit's timeline. */
@@ -112,12 +104,7 @@ struct QubitTimeline
     double idleNs = 0.0;     ///< total gap time between timed ops
     std::size_t idleWindows = 0;
 
-    bool operator==(const QubitTimeline& o) const
-    {
-        return qubit == o.qubit && device == o.device &&
-               busyNs == o.busyNs && idleNs == o.idleNs &&
-               idleWindows == o.idleWindows;
-    }
+    bool operator==(const QubitTimeline&) const = default;
 };
 
 /** Certified idle-decoherence budget of one observable. */
@@ -129,11 +116,7 @@ struct ObservableIdleBound
     /** The k the bound was evaluated at (ceil(distance / 2), or 1). */
     std::size_t weight = 0;
 
-    bool operator==(const ObservableIdleBound& o) const
-    {
-        return observable == o.observable && idleBound == o.idleBound &&
-               weight == o.weight;
-    }
+    bool operator==(const ObservableIdleBound&) const = default;
 };
 
 /** Full analyzer output for one circuit / timing model. */
@@ -153,19 +136,7 @@ struct ScheduleAnalysis
     /** Number of Severity::Error hazards. */
     std::size_t hazardErrors() const;
 
-    bool operator==(const ScheduleAnalysis& o) const
-    {
-        return criticalPathNs == o.criticalPathNs &&
-               opsScheduled == o.opsScheduled &&
-               totalIdleNs == o.totalIdleNs && schedule == o.schedule &&
-               qubits == o.qubits && idleWindows == o.idleWindows &&
-               observables == o.observables &&
-               hazardsEqual(hazards, o.hazards);
-    }
-
-  private:
-    static bool hazardsEqual(const std::vector<LintFinding>& a,
-                             const std::vector<LintFinding>& b);
+    bool operator==(const ScheduleAnalysis&) const = default;
 };
 
 /** Knobs for analyzeSchedule. */
@@ -210,36 +181,6 @@ ScheduleAnalysis analyzeSchedule(const stab::Circuit& circuit,
  */
 void scheduleFindings(const ScheduleAnalysis& analysis,
                       LintReport& report);
-
-/**
- * Process-wide memoization of schedule analyses, keyed on (circuit
- * content, timing model content, fault-structure content) in a
- * BuildOnceCache (core/build_once_cache.hh): build-once via shared
- * futures, wholesale eviction over capacity, no entry left by a failed
- * build, deterministic hit/miss telemetry (`lint.sched.cache_hits` /
- * `lint.sched.cache_misses`).
- */
-class ScheduleCache
-{
-  public:
-    static ScheduleCache& instance();
-
-    /** Cached or freshly built analysis. */
-    std::shared_ptr<const ScheduleAnalysis>
-    analysis(const stab::Circuit& circuit, const TimingModel& model,
-             const SchedOptions& options = {});
-
-    /** Drop every cached analysis. */
-    void clear();
-    /** Number of cached analyses. */
-    std::size_t size() const;
-
-  private:
-    struct Impl;
-    ScheduleCache();
-    ~ScheduleCache();
-    std::unique_ptr<Impl> impl;
-};
 
 } // namespace sched
 } // namespace lint

@@ -48,15 +48,6 @@ DeviceTiming::unit()
     return t;
 }
 
-bool
-DeviceTiming::operator==(const DeviceTiming& o) const
-{
-    return name == o.name && gate1q == o.gate1q && gate2q == o.gate2q &&
-           swap == o.swap && readout == o.readout && reset == o.reset &&
-           t1 == o.t1 && t2 == o.t2 && modes == o.modes &&
-           hasReadout == o.hasReadout && storage == o.storage;
-}
-
 const DeviceTiming&
 TimingModel::deviceFor(std::uint32_t q) const
 {
@@ -140,48 +131,6 @@ TimingModel::scaleDurations(double factor)
         d.readout *= factor;
         d.reset *= factor;
     }
-}
-
-bool
-TimingModel::operator==(const TimingModel& o) const
-{
-    return name == o.name && devices == o.devices &&
-           assignment == o.assignment;
-}
-
-std::uint64_t
-hashTimingModel(const TimingModel& model)
-{
-    std::uint64_t h = 1469598103934665603ull; // FNV offset basis
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull; // FNV prime
-    };
-    auto mixDouble = [&](double v) {
-        std::uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(v), "double is 64-bit");
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
-    };
-    for (char c : model.name)
-        mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    mix(model.devices.size());
-    for (const auto& d : model.devices) {
-        mixDouble(d.gate1q);
-        mixDouble(d.gate2q);
-        mixDouble(d.swap);
-        mixDouble(d.readout);
-        mixDouble(d.reset);
-        mixDouble(d.t1);
-        mixDouble(d.t2);
-        mix(static_cast<std::uint64_t>(d.modes));
-        mix(d.hasReadout ? 1u : 0u);
-        mix(d.storage ? 1u : 0u);
-    }
-    mix(model.assignment.size());
-    for (auto a : model.assignment)
-        mix(a);
-    return h;
 }
 
 double

@@ -22,9 +22,6 @@
  *   M / MR         readout (reset rides the measurement ring-down)
  *   R              reset
  *   noise / annotations   untimed (0 ns)
- *
- * The model is content-hashable (hashTimingModel) so schedule analyses
- * can be memoized DecoderCache-style on (circuit hash, model hash).
  */
 
 #pragma once
@@ -64,8 +61,6 @@ struct DeviceTiming
      * it the critical path equals stab::CircuitStats::depth.
      */
     static DeviceTiming unit();
-
-    bool operator==(const DeviceTiming& o) const;
 };
 
 /** A full timing assignment for a circuit. */
@@ -101,12 +96,7 @@ struct TimingModel
 
     /** Multiply every duration (not coherence) by @p factor. */
     void scaleDurations(double factor);
-
-    bool operator==(const TimingModel& o) const;
 };
-
-/** Content hash of a timing model (FNV-1a, like stab::hashCircuit). */
-std::uint64_t hashTimingModel(const TimingModel& model);
 
 /**
  * Analytic average error of idling for @p t_ns on a (T1, T2) device:

@@ -64,6 +64,15 @@ DecoderSetup::build(const stab::Circuit& circuit, DecoderKind kind)
         if (exclusive)
             obs_votes[first_tag == kTagX ? 1 : 0] += mech.probability;
     }
+    // Only the carrying graph is decoded, so flips that only the other
+    // class sees would never be predicted and would count as logical
+    // failures.  Refuse such a circuit instead of decoding it wrongly.
+    if (obs_votes[0] > 0.0 && obs_votes[1] > 0.0)
+        HETARCH_FATAL("union-find decoding: observable-flipping "
+                      "mechanisms lie wholly in both detector classes "
+                      "(Z-tagged p = ", obs_votes[0], ", X-tagged p = ",
+                      obs_votes[1], "), but only one matching graph is "
+                      "decoded; use the greedy DEM decoder");
     setup->zCarriesObservable = obs_votes[0] >= obs_votes[1];
     setup->graphZ = DecodingGraph::fromDem(setup->dem, tags, kTagZ,
                                            setup->zCarriesObservable);

@@ -69,7 +69,12 @@ struct DecoderSetup
     DecoderSetup(const DecoderSetup&) = delete;
     DecoderSetup& operator=(const DecoderSetup&) = delete;
 
-    /** Build the setup for @p circuit / @p kind (no caching). */
+    /**
+     * Build the setup for @p circuit / @p kind (no caching).  For
+     * UnionFind, fatal when both detector classes hold mechanisms that
+     * flip an observable on their own: one decoded graph cannot
+     * predict both classes' flips.
+     */
     static std::shared_ptr<const DecoderSetup>
     build(const stab::Circuit& circuit, DecoderKind kind);
 };

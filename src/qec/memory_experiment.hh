@@ -59,7 +59,9 @@ struct MemoryResult
  * For DecoderKind::UnionFind the circuit's detectors must be tagged
  * (kTagZ/kTagX).  Only the graph that carries the observable is
  * decoded: the setup builds the other graph with empty observable
- * masks, so it could only ever predict 0.
+ * masks, so it could only ever predict 0.  A circuit whose observables
+ * are also flipped by mechanisms seen only by the other class is
+ * refused with HETARCH_FATAL (DecoderSetup::build).
  *
  * Draws exactly one word from @p rng (the experiment's base stream
  * id); all sampling randomness is derived from it per chunk, so the

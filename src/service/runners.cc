@@ -194,10 +194,9 @@ runAnalysis(const JobSpec& spec, JobContext& ctx)
             return result;
         const auto timing =
             lint::sched::TimingModel::unit(circuit.numQubits());
-        const auto sched = lint::sched::ScheduleCache::instance().analysis(
-            circuit, timing, {});
-        result.addReal("critical_path_ns", sched->criticalPathNs);
-        result.addU64("hazard_errors", sched->hazardErrors());
+        const auto sched = lint::sched::analyzeSchedule(circuit, timing);
+        result.addReal("critical_path_ns", sched.criticalPathNs);
+        result.addU64("hazard_errors", sched.hazardErrors());
     }
 
     if (spec.numberOr("flow", 0) != 0) {
@@ -215,14 +214,13 @@ runAnalysis(const JobSpec& spec, JobContext& ctx)
             options.faults = faults.get();
             options.gateBudget = true;
         }
-        const auto flow = lint::flow::FlowCache::instance().analysis(
-            circuit, timing, options);
-        result.addU64("flow_swaps", flow->swapCount);
-        result.addReal("flow_movement_ns", flow->movementNs);
-        result.addU64("flow_peak_storage", flow->peakStorageOccupancy);
-        result.addU64("flow_hazard_errors", flow->hazardErrors());
+        const auto flow = lint::flow::analyzeFlow(circuit, timing, options);
+        result.addU64("flow_swaps", flow.swapCount);
+        result.addReal("flow_movement_ns", flow.movementNs);
+        result.addU64("flow_peak_storage", flow.peakStorageOccupancy);
+        result.addU64("flow_hazard_errors", flow.hazardErrors());
         if (options.gateBudget)
-            result.addReal("flow_budget", flow->maxBudget());
+            result.addReal("flow_budget", flow.maxBudget());
     }
     return result;
 }

@@ -39,7 +39,7 @@ CircuitStats analyzeCircuit(const Circuit& circuit);
  * Content hash of a circuit: FNV-1a over the full op stream including
  * noise parameters, so two circuits hash alike iff they simulate,
  * decode, and schedule identically.  The memoization key of
- * qec::DecoderCache and lint::sched::ScheduleCache.
+ * qec::DecoderCache.
  */
 std::uint64_t hashCircuit(const Circuit& circuit);
 

@@ -4,8 +4,7 @@
  * (lint/dataflow.hh): hand-verified residency intervals on a
  * park/retrieve register, every hazard in the flow taxonomy with its
  * clean counterpart, the live-idle refinement against the schedule
- * analyzer, the certified end-to-end budget composition, and the
- * FlowCache memoization contract.
+ * analyzer, and the certified end-to-end budget composition.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "lint/dataflow.hh"
 #include "lint/faults.hh"
 #include "lint/schedule.hh"
-#include "obs/obs.hh"
 #include "qec/surface_circuit.hh"
 #include "stab/dem.hh"
 
@@ -356,61 +354,6 @@ TEST(Budget, UnflippableObservableGetsZeroBudget)
     ASSERT_EQ(a.observables.size(), 1u);
     EXPECT_EQ(a.observables[0].weight, 0u);
     EXPECT_DOUBLE_EQ(a.observables[0].budget, 0.0);
-}
-
-// --- memoization ------------------------------------------------------
-
-TEST(FlowCacheTest, HitsAndMissesAreKeyedOnContent)
-{
-    auto& cache = FlowCache::instance();
-    cache.clear();
-    auto& hits = obs::counter("lint.flow.cache_hits");
-    auto& misses = obs::counter("lint.flow.cache_misses");
-
-    const auto circuit = qec::surfaceMemoryZ(3, 3, qec::CircuitNoise{});
-    const auto model = TimingModel::uniform(
-        devices::fixedFrequencyTransmon(), circuit.numQubits());
-
-    const auto h0 = hits.load();
-    const auto m0 = misses.load();
-    const auto first = cache.analysis(circuit, model);
-    EXPECT_EQ(misses.load(), m0 + 1);
-    const auto again = cache.analysis(circuit, model);
-    EXPECT_EQ(hits.load(), h0 + 1);
-    EXPECT_TRUE(*again == *first);
-    EXPECT_EQ(cache.size(), 1u);
-
-    // A different staleness threshold is a different key.
-    FlowOptions strict;
-    strict.staleAfterNs = 123.0;
-    (void)cache.analysis(circuit, model, strict);
-    EXPECT_EQ(misses.load(), m0 + 2);
-
-    // So is enabling the gate budget.
-    FlowOptions gate;
-    gate.gateBudget = true;
-    (void)cache.analysis(circuit, model, gate);
-    EXPECT_EQ(misses.load(), m0 + 3);
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(FlowCacheTest, CachedAnalysisEqualsFreshRun)
-{
-    auto& cache = FlowCache::instance();
-    cache.clear();
-    stab::Circuit c(2);
-    c.reset(0);
-    c.x(0);
-    c.swap(0, 1);
-    c.swap(0, 1);
-    const auto m = c.measure(0);
-    c.detector({m});
-    const auto model = registerModel(2, {1});
-    const auto cached = cache.analysis(c, model);
-    EXPECT_TRUE(*cached == analyzeFlow(c, model));
-    cache.clear();
 }
 
 } // namespace

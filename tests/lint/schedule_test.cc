@@ -7,7 +7,7 @@
  * cross-validation of idleError against the density-matrix "idle-1us"
  * characterization, the shared elementary-symmetric budget kernel, a
  * Bernoulli Monte-Carlo dominance check of the idle bound, and the
- * ScheduleCache memoization contract.
+ * timing-model constructors.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +25,6 @@
 #include "lint/faults.hh"
 #include "lint/schedule.hh"
 #include "lint/timing_model.hh"
-#include "obs/obs.hh"
 #include "qec/css_circuit.hh"
 #include "qec/css_code.hh"
 #include "qec/surface_circuit.hh"
@@ -493,59 +492,6 @@ TEST(Hazards, FindingsCarryThroughScheduleFindings)
     EXPECT_TRUE(latency_info);
 }
 
-// --- memoization ------------------------------------------------------
-
-TEST(ScheduleCacheTest, HitsAndMissesAreKeyedOnContent)
-{
-    auto& cache = ScheduleCache::instance();
-    cache.clear();
-    auto& hits = obs::counter("lint.sched.cache_hits");
-    auto& misses = obs::counter("lint.sched.cache_misses");
-
-    const auto circuit =
-        qec::codeCapacityMemoryZ(qec::makeRepetition(3), 2, 0.01, 0.01);
-    const auto model = TimingModel::uniform(
-        devices::fixedFrequencyTransmon(), circuit.numQubits());
-
-    const auto h0 = hits.load();
-    const auto m0 = misses.load();
-    const auto first = cache.analysis(circuit, model);
-    EXPECT_EQ(misses.load(), m0 + 1);
-    const auto again = cache.analysis(circuit, model);
-    EXPECT_EQ(hits.load(), h0 + 1);
-    EXPECT_TRUE(*again == *first);
-    EXPECT_EQ(cache.size(), 1u);
-
-    // A different timing model is a different key.
-    auto scaled = model;
-    scaled.scaleDurations(2.0);
-    (void)cache.analysis(circuit, scaled);
-    EXPECT_EQ(misses.load(), m0 + 2);
-    EXPECT_EQ(cache.size(), 2u);
-
-    // So is the same model with a fault structure attached.
-    const auto faults = analyzeCircuitFaults(circuit);
-    SchedOptions options;
-    options.faults = &faults;
-    (void)cache.analysis(circuit, model, options);
-    EXPECT_EQ(misses.load(), m0 + 3);
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ScheduleCacheTest, CachedAnalysisEqualsFreshRun)
-{
-    auto& cache = ScheduleCache::instance();
-    cache.clear();
-    const auto circuit = qec::surfaceMemoryZ(3, 3, qec::CircuitNoise{});
-    const auto model = TimingModel::uniform(
-        devices::fluxTunableQubit(), circuit.numQubits());
-    const auto cached = cache.analysis(circuit, model);
-    EXPECT_TRUE(*cached == analyzeSchedule(circuit, model));
-    cache.clear();
-}
-
 // --- timing model -----------------------------------------------------
 
 TEST(TimingModelTest, WithStorageSharesOneInstance)
@@ -560,19 +506,6 @@ TEST(TimingModelTest, WithStorageSharesOneInstance)
     EXPECT_FALSE(model.deviceFor(0).storage);
     EXPECT_FALSE(model.deviceFor(1).hasReadout);
     EXPECT_TRUE(model.deviceFor(0).hasReadout);
-}
-
-TEST(TimingModelTest, HashSeparatesContent)
-{
-    const auto a = TimingModel::uniform(
-        devices::fixedFrequencyTransmon(), 4);
-    auto b = a;
-    EXPECT_EQ(hashTimingModel(a), hashTimingModel(b));
-    b.scaleDurations(2.0);
-    EXPECT_NE(hashTimingModel(a), hashTimingModel(b));
-    const auto c =
-        TimingModel::uniform(devices::fluxTunableQubit(), 4);
-    EXPECT_NE(hashTimingModel(a), hashTimingModel(c));
 }
 
 } // namespace

@@ -10,6 +10,8 @@
  *   - union-find decodes only the observable-carrying graph: its growth
  *     work equals one standalone decoder's on that graph, and every
  *     edge of the other graph flips no observable;
+ *   - a circuit whose observable is flipped from both detector classes
+ *     is refused by the union-find setup and decoded by the greedy one;
  *   - runMemoryExperiment failures and every deterministic counter,
  *     the union-find growth work included, are invariant across
  *     workers {1, 2, 8} (sampler widths are pinned in
@@ -24,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/logging.hh"
 #include "core/rng.hh"
 #include "exec/thread_pool.hh"
 #include "obs/obs.hh"
@@ -131,6 +134,32 @@ TEST(BatchDecode, DecodeBufferMatchesHistoricalWordLoop)
             EXPECT_EQ(got.ufEdgeVisits, standalone.edgeVisits());
         }
     }
+}
+
+TEST(BatchDecode, UnionFindRefusesObservableFlipsInBothClasses)
+{
+    // Two independent pieces, one per detector class, each an X error
+    // that its own detector sees and that flips observable 0.  One
+    // decoded graph could predict only one piece's flips.
+    stab::Circuit circuit(2);
+    for (const std::uint32_t q : {0u, 1u}) {
+        circuit.xError(q, 0.1);
+        const auto m = circuit.measure(q);
+        circuit.detector({m}, q == 0 ? kTagZ : kTagX);
+        circuit.observableInclude(0, {m});
+    }
+    {
+        ScopedFatalCapture capture;
+        EXPECT_THROW(DecoderSetup::build(circuit, DecoderKind::UnionFind),
+                     FatalError);
+    }
+
+    // The greedy DEM decoder has no graph split and corrects both.
+    Rng rng(99);
+    const auto result = runMemoryExperiment(circuit, 10000, 1,
+                                            DecoderKind::GreedyDem, rng);
+    EXPECT_EQ(result.shots, 10000u);
+    EXPECT_EQ(result.failures, 0u);
 }
 
 TEST(BatchDecode, MemoryExperimentInvariantAcrossWorkers)

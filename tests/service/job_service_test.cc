@@ -257,20 +257,20 @@ TEST(JobService, AnalysisFlowFieldsMatchDirectApi)
     lint::flow::FlowOptions options;
     options.faults = faults.get();
     options.gateBudget = true;
-    const auto direct = lint::flow::FlowCache::instance().analysis(
+    const auto direct = lint::flow::analyzeFlow(
         circuit, lint::sched::TimingModel::unit(circuit.numQubits()),
         options);
 
-    EXPECT_EQ(status.result.find("flow_swaps")->u64, direct->swapCount);
+    EXPECT_EQ(status.result.find("flow_swaps")->u64, direct.swapCount);
     EXPECT_EQ(status.result.find("flow_movement_ns")->real,
-              direct->movementNs);
+              direct.movementNs);
     EXPECT_EQ(status.result.find("flow_peak_storage")->u64,
-              direct->peakStorageOccupancy);
+              direct.peakStorageOccupancy);
     EXPECT_EQ(status.result.find("flow_hazard_errors")->u64,
-              direct->hazardErrors());
+              direct.hazardErrors());
     ASSERT_NE(status.result.find("flow_budget"), nullptr);
     EXPECT_EQ(status.result.find("flow_budget")->real,
-              direct->maxBudget());
+              direct.maxBudget());
     EXPECT_GT(status.result.find("flow_budget")->real, 0.0);
 }
 

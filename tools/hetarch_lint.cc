@@ -77,6 +77,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -397,8 +398,8 @@ main(int argc, char** argv)
             lint::faultFindings(file.faults, file.report);
         }
 
-        std::shared_ptr<const lint::sched::ScheduleAnalysis> sched;
-        std::shared_ptr<const lint::flow::FlowAnalysis> flow_a;
+        std::optional<lint::sched::ScheduleAnalysis> sched;
+        std::optional<lint::flow::FlowAnalysis> flow_a;
         if (need_model) {
             // Validate before TimingModel::withStorage: its
             // out-of-range assert is an internal contract, but a bad
@@ -427,9 +428,8 @@ main(int argc, char** argv)
                 lint::sched::SchedOptions sched_options;
                 sched_options.faults =
                     fault_analysis ? fault_analysis.get() : nullptr;
-                sched =
-                    lint::sched::ScheduleCache::instance().analysis(
-                        circ, model, sched_options);
+                sched = lint::sched::analyzeSchedule(circ, model,
+                                                     sched_options);
                 lint::sched::scheduleFindings(*sched, file.report);
                 sched_doc.files.push_back(
                     {unit.label, model.name, *sched});
@@ -443,8 +443,8 @@ main(int argc, char** argv)
                 flow_options.gateBudget =
                     distance && file.report.clean();
                 flow_options.staleAfterNs = stale_after;
-                flow_a = lint::flow::FlowCache::instance().analysis(
-                    circ, model, flow_options);
+                flow_a = lint::flow::analyzeFlow(circ, model,
+                                                 flow_options);
                 lint::flow::flowFindings(*flow_a, file.report);
                 flow_doc.files.push_back(
                     {unit.label, model.name, *flow_a});
