@@ -4,17 +4,19 @@
  * networked quantum system (paper Section 4.1's motivating use case).
  *
  * Given a microwave-to-optical link with a known EP generation rate,
- * sweep the storage-coherence axis with the DSE engine and report the
+ * sweep the storage-coherence axis on the exec engine and report the
  * cheapest storage technology that sustains a target distilled-EP
  * rate at F >= 0.995.
  */
 
 #include <iostream>
+#include <vector>
 
+#include "core/table.hh"
 #include "core/units.hh"
 #include "devices/device.hh"
 #include "distill/module_sim.hh"
-#include "dse/sweep.hh"
+#include "exec/thread_pool.hh"
 #include "obs/json.hh"
 
 int
@@ -33,36 +35,37 @@ main(int argc, char** argv)
               << " kHz, target: " << target_rate_per_ms
               << " distilled EPs/ms at F >= 0.995\n\n";
 
-    dse::Sweep sweep;
-    sweep.parameter("ts_ms", {0.5, 1.0, 2.5, 5.0, 12.5, 25.0, 50.0});
+    // Each storage coherence is an independent design point: evaluate
+    // them into per-point slots, then report in grid order, so the
+    // output is the same at any worker count.
+    const std::vector<double> ts_ms = {0.5, 1.0, 2.5, 5.0, 12.5, 25.0,
+                                       50.0};
+    std::vector<distill::DistillResult> results(ts_ms.size());
+    exec::parallelFor(ts_ms.size(), [&](std::size_t i) {
+        distill::DistillConfig cfg;
+        cfg.ts = ts_ms[i] * ms;
+        cfg.epRate = link_rate;
+        cfg.epInfidelity = 0.03;
+        cfg.seed = 1234;
+        results[i] = distill::simulateDistillation(cfg, 5.0 * ms);
+    });
 
-    const auto results =
-        sweep.run([&](const dse::DesignPoint& point) -> dse::Metrics {
-            distill::DistillConfig cfg;
-            cfg.ts = point.at("ts_ms") * ms;
-            cfg.epRate = link_rate;
-            cfg.epInfidelity = 0.03;
-            cfg.seed = 1234;
-            const auto res =
-                distill::simulateDistillation(cfg, 5.0 * ms);
-            return {{"distilled_per_ms", res.distilledRatePerMs()},
-                    {"attempts", static_cast<double>(res.attempts)},
-                    {"failures", static_cast<double>(res.failures)}};
-        });
-
-    dse::Sweep::tabulate(results).print(std::cout);
-
-    // Recommend the smallest Ts that meets the target.
-    double best_ts = -1.0;
-    for (const auto& [point, metrics] : results) {
-        for (const auto& [name, value] : metrics) {
-            if (name == "distilled_per_ms" &&
-                value >= target_rate_per_ms) {
-                if (best_ts < 0.0 || point.at("ts_ms") < best_ts)
-                    best_ts = point.at("ts_ms");
-            }
-        }
+    TextTable table({"ts_ms", "distilled_per_ms", "attempts", "failures"});
+    for (std::size_t i = 0; i < ts_ms.size(); ++i) {
+        const auto& r = results[i];
+        table.addRow({formatSci(ts_ms[i], 4),
+                      formatSci(r.distilledRatePerMs(), 4),
+                      formatSci(static_cast<double>(r.attempts), 4),
+                      formatSci(static_cast<double>(r.failures), 4)});
     }
+    table.print(std::cout);
+
+    // Recommend the smallest Ts that meets the target (the grid is
+    // ascending).
+    double best_ts = -1.0;
+    for (std::size_t i = 0; i < ts_ms.size() && best_ts < 0.0; ++i)
+        if (results[i].distilledRatePerMs() >= target_rate_per_ms)
+            best_ts = ts_ms[i];
     if (best_ts > 0.0) {
         std::cout << "\nrecommendation: storage with Ts >= " << best_ts
                   << " ms meets the target; the "

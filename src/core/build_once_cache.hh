@@ -105,17 +105,6 @@ class BuildOnceCache
         }
     }
 
-    /**
-     * The entry for @p key, finished or in flight, without counting a
-     * lookup or claiming a build; invalid when the key is absent.
-     */
-    Future find(const Key& key) const
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        const auto it = entries.find(key);
-        return it == entries.end() ? Future{} : it->second.future;
-    }
-
     /** Drop every entry (in-flight builds still finish for their callers). */
     void clear()
     {

@@ -10,9 +10,11 @@
 #include "devices/device.hh"
 #include "distill/module_sim.hh"
 #include "dse/builder_registry.hh"
-#include "dse/burden.hh"
 #include "exec/thread_pool.hh"
+#include "lint/dataflow.hh"
+#include "lint/schedule.hh"
 #include "qec/css_code.hh"
+#include "qec/decoder_cache.hh"
 #include "qec/memory_experiment.hh"
 #include "qec/surface_circuit.hh"
 #include "teleport/code_teleport.hh"
@@ -106,15 +108,29 @@ scheduleBurdenTable()
         const auto circ =
             qec::surfaceMemoryZ(d, d, qec::CircuitNoise{});
         for (const auto& dev : archs) {
-            const auto model = lint::sched::TimingModel::uniform(
-                dev, circ.numQubits());
-            const auto burden = estimateScheduleBurden(circ, model);
+            // The fault analysis comes from the cache, so the idle
+            // bound is evaluated at k = ceil(distance / 2); the
+            // schedule pass runs fresh for each device.
+            const auto faults =
+                qec::DecoderCache::instance().faultAnalysis(circ);
+            lint::sched::SchedOptions options;
+            options.faults = faults.get();
+            const auto a = lint::sched::analyzeSchedule(
+                circ,
+                lint::sched::TimingModel::uniform(dev, circ.numQubits()),
+                options);
+            const double idle_bound = a.certifiedIdleBound();
+            const std::size_t hazards = a.hazardErrors();
+            // Rank key: latency inflated by the idle-decoherence
+            // budget.  A hazardous schedule cannot run, so it sorts
+            // last.
+            const double score =
+                hazards > 0 ? 1e300 : a.criticalPathNs * (1.0 + idle_bound);
             t.addRow({"surface-d" + std::to_string(d), dev.name,
-                      formatFixed(units::toUs(burden.criticalPathNs), 1),
-                      formatFixed(units::toUs(burden.totalIdleNs), 1),
-                      formatSci(burden.idleBound, 3),
-                      std::to_string(burden.hazardErrors),
-                      formatFixed(units::toUs(burden.score()), 1)});
+                      formatFixed(units::toUs(a.criticalPathNs), 1),
+                      formatFixed(units::toUs(a.totalIdleNs), 1),
+                      formatSci(idle_bound, 3), std::to_string(hazards),
+                      formatFixed(units::toUs(score), 1)});
         }
     }
     return t;
@@ -170,13 +186,20 @@ flowPressureTable()
                        const std::string& storage,
                        const stab::Circuit& circ,
                        const lint::sched::TimingModel& model) {
-        const auto p = estimateFlowPressure(circ, model);
-        t.addRow({name, storage, std::to_string(p.swaps),
-                  formatFixed(units::toUs(p.movementNs), 2),
-                  std::to_string(p.peakStorage),
-                  formatFixed(units::toUs(p.storageQubitNs), 2),
-                  std::to_string(p.hazardErrors),
-                  formatSci(p.budget, 3)});
+        // One cached fault analysis per circuit, a fresh flow pass per
+        // model; the budget column is the certified end-to-end bound.
+        const auto faults =
+            qec::DecoderCache::instance().faultAnalysis(circ);
+        lint::flow::FlowOptions options;
+        options.faults = faults.get();
+        options.gateBudget = true;
+        const auto a = lint::flow::analyzeFlow(circ, model, options);
+        t.addRow({name, storage, std::to_string(a.swapCount),
+                  formatFixed(units::toUs(a.movementNs), 2),
+                  std::to_string(a.peakStorageOccupancy),
+                  formatFixed(units::toUs(a.storageQubitNs), 2),
+                  std::to_string(a.hazardErrors()),
+                  formatSci(a.maxBudget(), 3)});
     };
 
     // Registry builders on the homogeneous transmon assignment: zero

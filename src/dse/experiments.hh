@@ -6,7 +6,10 @@
  * shot counts.
  *
  * Every function returns a TextTable whose rows mirror the data series
- * of the corresponding paper artifact.
+ * of the corresponding paper artifact.  A runner materializes its grid
+ * as a vector of points, evaluates them with exec::parallelFor into
+ * per-point slots, and emits rows in grid order, so tables are
+ * bit-identical at any worker count.
  */
 
 #pragma once
@@ -34,17 +37,19 @@ TextTable table2Cells();
 /**
  * Schedule-aware architecture ranking: surface-code memory circuits
  * (d = 3, 5, 7) costed on each Table 1 compute device by the static
- * schedule analyzer — certified critical-path latency, idle time,
- * idle-decoherence bound, and the combined burden score — with no
- * Monte-Carlo sampling at all (dse::estimateScheduleBurden).
+ * schedule analyzer (lint::sched::analyzeSchedule, fed the cached
+ * fault analysis so the idle bound is evaluated at k = ceil(d / 2)) —
+ * certified critical-path latency, idle time, idle-decoherence bound,
+ * and the score latency * (1 + idle bound), which sorts hazardous
+ * schedules last — with no Monte-Carlo sampling at all.
  */
 TextTable scheduleBurdenTable();
 
 /**
  * Dataflow-aware architecture ranking: every registry builder costed
  * on the homogeneous transmon assignment by the static dataflow
- * analyzer (swaps, peak storage occupancy, certified end-to-end error
- * budget; dse::estimateFlowPressure), followed by a heterogeneous
+ * analyzer (lint::flow::analyzeFlow: swaps, peak storage occupancy,
+ * certified end-to-end error budget), followed by a heterogeneous
  * comparison of a parked repetition cell against each Table 1 storage
  * device.  Like scheduleBurdenTable, no Monte-Carlo sampling at all.
  */

@@ -134,15 +134,6 @@ DecoderCache::faultAnalysis(const stab::Circuit& circuit,
         stab::hashCircuit(circuit), circuit.ops().size(),
         circuit.numDetectors(), options.maxWeight, options.unionBound};
     return impl->faults.get(key, [&] {
-        // Reuse the DEM of a cached decoder setup for the same circuit
-        // (either kind) instead of rebuilding it.
-        for (auto kind : {DecoderKind::UnionFind, DecoderKind::GreedyDem}) {
-            const auto setup =
-                impl->setups.find(Impl::setupKey(circuit, kind));
-            if (setup.valid())
-                return std::make_shared<const lint::FaultAnalysis>(
-                    lint::analyzeFaults(setup.get()->dem, options));
-        }
         return std::make_shared<const lint::FaultAnalysis>(
             lint::analyzeCircuitFaults(circuit, options));
     });

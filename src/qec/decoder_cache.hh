@@ -97,10 +97,8 @@ class DecoderCache
 
     /**
      * Cached static fault analysis of @p circuit
-     * (lint::analyzeCircuitFaults).  When a decoder setup for the same
-     * circuit is already cached, its DEM is reused instead of being
-     * rebuilt — the fault graph shares the serial prefix of the
-     * decoding pipeline.  Build-once semantics match get().
+     * (lint::analyzeCircuitFaults), keyed on circuit content and
+     * @p options.  Build-once semantics match get().
      */
     std::shared_ptr<const lint::FaultAnalysis>
     faultAnalysis(const stab::Circuit& circuit,

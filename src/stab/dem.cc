@@ -62,15 +62,6 @@ DetectorErrorModel::detectorFlipCounts() const
     return counts;
 }
 
-std::uint32_t
-DetectorErrorModel::flippableObservables() const
-{
-    std::uint32_t mask = 0;
-    for (const auto& m : mechanisms)
-        mask |= m.observables;
-    return mask;
-}
-
 std::pair<std::vector<std::uint8_t>, std::uint32_t>
 DetectorErrorModel::applyMechanisms(
     const std::vector<std::uint32_t>& indices) const

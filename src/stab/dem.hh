@@ -62,9 +62,6 @@ struct DetectorErrorModel
      */
     std::vector<std::uint32_t> detectorFlipCounts() const;
 
-    /** Bitmask of observables flipped by at least one mechanism. */
-    std::uint32_t flippableObservables() const;
-
     /**
      * Combined effect of firing exactly the mechanisms in @p indices:
      * XOR of their detector sets and observable masks.  Order does not

@@ -184,12 +184,6 @@ TableauSimulator::expectation(const PauliString& p) const
     return rel == 0 ? 1 : -1;
 }
 
-std::vector<PauliString>
-TableauSimulator::stabilizers() const
-{
-    return {rows.begin() + static_cast<std::ptrdiff_t>(nq), rows.end()};
-}
-
 std::vector<bool>
 TableauSimulator::run(const Circuit& circuit, Rng& rng)
 {

@@ -54,9 +54,6 @@ class TableauSimulator
     /** Expectation of a Pauli string: +1, -1, or 0 (indeterminate). */
     int expectation(const PauliString& p) const;
 
-    /** Current stabilizer generators (for tests). */
-    std::vector<PauliString> stabilizers() const;
-
     /**
      * Run a full circuit, sampling noise with @p rng.  Returns the
      * measurement record.

@@ -14,7 +14,6 @@
 
 #include "core/rng.hh"
 #include "distill/module_sim.hh"
-#include "dse/sweep.hh"
 #include "exec/thread_pool.hh"
 #include "qec/memory_experiment.hh"
 #include "qec/surface_circuit.hh"
@@ -135,39 +134,36 @@ TEST(Determinism, UecExperimentIsThreadCountInvariant)
     EXPECT_EQ(hom[2], hom[0]);
 }
 
-TEST(Determinism, SweepRunMatchesSequentialAtEveryThreadCount)
+TEST(Determinism, NestedMemoryExperimentsMatchSequentialAtEveryThreadCount)
 {
-    dse::Sweep sweep;
-    sweep.parameter("d", {3, 5})
-        .parameter("p", {1e-3, 3e-3});
-
-    const auto eval = [](const dse::DesignPoint& pt) -> dse::Metrics {
+    // A paper runner's shape: a grid of memory experiments evaluated
+    // with parallelFor into per-point slots, each experiment running
+    // its own (nested, hence inline) parallelFor over shot chunks.
+    struct Point
+    {
+        std::size_t d;
+        double p;
+    };
+    const std::vector<Point> grid = {
+        {3, 1e-3}, {3, 3e-3}, {5, 1e-3}, {5, 3e-3}};
+    const auto eval = [&](std::size_t i) {
         qec::CircuitNoise noise;
-        noise.p2 = pt.at("p");
-        const auto d = static_cast<std::size_t>(pt.at("d"));
-        const double ler = qec::surfaceLogicalErrorPerRound(
-            d, 2, noise, 500, 42 + d);
-        return {{"ler", ler}};
+        noise.p2 = grid[i].p;
+        return qec::surfaceLogicalErrorPerRound(grid[i].d, 2, noise, 500,
+                                                42 + grid[i].d);
     };
 
-    const auto reference = sweep.runSequential(eval);
+    std::vector<double> reference;
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        reference.push_back(eval(i));
     for (unsigned workers : kWorkerCounts) {
         ThreadCountGuard guard(workers);
-        const auto parallel = sweep.run(eval);
-        ASSERT_EQ(parallel.size(), reference.size());
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-            EXPECT_EQ(parallel[i].first, reference[i].first)
-                << "grid order changed at " << i;
-            ASSERT_EQ(parallel[i].second.size(),
-                      reference[i].second.size());
-            for (std::size_t m = 0; m < reference[i].second.size(); ++m) {
-                EXPECT_EQ(parallel[i].second[m].first,
-                          reference[i].second[m].first);
-                EXPECT_EQ(parallel[i].second[m].second,
-                          reference[i].second[m].second)
-                    << "metric " << m << " at point " << i;
-            }
-        }
+        std::vector<double> parallel(grid.size(), -1.0);
+        exec::parallelFor(grid.size(),
+                          [&](std::size_t i) { parallel[i] = eval(i); });
+        for (std::size_t i = 0; i < grid.size(); ++i)
+            EXPECT_EQ(parallel[i], reference[i])
+                << "point " << i << " at " << workers << " workers";
     }
 }
 

@@ -21,7 +21,6 @@
 #include "core/rng.hh"
 #include "core/units.hh"
 #include "distill/module_sim.hh"
-#include "dse/sweep.hh"
 #include "exec/thread_pool.hh"
 #include "obs/obs.hh"
 #include "qec/decoder_cache.hh"
@@ -149,7 +148,7 @@ TEST(MetricsDeterminism, DecoderCacheCountersAreThreadInvariant)
         expectSameCounters(states[w], states[0], kWorkerCounts[w]);
 }
 
-TEST(MetricsDeterminism, DistillAndSweepCountersAreThreadInvariant)
+TEST(MetricsDeterminism, DistillAndNestedMemoryCountersAreThreadInvariant)
 {
     const auto workload = [] {
         distill::DistillConfig config;
@@ -157,13 +156,13 @@ TEST(MetricsDeterminism, DistillAndSweepCountersAreThreadInvariant)
         distill::simulateDistillationEnsemble(config, 1.5 * units::ms,
                                               4);
 
-        dse::Sweep sweep;
-        sweep.parameter("p", {1e-3, 3e-3});
-        sweep.run([](const dse::DesignPoint& pt) -> dse::Metrics {
+        // Two memory experiments nested in one parallelFor, as the
+        // paper runners evaluate their grids.
+        const std::vector<double> p2 = {1e-3, 3e-3};
+        exec::parallelFor(p2.size(), [&](std::size_t i) {
             qec::CircuitNoise noise;
-            noise.p2 = pt.at("p");
-            return {{"ler", qec::surfaceLogicalErrorPerRound(
-                                3, 2, noise, 400, 42)}};
+            noise.p2 = p2[i];
+            qec::surfaceLogicalErrorPerRound(3, 2, noise, 400, 42);
         });
 
         uec::uecLogicalErrorPerRound(qec::makeSteane(),
