@@ -1,7 +1,7 @@
 /**
  * @file
  * Static verification walkthrough: lint a builder-generated surface
- * circuit, a deliberately broken hand-rolled circuit, and a standard
+ * circuit, a deliberately broken hand-built circuit, and a standard
  * cell -- the three levels the hetarch::lint subsystem covers -- then
  * run the fault-path analyzer to certify the surface circuit's
  * distance and union-bound error budget without a single shot.
@@ -33,18 +33,17 @@ main()
               << " (" << surface.ops().size() << " ops, "
               << surface.numDetectors() << " detectors)\n";
 
-    // --- 2. a hand-rolled circuit with one bug per pass ---------------
-    using stab::Op;
-    using stab::OpCode;
-    const auto broken = stab::Circuit::fromRawOps(
-        2, {
-               Op{OpCode::CX, {0, 0}, {}, 0},      // self-paired CX
-               Op{OpCode::X_ERROR, {1}, {1.5}, 0}, // p > 1
-               Op{OpCode::H, {0}, {}, 0},
-               Op{OpCode::M, {0}, {}, 0},
-               Op{OpCode::DETECTOR, {4}, {}, 0},   // dangling record ref
-           });
-    std::cout << "\nhand-rolled circuit:\n"
+    // --- 2. a hand-built circuit with three lint findings -------------
+    // appendOp and parseCircuit refuse malformed ops outright (bad
+    // arity, p > 1, dangling record refs), so lint reports what a
+    // well-formed circuit can still get wrong.
+    stab::Circuit broken;
+    broken.h(0);
+    const auto m = broken.measure(0);
+    broken.measure(0);                   // redundant measurement
+    broken.observableInclude(0, {m, m}); // the pair cancels out
+    broken.detector({m});                // measured |+>: a coin flip
+    std::cout << "\nhand-built circuit:\n"
               << lint::lintCircuit(broken).toString();
 
     // --- 3. cell-level verification (DRC + lowered schedule) ----------

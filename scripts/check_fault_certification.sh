@@ -32,9 +32,9 @@ if [ ! -d "$DIR" ]; then
 fi
 fail=0
 
-# --no-determinism: the analyzer needs the circuit accepted by the
-# structural passes only; the symbolic determinism pass is covered by
-# lint.fixtures and would dominate the gate's runtime here.
+# --no-determinism: the analyzer needs only a circuit that parses (a
+# Circuit is valid by construction); the symbolic determinism pass is
+# covered by lint.fixtures and would dominate the gate's runtime here.
 for d in 3 5 7; do
     if ! "$LINT" --distance --no-determinism "--expect-distance=$d" \
          "--builders=surface-d$d" > /dev/null; then

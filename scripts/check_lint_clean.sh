@@ -3,9 +3,10 @@
 #
 #   good/    must pass --strict, and the --format=json document must
 #            parse with strict_clean=true
-#   bad/     must be rejected under --strict --distance (parse failure
-#            -> exit 1, or findings -> exit 2; never 0, never a crash);
-#            an "# expect-exit:" annotation pins the exact code
+#   bad/     must be rejected under --strict --distance with exactly
+#            the code of the file's required "# expect-exit:" annotation
+#            (1 = parse failure, 2 = findings); an unannotated file
+#            fails, so a defect cannot move between the two unseen
 #   faults/  structurally clean circuits with injected fault-tolerance
 #            damage; each file's "# expect-distance:" and
 #            "# expect-finding:" annotations are checked against the
@@ -108,11 +109,11 @@ for f in "$DIR"/bad/*.circ; do
     expect_exit=$(annotation "$f" expect-exit)
     "$LINT" --strict --distance "$f" > /dev/null 2>&1
     rc=$?
-    if [ -n "$expect_exit" ] && [ "$rc" -ne "$expect_exit" ]; then
-        echo "FAIL: expected exit $expect_exit, got $rc: $f"
+    if [ "$expect_exit" != 1 ] && [ "$expect_exit" != 2 ]; then
+        echo "FAIL: bad fixture needs '# expect-exit: 1' or '2': $f"
         fail=1
-    elif [ "$rc" -ne 1 ] && [ "$rc" -ne 2 ]; then
-        echo "FAIL: expected rejection (exit 1 or 2), got $rc: $f"
+    elif [ "$rc" -ne "$expect_exit" ]; then
+        echo "FAIL: expected exit $expect_exit, got $rc: $f"
         fail=1
     fi
 done

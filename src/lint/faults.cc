@@ -308,12 +308,5 @@ faultFindings(const FaultAnalysis& fa, LintReport& report)
     }
 }
 
-void
-passFaults(const stab::Circuit& circuit, LintReport& report,
-           const FaultOptions& options)
-{
-    faultFindings(analyzeCircuitFaults(circuit, options), report);
-}
-
 } // namespace lint
 } // namespace hetarch

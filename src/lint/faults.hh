@@ -146,8 +146,9 @@ FaultAnalysis analyzeFaults(const stab::DetectorErrorModel& dem,
 
 /**
  * Build the DEM of @p circuit and analyze it.  The circuit must have
- * deterministic detectors (what passDeterminism proves); run the
- * standard lint pipeline first on untrusted input.
+ * deterministic detectors (what passDeterminism proves): run
+ * lintCircuit first on untrusted input and analyze only a clean one,
+ * then report through faultFindings, as hetarch-lint does.
  */
 FaultAnalysis analyzeCircuitFaults(const stab::Circuit& circuit,
                                    const FaultOptions& options = {});
@@ -181,14 +182,6 @@ double unionBoundAtWeight(const stab::DetectorErrorModel& dem,
  * detectors and certified distances / union bounds are infos.
  */
 void faultFindings(const FaultAnalysis& analysis, LintReport& report);
-
-/**
- * Lint pass wrapping the analyzer: analyzeCircuitFaults followed by
- * faultFindings.  Assumes a circuit that already passed the structural
- * and determinism passes; lintCircuit sequences it accordingly.
- */
-void passFaults(const stab::Circuit& circuit, LintReport& report,
-                const FaultOptions& options = {});
 
 } // namespace lint
 } // namespace hetarch

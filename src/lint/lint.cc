@@ -5,12 +5,10 @@
 #include <sstream>
 
 #include "core/logging.hh"
-#include "lint/faults.hh"
 
 namespace hetarch {
 namespace lint {
 
-using stab::Op;
 using stab::OpCode;
 
 const char*
@@ -65,48 +63,6 @@ LintReport::toString() const
 
 namespace {
 
-/** Shape of one opcode: how many targets/params the simulators expect. */
-struct OpShape
-{
-    std::size_t targets;      ///< required target count (qubit ops)
-    std::size_t params;       ///< required param count
-    bool pairDistinct;        ///< two-qubit op: targets must differ
-    bool qubitTargets;        ///< targets are qubits (else record refs)
-};
-
-OpShape
-shapeOf(OpCode code)
-{
-    switch (code) {
-      case OpCode::H:
-      case OpCode::S:
-      case OpCode::SDG:
-      case OpCode::X:
-      case OpCode::Y:
-      case OpCode::Z:
-      case OpCode::M:
-      case OpCode::R:
-      case OpCode::MR:
-        return {1, 0, false, true};
-      case OpCode::CX:
-      case OpCode::CZ:
-      case OpCode::SWAP:
-        return {2, 0, true, true};
-      case OpCode::X_ERROR:
-      case OpCode::Z_ERROR:
-      case OpCode::DEPOL1:
-        return {1, 1, false, true};
-      case OpCode::PAULI1:
-        return {1, 3, false, true};
-      case OpCode::DEPOL2:
-        return {2, 1, true, true};
-      case OpCode::DETECTOR:
-      case OpCode::OBSERVABLE:
-        return {0, 0, false, false};
-    }
-    HETARCH_PANIC("unknown opcode");
-}
-
 bool
 isAnnotation(OpCode code)
 {
@@ -128,61 +84,18 @@ isNoise(OpCode code)
     }
 }
 
-} // namespace
-
 void
 passStructural(const stab::Circuit& circuit, LintReport& report)
 {
     const auto& ops = circuit.ops();
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const auto& op = ops[i];
-        const auto name = stab::opCodeName(op.code);
-        const auto shape = shapeOf(op.code);
-
-        if (isAnnotation(op.code)) {
-            if (!op.params.empty()) {
-                std::ostringstream os;
-                os << name << " carries " << op.params.size()
-                   << " params; annotations take none";
-                report.add("structural", Severity::Error, i, os.str());
-            }
-            if (op.targets.empty()) {
-                std::ostringstream os;
-                os << name << " references no measurements "
-                   << "(constant parity; dead annotation)";
-                report.add("structural", Severity::Warning, i, os.str());
-            }
-            continue;
-        }
-
-        if (op.targets.size() != shape.targets) {
+        if (isAnnotation(op.code) && op.targets.empty()) {
             std::ostringstream os;
-            os << name << " carries " << op.targets.size()
-               << " targets; canonical IR requires " << shape.targets
-               << (shape.pairDistinct ? " (one pair per op)" : "");
-            report.add("structural", Severity::Error, i, os.str());
-        }
-        if (op.params.size() != shape.params) {
-            std::ostringstream os;
-            os << name << " carries " << op.params.size()
-               << " params; expected " << shape.params;
-            report.add("structural", Severity::Error, i, os.str());
-        }
-        if (shape.pairDistinct && op.targets.size() == 2 &&
-            op.targets[0] == op.targets[1]) {
-            std::ostringstream os;
-            os << name << " targets qubit " << op.targets[0]
-               << " twice; two-qubit ops need distinct qubits";
-            report.add("structural", Severity::Error, i, os.str());
-        }
-        for (auto t : op.targets) {
-            if (t >= circuit.numQubits()) {
-                std::ostringstream os;
-                os << name << " targets qubit " << t
-                   << " but the register has " << circuit.numQubits()
-                   << " qubits";
-                report.add("structural", Severity::Error, i, os.str());
-            }
+            os << stab::opCodeName(op.code)
+               << " references no measurements (constant parity; "
+                  "dead annotation)";
+            report.add("structural", Severity::Warning, i, os.str());
         }
     }
 }
@@ -190,74 +103,21 @@ passStructural(const stab::Circuit& circuit, LintReport& report)
 void
 passRecordRefs(const stab::Circuit& circuit, LintReport& report)
 {
-    std::size_t meas_seen = 0;
     const auto& ops = circuit.ops();
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const auto& op = ops[i];
-        if (op.code == OpCode::M || op.code == OpCode::MR) {
-            ++meas_seen;
-            continue;
-        }
         if (!isAnnotation(op.code))
             continue;
-        const auto name = stab::opCodeName(op.code);
-        for (auto m : op.targets) {
-            if (m >= meas_seen) {
-                std::ostringstream os;
-                os << name << " references measurement " << m
-                   << " but only " << meas_seen
-                   << " exist at this point (forward or dangling "
-                      "reference)";
-                report.add("record-ref", Severity::Error, i, os.str());
-            }
-        }
         // A record index referenced twice cancels out of the parity.
         auto sorted = op.targets;
         std::sort(sorted.begin(), sorted.end());
         if (std::adjacent_find(sorted.begin(), sorted.end()) !=
             sorted.end()) {
             std::ostringstream os;
-            os << name << " references the same measurement twice; "
+            os << stab::opCodeName(op.code)
+               << " references the same measurement twice; "
                   "duplicate pairs cancel out of the parity";
             report.add("record-ref", Severity::Warning, i, os.str());
-        }
-    }
-}
-
-void
-passProbability(const stab::Circuit& circuit, LintReport& report)
-{
-    const auto& ops = circuit.ops();
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const auto& op = ops[i];
-        if (!isNoise(op.code))
-            continue;
-        const auto name = stab::opCodeName(op.code);
-        for (auto p : op.params) {
-            if (p < 0.0 || p > 1.0) {
-                std::ostringstream os;
-                os << name << " probability " << p
-                   << " outside [0, 1]";
-                report.add("prob-range", Severity::Error, i, os.str());
-            }
-        }
-        if (op.code == OpCode::PAULI1 && op.params.size() == 3) {
-            const double sum =
-                op.params[0] + op.params[1] + op.params[2];
-            if (sum > 1.0 + 1e-12) {
-                std::ostringstream os;
-                os << name << " probabilities sum to " << sum
-                   << " (> 1)";
-                report.add("prob-range", Severity::Error, i, os.str());
-            }
-        }
-        const double total = std::accumulate(op.params.begin(),
-                                             op.params.end(), 0.0);
-        if (total == 0.0) {
-            std::ostringstream os;
-            os << name << " has zero probability; builders elide "
-                  "such ops";
-            report.add("prob-range", Severity::Info, i, os.str());
         }
     }
 }
@@ -295,12 +155,6 @@ passLiveness(const stab::Circuit& circuit, LintReport& report)
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const auto& op = ops[i];
         if (isAnnotation(op.code))
-            continue;
-        // Out-of-range targets are structural errors; skip them here.
-        bool in_range = true;
-        for (auto t : op.targets)
-            in_range = in_range && t < nq;
-        if (!in_range)
             continue;
 
         switch (op.code) {
@@ -360,42 +214,24 @@ passLiveness(const stab::Circuit& circuit, LintReport& report)
     }
 }
 
+} // namespace
+
 LintReport
 lintCircuit(const stab::Circuit& circuit, const LintOptions& options)
 {
     LintReport report;
     passStructural(circuit, report);
     passRecordRefs(circuit, report);
-    passProbability(circuit, report);
     passLiveness(circuit, report);
-    if (options.checkDeterminism) {
-        if (report.clean()) {
-            passDeterminism(circuit, report);
-        } else {
-            report.add("determinism", Severity::Info, kNoOpIndex,
-                       "pass skipped: circuit has structural errors");
-        }
-    }
-    if (options.checkFaults) {
-        // The analyzer builds the DEM, which presumes the detectors
-        // are deterministic — only enter it on an error-free circuit.
-        if (report.clean()) {
-            FaultOptions fault_options;
-            fault_options.maxWeight = options.faultMaxWeight;
-            passFaults(circuit, report, fault_options);
-        } else {
-            report.add("fault-distance", Severity::Info, kNoOpIndex,
-                       "pass skipped: circuit has errors");
-        }
-    }
+    if (options.checkDeterminism)
+        passDeterminism(circuit, report);
     return report;
 }
 
 void
-assertClean(const stab::Circuit& circuit, const char* context,
-            const LintOptions& options)
+assertClean(const stab::Circuit& circuit, const char* context)
 {
-    const auto report = lintCircuit(circuit, options);
+    const auto report = lintCircuit(circuit);
     if (!report.clean()) {
         HETARCH_PANIC(context, ": circuit fails lint:\n",
                       report.toString());

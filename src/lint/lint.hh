@@ -5,18 +5,18 @@
  *
  * HetArch establishes correctness hierarchically: standard cells obey
  * the design rules DR1-DR4 and circuits obey the detector-determinism
- * condition before any expensive sampling runs.  Today's simulators
- * only discover a malformed circuit mid-run (or not at all); the lint
- * passes prove the same properties statically and report them in a
- * structured LintReport, mirroring the cells::DrcReport idiom.
+ * condition before any expensive sampling runs.  The simulators would
+ * only discover a non-deterministic detector mid-run (or not at all);
+ * the lint passes prove the same properties statically and report them
+ * in a structured LintReport, mirroring the cells::DrcReport idiom.
  *
- * Passes:
- *   structural   op shape: target/param arity per opcode, duplicate
- *                targets inside one op, targets within the register
- *   record-ref   DETECTOR / OBSERVABLE_INCLUDE indices resolve to real
- *                measurements, with no forward references
- *   prob-range   noise parameters lie in [0,1]; PAULI_CHANNEL_1
- *                triples sum to at most 1
+ * A stab::Circuit is valid by construction (appendOp and the builder
+ * helpers refuse malformed ops), so the passes report only what a
+ * valid circuit can still get wrong:
+ *   structural   DETECTOR / OBSERVABLE_INCLUDE with no targets
+ *                (a constant parity)
+ *   record-ref   an annotation referencing one measurement twice
+ *                (the pair cancels out of the parity)
  *   liveness     redundant back-to-back measurements, measurements of
  *                untouched qubits, coupling components that are
  *                operated on but never observed
@@ -95,33 +95,12 @@ struct LintOptions
      * in a hurry may disable it.
      */
     bool checkDeterminism = true;
-
-    /**
-     * Run the static fault-path analyzer (faults.hh): certified
-     * circuit distance per observable, detector-coverage holes, and
-     * union-bound error budgets.  Off by default; it builds the
-     * detector error model, which presumes deterministic detectors,
-     * so lintCircuit only runs it when every earlier pass is clean.
-     */
-    bool checkFaults = false;
-
-    /** Union-bound weight override for the faults pass (0 = derive
-        ceil(distance / 2) per observable). */
-    std::size_t faultMaxWeight = 0;
 };
 
-// --- individual passes ------------------------------------------------
-// Each appends its findings to @p report and touches nothing else, so
-// they can be composed freely.  passDeterminism assumes the circuit is
-// structurally valid; lintCircuit sequences them safely.
-
-void passStructural(const stab::Circuit& circuit, LintReport& report);
-void passRecordRefs(const stab::Circuit& circuit, LintReport& report);
-void passProbability(const stab::Circuit& circuit, LintReport& report);
-void passLiveness(const stab::Circuit& circuit, LintReport& report);
+/** The determinism pass alone: appends its findings to @p report. */
 void passDeterminism(const stab::Circuit& circuit, LintReport& report);
 
-/** Run all passes in order (determinism only if nothing failed before). */
+/** Run all passes in the order listed above. */
 LintReport lintCircuit(const stab::Circuit& circuit,
                        const LintOptions& options = {});
 
@@ -130,8 +109,7 @@ LintReport lintCircuit(const stab::Circuit& circuit,
  * has errors.  Circuit generators call this under !NDEBUG so a broken
  * builder fails fast at construction instead of corrupting a run.
  */
-void assertClean(const stab::Circuit& circuit, const char* context,
-                 const LintOptions& options = {});
+void assertClean(const stab::Circuit& circuit, const char* context);
 
 } // namespace lint
 } // namespace hetarch

@@ -47,9 +47,9 @@
  *
  *  Per-qubit overlap hazards cannot arise: ASAP ready times serialize
  *  each qubit by construction.  Likewise a record used "before" its
- *  readout completes is structurally excluded by the record-ref pass
- *  (no forward references) — what survives statically is the record
- *  that never completes at all, which is sched-feedback.
+ *  readout completes is excluded by construction (a stab::Circuit
+ *  holds no forward references) — what survives statically is the
+ *  record that never completes at all, which is sched-feedback.
  *
  * The analysis is a pure function of (circuit, model, options) and is
  * not memoized: hashing the circuit for a cache key costs a quarter to

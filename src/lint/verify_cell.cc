@@ -54,8 +54,7 @@ lowerCellSchedule(const cells::StandardCell& cell)
 }
 
 LintReport
-verifyCell(const cells::StandardCell& cell, std::size_t required_readouts,
-           const LintOptions& options)
+verifyCell(const cells::StandardCell& cell, std::size_t required_readouts)
 {
     LintReport report;
 
@@ -67,16 +66,16 @@ verifyCell(const cells::StandardCell& cell, std::size_t required_readouts,
     }
 
     const auto schedule = lowerCellSchedule(cell);
-    auto circuit_report = lintCircuit(schedule, options);
+    auto circuit_report = lintCircuit(schedule);
     for (auto& f : circuit_report.findings)
         report.findings.push_back(std::move(f));
     return report;
 }
 
 LintReport
-verifyCell(const cells::StandardCell& cell, const LintOptions& options)
+verifyCell(const cells::StandardCell& cell)
 {
-    return verifyCell(cell, cell.readoutCount(), options);
+    return verifyCell(cell, cell.readoutCount());
 }
 
 } // namespace lint

@@ -36,12 +36,10 @@ stab::Circuit lowerCellSchedule(const cells::StandardCell& cell);
  *        operations need; DR4 compares the cell against this.
  */
 LintReport verifyCell(const cells::StandardCell& cell,
-                      std::size_t required_readouts,
-                      const LintOptions& options = {});
+                      std::size_t required_readouts);
 
 /** Convenience overload: the cell's own readout count is the need. */
-LintReport verifyCell(const cells::StandardCell& cell,
-                      const LintOptions& options = {});
+LintReport verifyCell(const cells::StandardCell& cell);
 
 } // namespace lint
 } // namespace hetarch

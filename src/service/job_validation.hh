@@ -8,8 +8,8 @@
  * later inside a runner.  Checks are per-kind allowlists — unknown or
  * duplicate parameters are rejections, not warnings — plus range
  * checks, and for analysis jobs the actual circuit resolution: inline
- * text is parsed with stab::tryParseCircuit and vetted by the lint
- * structural passes, builder names are resolved against
+ * text must parse with stab::tryParseCircuit (which refuses every
+ * malformed op), builder names are resolved against
  * dse::builderRegistry().
  *
  * Validation is pure on the spec (no service state), so the same

@@ -333,32 +333,6 @@ Circuit::appendOp(const Op& op, const std::string& context)
     }
 }
 
-Circuit
-Circuit::fromRawOps(std::size_t num_qubits, std::vector<Op> ops)
-{
-    Circuit circ(num_qubits);
-    circ.opList = std::move(ops);
-    for (const auto& op : circ.opList) {
-        switch (op.code) {
-          case OpCode::M:
-          case OpCode::MR:
-            ++circ.nMeas;
-            break;
-          case OpCode::DETECTOR:
-            circ.detTags.push_back(op.id);
-            ++circ.nDets;
-            break;
-          case OpCode::OBSERVABLE:
-            if (op.id + 1 > circ.nObs)
-                circ.nObs = op.id + 1;
-            break;
-          default:
-            break;
-        }
-    }
-    return circ;
-}
-
 std::string
 Circuit::toString() const
 {

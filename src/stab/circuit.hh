@@ -70,11 +70,16 @@ struct Op
     std::vector<double> params;
     /** OBSERVABLE: which logical observable; DETECTOR: metadata tag. */
     std::uint32_t id = 0;
+
+    /** Exact comparison; no tolerance on params. */
+    bool operator==(const Op&) const = default;
 };
 
 /**
- * A Clifford+noise circuit.  Built through the fluent helpers; qubits
- * are dense indices [0, numQubits).
+ * A Clifford+noise circuit, valid by construction: the fluent helpers
+ * and appendOp are the only ways to add an op, and both refuse
+ * malformed ones.  Ops hold canonical one- or two-qubit targets and
+ * no zero-probability noise.  Qubits are dense indices [0, numQubits).
  */
 class Circuit
 {
@@ -143,20 +148,10 @@ class Circuit
      * then dispatches to the typed helpers.  Malformed ops are
      * rejected with a clear diagnostic (fatal), prefixed with
      * @p context (e.g. "line 12: ") when given.
-     * This is the one entry point for programmatic construction from
-     * untrusted data (parsers, tools).
+     * The only way to build a circuit from raw ops, trusted or not
+     * (parsers, tools, tests).
      */
     void appendOp(const Op& op, const std::string& context = "");
-
-    /**
-     * Unchecked reconstruction from raw ops: counters (measurements,
-     * detectors, observables, tags) are rebuilt by scanning, but NO
-     * validation is performed and the register is NOT grown to cover
-     * the targets.  Escape hatch for tools and for lint tests that
-     * need deliberately malformed circuits; everything else should use
-     * the fluent helpers or appendOp.
-     */
-    static Circuit fromRawOps(std::size_t num_qubits, std::vector<Op> ops);
 
     /** Per-detector metadata tags, indexed by detector id. */
     const std::vector<std::uint32_t>& detectorTags() const { return detTags; }
@@ -166,6 +161,11 @@ class Circuit
 
     /** Human-readable dump (one op per line). */
     std::string toString() const;
+
+    /** Exact equality of register, ops and counters.  parseCircuit
+        of toString() equals the circuit when its top qubit is used
+        (the text carries no register size). */
+    bool operator==(const Circuit&) const = default;
 
   private:
     void pushUnary(OpCode code, std::uint32_t q);

@@ -188,26 +188,5 @@ tryParseCircuit(const std::string& text, Circuit& out,
     return true;
 }
 
-bool
-circuitsEquivalent(const Circuit& a, const Circuit& b)
-{
-    if (a.numQubits() != b.numQubits() ||
-        a.ops().size() != b.ops().size())
-        return false;
-    for (std::size_t i = 0; i < a.ops().size(); ++i) {
-        const auto& oa = a.ops()[i];
-        const auto& ob = b.ops()[i];
-        if (oa.code != ob.code || oa.targets != ob.targets ||
-            oa.id != ob.id)
-            return false;
-        if (oa.params.size() != ob.params.size())
-            return false;
-        for (std::size_t k = 0; k < oa.params.size(); ++k)
-            if (std::abs(oa.params[k] - ob.params[k]) > 1e-12)
-                return false;
-    }
-    return true;
-}
-
 } // namespace stab
 } // namespace hetarch

@@ -50,8 +50,5 @@ Circuit parseCircuit(const std::string& text);
 bool tryParseCircuit(const std::string& text, Circuit& out,
                      std::string& error);
 
-/** Round-trip helper: parse(toString(c)) must reproduce c's ops. */
-bool circuitsEquivalent(const Circuit& a, const Circuit& b);
-
 } // namespace stab
 } // namespace hetarch

@@ -92,16 +92,16 @@ TEST(FaultFixtures, AnnotationsMatchAnalyzerOutput)
         const auto fixture = loadFixture(name);
         const auto circuit = stab::parseCircuit(fixture.text);
 
-        // All fault fixtures are structurally sound: the damage is in
-        // the fault-tolerance layer, not the IR.
-        LintOptions options;
-        options.checkFaults = true;
-        const auto report = lintCircuit(circuit, options);
+        // All fault fixtures lint clean: the damage is in the
+        // fault-tolerance layer, not the IR.  The report composes lint
+        // and the analyzer as hetarch-lint --distance does.
+        auto report = lintCircuit(circuit);
+        const auto fa = analyzeCircuitFaults(circuit);
+        faultFindings(fa, report);
         EXPECT_EQ(report.errorCount() > 0,
                   fixture.expectFinding == "fault-coverage")
             << name << "\n" << report.toString();
 
-        const auto fa = analyzeCircuitFaults(circuit);
         EXPECT_EQ(fa.minDistance(), fixture.expectDistance)
             << name << ": annotated distance mismatch";
 

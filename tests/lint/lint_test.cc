@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,6 +62,8 @@ countIn(const LintReport& report, const std::string& pass)
 }
 
 // --- table of known-bad circuits, one per pass ------------------------
+// A Circuit refuses malformed ops at append time (the parse death tests
+// below), so every case here is a valid circuit with a lint finding.
 
 struct BadCase
 {
@@ -74,108 +79,62 @@ std::vector<BadCase>
 badCases()
 {
     std::vector<BadCase> cases;
-    auto raw = [](std::size_t nq, std::vector<Op> ops) {
-        return Circuit::fromRawOps(nq, std::move(ops));
+    auto build = [](const std::vector<Op>& ops) {
+        Circuit c;
+        for (const auto& op : ops)
+            c.appendOp(op);
+        return c;
     };
 
-    cases.push_back({"cx_wrong_arity",
-                     raw(3, {{OpCode::CX, {0, 1, 2}, {}, 0}}),
-                     "structural", Severity::Error, 0,
-                     "canonical IR requires 2"});
-    cases.push_back({"cx_self_pair",
-                     raw(2, {{OpCode::CX, {0, 0}, {}, 0}}),
-                     "structural", Severity::Error, 0,
-                     "targets qubit 0 twice"});
-    cases.push_back({"target_out_of_range",
-                     raw(1, {{OpCode::H, {5}, {}, 0}}),
-                     "structural", Severity::Error, 0,
-                     "register has 1 qubits"});
-    cases.push_back({"gate_with_params",
-                     raw(1, {{OpCode::H, {0}, {0.5}, 0}}),
-                     "structural", Severity::Error, 0,
-                     "expected 0"});
-    cases.push_back({"annotation_with_params",
-                     raw(1, {{OpCode::M, {0}, {}, 0},
-                             {OpCode::DETECTOR, {0}, {0.1}, 0}}),
-                     "structural", Severity::Error, 1,
-                     "annotations take none"});
     cases.push_back({"empty_detector",
-                     raw(1, {{OpCode::DETECTOR, {}, {}, 0}}),
+                     build({{OpCode::DETECTOR, {}, {}, 0}}),
                      "structural", Severity::Warning, 0,
                      "dead annotation"});
-
-    cases.push_back({"forward_detector",
-                     raw(1, {{OpCode::M, {0}, {}, 0},
-                             {OpCode::DETECTOR, {3}, {}, 0}}),
-                     "record-ref", Severity::Error, 1,
-                     "forward or dangling"});
-    cases.push_back({"detector_before_measure",
-                     raw(1, {{OpCode::DETECTOR, {0}, {}, 0},
-                             {OpCode::M, {0}, {}, 0}}),
-                     "record-ref", Severity::Error, 0,
-                     "only 0 exist"});
     cases.push_back({"duplicate_record_ref",
-                     raw(1, {{OpCode::M, {0}, {}, 0},
-                             {OpCode::OBSERVABLE, {0, 0}, {}, 0}}),
+                     build({{OpCode::M, {0}, {}, 0},
+                            {OpCode::OBSERVABLE, {0, 0}, {}, 0}}),
                      "record-ref", Severity::Warning, 1,
                      "duplicate pairs cancel"});
 
-    cases.push_back({"probability_above_one",
-                     raw(1, {{OpCode::X_ERROR, {0}, {1.5}, 0}}),
-                     "prob-range", Severity::Error, 0,
-                     "outside [0, 1]"});
-    cases.push_back({"probability_negative",
-                     raw(1, {{OpCode::DEPOL1, {0}, {-0.1}, 0}}),
-                     "prob-range", Severity::Error, 0,
-                     "outside [0, 1]"});
-    cases.push_back({"pauli1_sum_above_one",
-                     raw(1, {{OpCode::PAULI1, {0}, {0.5, 0.4, 0.3}, 0}}),
-                     "prob-range", Severity::Error, 0,
-                     "sum to"});
-    cases.push_back({"zero_probability_noise",
-                     raw(1, {{OpCode::X_ERROR, {0}, {0.0}, 0}}),
-                     "prob-range", Severity::Info, 0,
-                     "zero probability"});
-
     cases.push_back({"redundant_measurement",
-                     raw(1, {{OpCode::H, {0}, {}, 0},
-                             {OpCode::M, {0}, {}, 0},
-                             {OpCode::M, {0}, {}, 0}}),
+                     build({{OpCode::H, {0}, {}, 0},
+                            {OpCode::M, {0}, {}, 0},
+                            {OpCode::M, {0}, {}, 0}}),
                      "liveness", Severity::Warning, 2,
                      "redundant measurement"});
     cases.push_back({"measure_untouched_qubit",
-                     raw(1, {{OpCode::M, {0}, {}, 0}}),
+                     build({{OpCode::M, {0}, {}, 0}}),
                      "liveness", Severity::Warning, 0,
                      "before any gate or reset"});
     cases.push_back({"dead_component",
-                     raw(3, {{OpCode::H, {0}, {}, 0},
-                             {OpCode::CX, {0, 1}, {}, 0},
-                             {OpCode::H, {2}, {}, 0},
-                             {OpCode::M, {2}, {}, 0}}),
+                     build({{OpCode::H, {0}, {}, 0},
+                            {OpCode::CX, {0, 1}, {}, 0},
+                            {OpCode::H, {2}, {}, 0},
+                            {OpCode::M, {2}, {}, 0}}),
                      "liveness", Severity::Warning, kNoOpIndex,
                      "never measured"});
 
     cases.push_back({"nondeterministic_detector",
-                     raw(1, {{OpCode::H, {0}, {}, 0},
-                             {OpCode::M, {0}, {}, 0},
-                             {OpCode::DETECTOR, {0}, {}, 0}}),
+                     build({{OpCode::H, {0}, {}, 0},
+                            {OpCode::M, {0}, {}, 0},
+                            {OpCode::DETECTOR, {0}, {}, 0}}),
                      "determinism", Severity::Error, 2,
                      "not deterministic"});
     cases.push_back({"nondeterministic_observable",
-                     raw(1, {{OpCode::H, {0}, {}, 0},
-                             {OpCode::M, {0}, {}, 0},
-                             {OpCode::OBSERVABLE, {0}, {}, 0}}),
+                     build({{OpCode::H, {0}, {}, 0},
+                            {OpCode::M, {0}, {}, 0},
+                            {OpCode::OBSERVABLE, {0}, {}, 0}}),
                      "determinism", Severity::Error, 2,
                      "not deterministic"});
     // Resetting half an entangled pair leaves the partner's outcome
     // tied to the collapse coin: the reset is NOT a no-op for
     // determinism.
     cases.push_back({"reset_half_of_bell_pair",
-                     raw(2, {{OpCode::H, {0}, {}, 0},
-                             {OpCode::CX, {0, 1}, {}, 0},
-                             {OpCode::R, {0}, {}, 0},
-                             {OpCode::M, {1}, {}, 0},
-                             {OpCode::DETECTOR, {0}, {}, 0}}),
+                     build({{OpCode::H, {0}, {}, 0},
+                            {OpCode::CX, {0, 1}, {}, 0},
+                            {OpCode::R, {0}, {}, 0},
+                            {OpCode::M, {1}, {}, 0},
+                            {OpCode::DETECTOR, {0}, {}, 0}}),
                      "determinism", Severity::Error, 4,
                      "random collapse"});
     return cases;
@@ -192,18 +151,6 @@ TEST(LintBadCircuits, EachPassFlagsItsFixture)
             << c.needle << "'; got:\n"
             << report.toString();
     }
-}
-
-TEST(LintBadCircuits, ErrorsSuppressDeterminismPass)
-{
-    // A structurally broken circuit must not reach the symbolic
-    // tableau; the report says so explicitly.
-    const auto circ =
-        Circuit::fromRawOps(1, {{OpCode::H, {5}, {}, 0}});
-    const auto report = lintCircuit(circ);
-    EXPECT_FALSE(report.clean());
-    EXPECT_TRUE(hasFinding(report, "determinism", Severity::Info,
-                           kNoOpIndex, "pass skipped"));
 }
 
 TEST(LintReportApi, CountsAndRendering)
@@ -470,7 +417,7 @@ TEST(LintBuilders, RoundTripThroughTextStaysClean)
 {
     const auto c = qec::surfaceMemoryZ(3, 2, qec::CircuitNoise{});
     const auto reparsed = stab::parseCircuit(c.toString());
-    EXPECT_TRUE(stab::circuitsEquivalent(c, reparsed));
+    EXPECT_EQ(reparsed, c);
     EXPECT_TRUE(lintCircuit(reparsed).cleanStrict());
 }
 
@@ -519,6 +466,10 @@ TEST(LintParseDeathTest, NoiseParamsValidatedWithLineNumbers)
                  "line 1.*pairs qubit 1 with itself");
     EXPECT_DEATH(stab::parseCircuit("M 0\nOBSERVABLE_INCLUDE(0) 7\n"),
                  "line 2.*references measurement 7");
+    EXPECT_DEATH(stab::parseCircuit("DEPOLARIZE1 p=-0.1 0\n"),
+                 "line 1.*outside \\[0, 1\\]");
+    EXPECT_DEATH(stab::parseCircuit("DETECTOR 0\nM 0\n"),
+                 "line 1.*only 0 exist");
 }
 
 TEST(LintParseDeathTest, MalformedTokensGetLineNumberedFatalsNotThrows)
@@ -549,6 +500,32 @@ TEST(LintParse, BroadcastTargetListsSplitIntoCanonicalOps)
     EXPECT_EQ(c.ops()[3].targets, (std::vector<std::uint32_t>{0, 1}));
     EXPECT_EQ(c.ops()[4].targets, (std::vector<std::uint32_t>{1, 2}));
     EXPECT_TRUE(lintCircuit(c).cleanStrict());
+}
+
+TEST(LintParse, FixtureCorpusRoundTripsExactly)
+{
+    // Every fixture that parses comes back unchanged from toString:
+    // circuit text is either rejected or round-trips.
+    namespace fs = std::filesystem;
+    const fs::path root(HETARCH_LINT_FIXTURE_DIR);
+    std::vector<fs::path> files = {root / "bad/dead_qubit.circ",
+                                   root / "bad/double_measure.circ",
+                                   root / "bad/nondet_detector.circ"};
+    for (const char* dir : {"good", "faults", "timing", "flow"}) {
+        const auto before = files.size();
+        for (const auto& entry : fs::directory_iterator(root / dir))
+            if (entry.path().extension() == ".circ")
+                files.push_back(entry.path());
+        EXPECT_GT(files.size(), before) << "no fixtures in " << dir;
+    }
+    for (const auto& path : files) {
+        std::ifstream in(path);
+        ASSERT_TRUE(in.good()) << path;
+        std::ostringstream text;
+        text << in.rdbuf();
+        const auto c = stab::parseCircuit(text.str());
+        EXPECT_EQ(stab::parseCircuit(c.toString()), c) << path;
+    }
 }
 
 } // namespace

@@ -49,9 +49,7 @@ TEST(CircuitIo, RoundTripSmallCircuit)
     c.detector({m0, m1}, 0);
     c.observableInclude(2, {m1});
 
-    const auto parsed = parseCircuit(c.toString());
-    EXPECT_TRUE(circuitsEquivalent(c, parsed));
-    EXPECT_EQ(parsed.detectorTags(), c.detectorTags());
+    EXPECT_EQ(parseCircuit(c.toString()), c);
 }
 
 TEST(CircuitIo, RoundTripSurfaceCodeCircuit)
@@ -59,7 +57,7 @@ TEST(CircuitIo, RoundTripSurfaceCodeCircuit)
     qec::CircuitNoise noise;
     const auto c = qec::surfaceMemoryZ(3, 2, noise);
     const auto parsed = parseCircuit(c.toString());
-    EXPECT_TRUE(circuitsEquivalent(c, parsed));
+    EXPECT_EQ(parsed, c);
 
     // Parsed circuit must produce the identical detector error model.
     const auto dem_a = buildDetectorErrorModel(c);
@@ -82,6 +80,8 @@ TEST(CircuitIo, RejectsBadArity)
 {
     EXPECT_DEATH(parseCircuit("CX 0"), "expects");
     EXPECT_DEATH(parseCircuit("X_ERROR 0"), "expects");
+    EXPECT_DEATH(parseCircuit("H p=0.5 0"), "expects 0 params");
+    EXPECT_DEATH(parseCircuit("DETECTOR p=0.1 0"), "expects 0 params");
 }
 
 TEST(CircuitIo, RejectsDanglingRecordReference)
@@ -176,11 +176,11 @@ TEST(CircuitIo, EquivalenceDetectsDifferences)
     Circuit a(1), b(1);
     a.h(0);
     b.s(0);
-    EXPECT_FALSE(circuitsEquivalent(a, b));
+    EXPECT_NE(a, b);
     Circuit c(1), d(1);
     c.xError(0, 0.1);
     d.xError(0, 0.2);
-    EXPECT_FALSE(circuitsEquivalent(c, d));
+    EXPECT_NE(c, d);
 }
 
 } // namespace

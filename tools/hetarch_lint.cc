@@ -200,20 +200,16 @@ loadUnit(const Unit& unit)
 stab::Circuit
 dropDetector(const stab::Circuit& circuit, std::size_t index)
 {
-    std::vector<stab::Op> ops(circuit.ops().begin(),
-                              circuit.ops().end());
+    if (index >= circuit.numDetectors())
+        HETARCH_FATAL("hetarch-lint: --drop-detector=", index,
+                      " but the circuit has only ",
+                      circuit.numDetectors(), " detectors");
+    stab::Circuit out(circuit.numQubits());
     std::size_t seen = 0;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        if (ops[i].code != stab::OpCode::DETECTOR)
-            continue;
-        if (seen++ == index) {
-            ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i));
-            return stab::Circuit::fromRawOps(circuit.numQubits(),
-                                             std::move(ops));
-        }
-    }
-    HETARCH_FATAL("hetarch-lint: --drop-detector=", index,
-                  " but the circuit has only ", seen, " detectors");
+    for (const auto& op : circuit.ops())
+        if (op.code != stab::OpCode::DETECTOR || seen++ != index)
+            out.appendOp(op);
+    return out;
 }
 
 } // namespace
@@ -387,7 +383,7 @@ main(int argc, char** argv)
         file.path = unit.label;
         file.report = lint::lintCircuit(circ, options);
         // The analyzer presumes deterministic detectors, so it only
-        // runs on an error-free circuit — same rule as lintCircuit.
+        // runs on a circuit lint reports no errors for.
         std::shared_ptr<const lint::FaultAnalysis> fault_analysis;
         if (distance && file.report.clean()) {
             fault_analysis =
