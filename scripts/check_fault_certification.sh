@@ -32,25 +32,22 @@ if [ ! -d "$DIR" ]; then
 fi
 fail=0
 
-# --no-determinism: the analyzer needs only a circuit that parses (a
-# Circuit is valid by construction); the symbolic determinism pass is
-# covered by lint.fixtures and would dominate the gate's runtime here.
 for d in 3 5 7; do
-    if ! "$LINT" --distance --no-determinism "--expect-distance=$d" \
+    if ! "$LINT" --distance "--expect-distance=$d" \
          "--builders=surface-d$d" > /dev/null; then
         echo "FAIL: surface-d$d did not certify distance $d"
         fail=1
     fi
 done
 
-if ! "$LINT" --strict --distance --no-determinism --builders \
+if ! "$LINT" --strict --distance --builders \
      > /dev/null; then
     echo "FAIL: builder sweep not coverage-clean under --strict --distance"
-    "$LINT" --strict --distance --no-determinism --builders
+    "$LINT" --strict --distance --builders
     fail=1
 fi
 
-if "$LINT" --distance --no-determinism --drop-detector=0 \
+if "$LINT" --distance --drop-detector=0 \
    --expect-distance=3 --builders=surface-d3 > /dev/null 2>&1; then
     echo "FAIL: gate accepted a detector-dropped surface-d3 circuit"
     fail=1

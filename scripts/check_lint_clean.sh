@@ -254,7 +254,7 @@ flow_args() { # FILE -> sets FLOW_ARGS array
     stale=$(annotation "$1" flow-stale-after)
     [ -n "$stale" ] && FLOW_ARGS+=("--stale-after=$stale")
     [ -n "$(annotation "$1" expect-budget)" ] && \
-        FLOW_ARGS+=(--distance --no-determinism)
+        FLOW_ARGS+=(--distance)
 }
 
 for f in "$DIR"/flow/*.circ; do

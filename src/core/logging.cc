@@ -22,11 +22,11 @@ ScopedFatalCapture::~ScopedFatalCapture()
 namespace detail {
 
 [[noreturn]] void
-fatalImpl(const char* file, int line, const std::string& msg)
+fatalImpl(const std::string& msg)
 {
     if (fatalCaptureDepth > 0)
         throw FatalError(msg);
-    std::cerr << "fatal: " << msg << " (" << file << ":" << line << ")\n";
+    std::cerr << "fatal: " << msg << "\n";
     std::exit(1);
 }
 

@@ -60,7 +60,7 @@ composeMessage(Args&&... args)
     return os.str();
 }
 
-[[noreturn]] void fatalImpl(const char* file, int line, const std::string& msg);
+[[noreturn]] void fatalImpl(const std::string& msg);
 [[noreturn]] void panicImpl(const char* file, int line, const std::string& msg);
 void warnImpl(const std::string& msg);
 void informImpl(const std::string& msg);
@@ -69,10 +69,13 @@ void informImpl(const std::string& msg);
 
 /**
  * Terminate because the *user* asked for something invalid (bad
- * configuration, out-of-range parameter).  Exits with status 1.
+ * configuration, out-of-range parameter).  Prints "fatal: MESSAGE" and
+ * exits with status 1.  The message names the input at fault; the
+ * library's own source location is left out (it would leak the build
+ * path and differ between builds), unlike HETARCH_PANIC's.
  */
 #define HETARCH_FATAL(...) \
-    ::hetarch::detail::fatalImpl(__FILE__, __LINE__, \
+    ::hetarch::detail::fatalImpl( \
         ::hetarch::detail::composeMessage(__VA_ARGS__))
 
 /**

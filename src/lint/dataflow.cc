@@ -35,38 +35,6 @@ enum class Content : std::uint8_t
     Collapsed, ///< measured, not yet reset
 };
 
-bool
-isGate1q(stab::OpCode code)
-{
-    switch (code) {
-      case stab::OpCode::H:
-      case stab::OpCode::S:
-      case stab::OpCode::SDG:
-      case stab::OpCode::X:
-      case stab::OpCode::Y:
-      case stab::OpCode::Z:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isTimed(stab::OpCode code)
-{
-    switch (code) {
-      case stab::OpCode::CX:
-      case stab::OpCode::CZ:
-      case stab::OpCode::SWAP:
-      case stab::OpCode::M:
-      case stab::OpCode::R:
-      case stab::OpCode::MR:
-        return true;
-      default:
-        return isGate1q(code);
-    }
-}
-
 /**
  * One tracked qubit location.  The content (and its viaSwap flag)
  * travels through SWAPs; the residency fields describe the *location*
@@ -213,7 +181,7 @@ analyzeFlow(const stab::Circuit& circuit, const TimingModel& model,
             }
             continue;
         }
-        if (!isTimed(op.code))
+        if (!sched::isTimed(op.code))
             continue; // noise channels are instantaneous labels
 
         const auto& when = at[idx];

@@ -157,9 +157,9 @@ struct FlowOptions
      */
     const FaultAnalysis* faults = nullptr;
     /**
-     * Compose the gate-error union bound into the budget.  Requires a
-     * circuit with deterministic detectors (the DEM is built
-     * internally); gate on a clean lint report before enabling.  When
+     * Compose the gate-error union bound into the budget.  The DEM it
+     * builds refuses (HETARCH_FATAL) a circuit with nondeterministic
+     * detectors; gate on a clean lint report before enabling.  When
      * false, gateBound is 0 and budget equals idleBound.
      */
     bool gateBudget = false;

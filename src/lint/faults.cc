@@ -213,14 +213,12 @@ analyzeFaults(const stab::DetectorErrorModel& dem,
                            "certificate weight mismatch");
         }
 
-        if (options.unionBound) {
-            std::size_t k = options.maxWeight;
-            if (k == 0 && of.distance != kInfiniteDistance)
-                k = (of.distance + 1) / 2; // ceil(distance / 2)
-            if (k != 0) {
-                of.unionBoundWeight = k;
-                of.unionBound = unionBoundAtWeight(dem, k);
-            }
+        std::size_t k = options.maxWeight;
+        if (k == 0 && of.distance != kInfiniteDistance)
+            k = (of.distance + 1) / 2; // ceil(distance / 2)
+        if (k != 0) {
+            of.unionBoundWeight = k;
+            of.unionBound = unionBoundAtWeight(dem, k);
         }
         out.observables.push_back(std::move(of));
     }
@@ -238,9 +236,7 @@ analyzeCircuitFaults(const stab::Circuit& circuit,
 std::size_t
 certifiedDistance(const stab::Circuit& circuit)
 {
-    FaultOptions options;
-    options.unionBound = false;
-    return analyzeCircuitFaults(circuit, options).minDistance();
+    return analyzeCircuitFaults(circuit).minDistance();
 }
 
 void

@@ -136,8 +136,6 @@ struct FaultOptions
      * observable.
      */
     std::size_t maxWeight = 0;
-    /** Compute the union-bound pass (cheap, but optional). */
-    bool unionBound = true;
 };
 
 /** Analyze a prebuilt DEM. */
@@ -145,10 +143,10 @@ FaultAnalysis analyzeFaults(const stab::DetectorErrorModel& dem,
                             const FaultOptions& options = {});
 
 /**
- * Build the DEM of @p circuit and analyze it.  The circuit must have
- * deterministic detectors (what passDeterminism proves): run
- * lintCircuit first on untrusted input and analyze only a clean one,
- * then report through faultFindings, as hetarch-lint does.
+ * Build the DEM of @p circuit and analyze it.  The DEM builder refuses
+ * (HETARCH_FATAL) a circuit with a nondeterministic detector or
+ * observable: run lintCircuit first on untrusted input and analyze only
+ * a clean one, then report through faultFindings, as hetarch-lint does.
  */
 FaultAnalysis analyzeCircuitFaults(const stab::Circuit& circuit,
                                    const FaultOptions& options = {});

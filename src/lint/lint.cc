@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/logging.hh"
+#include "stab/dem.hh"
 
 namespace hetarch {
 namespace lint {
@@ -216,15 +217,36 @@ passLiveness(const stab::Circuit& circuit, LintReport& report)
 
 } // namespace
 
+void
+passDeterminism(const stab::Circuit& circuit, LintReport& report)
+{
+    const auto random = stab::findNondeterminism(circuit);
+    if (random.empty())
+        return;
+    // Anchor each finding at its DETECTOR op, or at the observable's
+    // last OBSERVABLE_INCLUDE.
+    std::vector<std::size_t> det_op, obs_op(circuit.numObservables());
+    const auto& ops = circuit.ops();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].code == OpCode::DETECTOR)
+            det_op.push_back(i);
+        else if (ops[i].code == OpCode::OBSERVABLE)
+            obs_op[ops[i].id] = i;
+    }
+    for (const auto& n : random)
+        report.add("determinism", Severity::Error,
+                   n.observable ? obs_op[n.index] : det_op[n.index],
+                   n.message());
+}
+
 LintReport
-lintCircuit(const stab::Circuit& circuit, const LintOptions& options)
+lintCircuit(const stab::Circuit& circuit)
 {
     LintReport report;
     passStructural(circuit, report);
     passRecordRefs(circuit, report);
     passLiveness(circuit, report);
-    if (options.checkDeterminism)
-        passDeterminism(circuit, report);
+    passDeterminism(circuit, report);
     return report;
 }
 

@@ -20,9 +20,9 @@
  *   liveness     redundant back-to-back measurements, measurements of
  *                untouched qubits, coupling components that are
  *                operated on but never observed
- *   determinism  a symbolic Clifford propagation that *proves* each
- *                detector and observable deterministic under noiseless
- *                execution (no Monte-Carlo; exact, unlike the sampled
+ *   determinism  every detector and observable whose noiseless
+ *                parity is random (stab::findNondeterminism: the DEM
+ *                builder's reverse walk, exact, unlike the sampled
  *                TableauSimulator::checkDetectorsDeterministic)
  *
  * Cell-level verification (lint::verifyCell, verify_cell.hh) composes
@@ -86,23 +86,11 @@ struct LintReport
     std::string toString() const;
 };
 
-/** Knobs for lintCircuit. */
-struct LintOptions
-{
-    /**
-     * Run the symbolic detector-determinism pass.  It is the most
-     * expensive pass (tableau-shaped cost); tools linting huge circuits
-     * in a hurry may disable it.
-     */
-    bool checkDeterminism = true;
-};
-
 /** The determinism pass alone: appends its findings to @p report. */
 void passDeterminism(const stab::Circuit& circuit, LintReport& report);
 
 /** Run all passes in the order listed above. */
-LintReport lintCircuit(const stab::Circuit& circuit,
-                       const LintOptions& options = {});
+LintReport lintCircuit(const stab::Circuit& circuit);
 
 /**
  * Builder guard: lint @p circuit and panic with the full report when it

@@ -49,14 +49,6 @@ isGate2q(stab::OpCode code)
            code == stab::OpCode::SWAP;
 }
 
-bool
-isTimed(stab::OpCode code)
-{
-    return isGate1q(code) || isGate2q(code) ||
-           code == stab::OpCode::M || code == stab::OpCode::R ||
-           code == stab::OpCode::MR;
-}
-
 /** Per-target cost of a timed op on its hosting device. */
 double
 targetCost(stab::OpCode code, const DeviceTiming& dev)
@@ -82,6 +74,14 @@ struct InstanceUse
 };
 
 } // namespace
+
+bool
+isTimed(stab::OpCode code)
+{
+    return isGate1q(code) || isGate2q(code) ||
+           code == stab::OpCode::M || code == stab::OpCode::R ||
+           code == stab::OpCode::MR;
+}
 
 double
 ScheduleAnalysis::certifiedIdleBound() const

@@ -153,6 +153,12 @@ struct SchedOptions
 };
 
 /**
+ * Does @p code take time on its qubits?  Gates, M, R and MR do; noise
+ * channels and annotations are instantaneous labels.
+ */
+bool isTimed(stab::OpCode code);
+
+/**
  * Elementary symmetric polynomial e_k over @p probs, capped at 1 —
  * the shared budget kernel of the fault analyzer's union bound and the
  * schedule analyzer's idle bound (O(n * k) DP, index order, exactly

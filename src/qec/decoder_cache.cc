@@ -93,8 +93,8 @@ struct DecoderCache::Impl
             if (evicted)
                 cCacheEvictions.add(evicted);
         }};
-    /** (circuit hash, op count, detector count, max weight, union bound). */
-    BuildOnceCache<lint::FaultAnalysis, 5> faults{
+    /** (circuit hash, op count, detector count, max weight). */
+    BuildOnceCache<lint::FaultAnalysis, 4> faults{
         [this](bool hit, std::size_t) {
             hitCount += hit;
             (hit ? cFaultHits : cFaultMisses).add();
@@ -130,9 +130,9 @@ std::shared_ptr<const lint::FaultAnalysis>
 DecoderCache::faultAnalysis(const stab::Circuit& circuit,
                             const lint::FaultOptions& options)
 {
-    const BuildOnceCache<lint::FaultAnalysis, 5>::Key key{
+    const BuildOnceCache<lint::FaultAnalysis, 4>::Key key{
         stab::hashCircuit(circuit), circuit.ops().size(),
-        circuit.numDetectors(), options.maxWeight, options.unionBound};
+        circuit.numDetectors(), options.maxWeight};
     return impl->faults.get(key, [&] {
         return std::make_shared<const lint::FaultAnalysis>(
             lint::analyzeCircuitFaults(circuit, options));

@@ -207,7 +207,7 @@ runAnalysis(const JobSpec& spec, JobContext& ctx)
         lint::flow::FlowOptions options;
         // The certified budget needs the fault structure; only compose
         // it when the caller asked for distance analysis and the
-        // circuit survived lint (fault analysis asserts determinism).
+        // circuit survived lint (the DEM builder refuses nondeterminism).
         std::shared_ptr<const lint::FaultAnalysis> faults;
         if (spec.numberOr("distance", 0) != 0 && report.clean()) {
             faults = qec::DecoderCache::instance().faultAnalysis(circuit, {});

@@ -11,8 +11,10 @@
  *
  * Detectors must be parities of measurements that are deterministic in
  * the absence of noise (the usual detector condition); the frame
- * sampler and DEM extraction rely on it, and
- * TableauSimulator::checkDetectorsDeterministic verifies it.
+ * sampler and DEM extraction rely on it.  stab::findNondeterminism
+ * decides it exactly, buildDetectorErrorModel refuses a circuit that
+ * breaks it, and TableauSimulator::checkDetectorsDeterministic is the
+ * sampled oracle.
  */
 
 #pragma once
@@ -80,6 +82,8 @@ struct Op
  * and appendOp are the only ways to add an op, and both refuse
  * malformed ones.  Ops hold canonical one- or two-qubit targets and
  * no zero-probability noise.  Qubits are dense indices [0, numQubits).
+ * Valid does not mean deterministic: that is a property of the whole
+ * circuit, which findNondeterminism decides (stab/dem.hh).
  */
 class Circuit
 {

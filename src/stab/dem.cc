@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <sstream>
 #include <utility>
 
 #include "core/logging.hh"
@@ -40,6 +41,151 @@ xorOf(const SensSet& a, const SensSet& b)
     xorInto(out, b);
     return out;
 }
+
+/**
+ * The reverse sensitivity walk behind both buildDetectorErrorModel and
+ * findNondeterminism.  Walking from the last op to the first, sensX[q]
+ * (sensZ[q]) holds the annotations flipped by an X (Z) error on q here:
+ * those whose parity operator, carried back to here, has a Z or Y (an X
+ * or Y) part on q.  Right after a Z-basis collapse of q (M, MR, R, or
+ * the initial |0>) a parity in sensZ[q] anticommutes with Z_q, so it is
+ * a fair coin; the walk tests that before erasing sensZ[q], which costs
+ * O(1) per collapse when the circuit is deterministic.
+ */
+struct SensitivityWalk
+{
+    const Circuit& circuit;
+    /** Measurement index -> annotation ids referencing it. */
+    std::vector<SensSet> measAnn;
+    std::vector<SensSet> sensX, sensZ;
+
+    explicit SensitivityWalk(const Circuit& c)
+        : circuit(c), measAnn(c.numMeasurements())
+    {
+        std::uint32_t det_id = 0;
+        for (const auto& op : c.ops()) {
+            if (op.code == OpCode::DETECTOR) {
+                for (auto m : op.targets)
+                    xorInto(measAnn[m], {det_id});
+                ++det_id;
+            } else if (op.code == OpCode::OBSERVABLE) {
+                for (auto m : op.targets)
+                    xorInto(measAnn[m], {kObsBase + op.id});
+            }
+        }
+        sensX.resize(c.numQubits());
+        sensZ.resize(c.numQubits());
+    }
+
+    /**
+     * Walk once, calling @p on_noise(op) at each noise op with sensX and
+     * sensZ as of that op.  Returns the random annotations by id (so
+     * detectors first), each at its anticommuting collapse nearest the
+     * end of the circuit.
+     */
+    template <typename OnNoise>
+    std::vector<Nondeterminism> run(OnNoise&& on_noise)
+    {
+        std::map<std::uint32_t, Nondeterminism> random;
+        auto collapse = [&](std::uint32_t q, std::size_t op_index) {
+            for (auto id : sensZ[q]) {
+                const bool obs = id >= kObsBase;
+                random.try_emplace(id, Nondeterminism{
+                    obs, obs ? id - kObsBase : id, q, op_index});
+            }
+        };
+
+        // Measurement indices are assigned in forward order; walking in
+        // reverse we count down.
+        std::size_t next_meas = circuit.numMeasurements();
+
+        const auto& ops = circuit.ops();
+        for (std::size_t i = ops.size(); i-- > 0;) {
+            const Op& op = ops[i];
+            switch (op.code) {
+              case OpCode::H:
+                std::swap(sensX[op.targets[0]], sensZ[op.targets[0]]);
+                break;
+              case OpCode::S:
+              case OpCode::SDG:
+                // X before S acts as Y after: pick up the Z sensitivity.
+                xorInto(sensX[op.targets[0]], sensZ[op.targets[0]]);
+                break;
+              case OpCode::X:
+              case OpCode::Y:
+              case OpCode::Z:
+                break;
+              case OpCode::CX: {
+                const auto c = op.targets[0], t = op.targets[1];
+                // X_c -> X_c X_t ; Z_t -> Z_t Z_c.
+                xorInto(sensX[c], sensX[t]);
+                xorInto(sensZ[t], sensZ[c]);
+                break;
+              }
+              case OpCode::CZ: {
+                const auto a = op.targets[0], b = op.targets[1];
+                // X_a -> X_a Z_b ; X_b -> X_b Z_a.
+                xorInto(sensX[a], sensZ[b]);
+                xorInto(sensX[b], sensZ[a]);
+                break;
+              }
+              case OpCode::SWAP: {
+                const auto a = op.targets[0], b = op.targets[1];
+                std::swap(sensX[a], sensX[b]);
+                std::swap(sensZ[a], sensZ[b]);
+                break;
+              }
+              case OpCode::M: {
+                --next_meas;
+                const auto q = op.targets[0];
+                collapse(q, i);
+                // X before a Z measurement flips the outcome and
+                // survives; Z before it is erased by the collapse.
+                xorInto(sensX[q], measAnn[next_meas]);
+                sensZ[q].clear();
+                break;
+              }
+              case OpCode::R: {
+                const auto q = op.targets[0];
+                collapse(q, i);
+                sensX[q].clear();
+                sensZ[q].clear();
+                break;
+              }
+              case OpCode::MR: {
+                --next_meas;
+                const auto q = op.targets[0];
+                collapse(q, i);
+                // Reverse of (M then R): the reset erases everything
+                // after, then the measurement makes X sensitive to the
+                // record.
+                sensX[q] = measAnn[next_meas];
+                sensZ[q].clear();
+                break;
+              }
+              case OpCode::X_ERROR:
+              case OpCode::Z_ERROR:
+              case OpCode::PAULI1:
+              case OpCode::DEPOL1:
+              case OpCode::DEPOL2:
+                on_noise(op);
+                break;
+              case OpCode::DETECTOR:
+              case OpCode::OBSERVABLE:
+                break; // handled through measAnn
+            }
+        }
+        HETARCH_ASSERT(next_meas == 0,
+                       "measurement bookkeeping out of sync");
+        for (std::uint32_t q = 0; q < sensZ.size(); ++q)
+            collapse(q, kInitialState);
+        std::vector<Nondeterminism> out;
+        out.reserve(random.size());
+        for (const auto& [id, n] : random)
+            out.push_back(n);
+        return out;
+    }
+};
 
 } // namespace
 
@@ -93,30 +239,37 @@ DetectorErrorModel::sample(Rng& rng) const
     return {std::move(dets), obs};
 }
 
+std::string
+Nondeterminism::message() const
+{
+    std::ostringstream os;
+    os << (observable ? "observable " : "detector ") << index
+       << " is not deterministic: its parity anticommutes with the ";
+    if (collapseOp == kInitialState)
+        os << "initial |0> of qubit " << qubit;
+    else
+        os << "Z-basis collapse of qubit " << qubit << " at op "
+           << collapseOp;
+    return os.str();
+}
+
+std::vector<Nondeterminism>
+findNondeterminism(const Circuit& circuit)
+{
+    return SensitivityWalk(circuit).run([](const Op&) {});
+}
+
 DetectorErrorModel
 buildDetectorErrorModel(const Circuit& circuit)
 {
     HETARCH_ASSERT(circuit.numObservables() <= kMaxObservables,
                    "at most ", kMaxObservables, " observables supported");
 
-    // Measurement index -> annotation ids referencing it.
-    std::vector<SensSet> meas_ann(circuit.numMeasurements());
-    {
-        std::uint32_t det_id = 0;
-        for (const auto& op : circuit.ops()) {
-            if (op.code == OpCode::DETECTOR) {
-                for (auto m : op.targets)
-                    xorInto(meas_ann[m], {det_id});
-                ++det_id;
-            } else if (op.code == OpCode::OBSERVABLE) {
-                for (auto m : op.targets)
-                    xorInto(meas_ann[m], {kObsBase + op.id});
-            }
-        }
-    }
-
-    const std::size_t nq = circuit.numQubits();
-    std::vector<SensSet> sens_x(nq), sens_z(nq);
+    // Declared before the accumulator so that it is freed after it:
+    // the other order shifts glibc's arena layout and peak RSS.
+    SensitivityWalk walk(circuit);
+    const auto& sens_x = walk.sensX;
+    const auto& sens_z = walk.sensZ;
 
     // Accumulate mechanisms keyed by their sensitivity set, combining
     // probabilities of independent identical mechanisms.
@@ -131,70 +284,8 @@ buildDetectorErrorModel(const Circuit& circuit)
         }
     };
 
-    // Measurement indices are assigned in forward order; walking in
-    // reverse we count down.
-    std::size_t next_meas = circuit.numMeasurements();
-
-    const auto& ops = circuit.ops();
-    for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-        const Op& op = *it;
+    const auto random = walk.run([&](const Op& op) {
         switch (op.code) {
-          case OpCode::H:
-            std::swap(sens_x[op.targets[0]], sens_z[op.targets[0]]);
-            break;
-          case OpCode::S:
-          case OpCode::SDG:
-            // X before S acts as Y after: pick up the Z sensitivity.
-            xorInto(sens_x[op.targets[0]], sens_z[op.targets[0]]);
-            break;
-          case OpCode::X:
-          case OpCode::Y:
-          case OpCode::Z:
-            break;
-          case OpCode::CX: {
-            const auto c = op.targets[0], t = op.targets[1];
-            // X_c -> X_c X_t ; Z_t -> Z_t Z_c.
-            xorInto(sens_x[c], sens_x[t]);
-            xorInto(sens_z[t], sens_z[c]);
-            break;
-          }
-          case OpCode::CZ: {
-            const auto a = op.targets[0], b = op.targets[1];
-            // X_a -> X_a Z_b ; X_b -> X_b Z_a.
-            xorInto(sens_x[a], sens_z[b]);
-            xorInto(sens_x[b], sens_z[a]);
-            break;
-          }
-          case OpCode::SWAP: {
-            const auto a = op.targets[0], b = op.targets[1];
-            std::swap(sens_x[a], sens_x[b]);
-            std::swap(sens_z[a], sens_z[b]);
-            break;
-          }
-          case OpCode::M: {
-            --next_meas;
-            const auto q = op.targets[0];
-            // X before a Z measurement flips the outcome and survives;
-            // Z before it is erased by the collapse.
-            xorInto(sens_x[q], meas_ann[next_meas]);
-            sens_z[q].clear();
-            break;
-          }
-          case OpCode::R: {
-            const auto q = op.targets[0];
-            sens_x[q].clear();
-            sens_z[q].clear();
-            break;
-          }
-          case OpCode::MR: {
-            --next_meas;
-            const auto q = op.targets[0];
-            // Reverse of (M then R): the reset erases everything after,
-            // then the measurement makes X sensitive to the record.
-            sens_x[q] = meas_ann[next_meas];
-            sens_z[q].clear();
-            break;
-          }
           case OpCode::X_ERROR:
             emit(op.params[0], sens_x[op.targets[0]]);
             break;
@@ -239,12 +330,14 @@ buildDetectorErrorModel(const Circuit& circuit)
             }
             break;
           }
-          case OpCode::DETECTOR:
-          case OpCode::OBSERVABLE:
-            break; // handled through meas_ann
+          default: // the walk passes noise ops only
+            break;
         }
+    });
+    if (!random.empty()) {
+        HETARCH_FATAL("buildDetectorErrorModel: ",
+                      random.front().message());
     }
-    HETARCH_ASSERT(next_meas == 0, "measurement bookkeeping out of sync");
 
     DetectorErrorModel dem;
     dem.numDetectors = circuit.numDetectors();

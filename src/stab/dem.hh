@@ -12,11 +12,16 @@
  * or Z error at the current position (Pauli sensitivity sets).  This
  * is O(#ops x set-size) — the same trick Stim uses — so building the
  * DEM for a distance-18 surface-code experiment takes milliseconds.
+ *
+ * The same pass decides detector determinism exactly: an annotation
+ * still sensitive to a Z error right after a Z-basis collapse of that
+ * qubit (M, MR, R, or the initial |0>) is a fair coin.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/rng.hh"
@@ -74,13 +79,35 @@ struct DetectorErrorModel
 };
 
 /**
- * Extract the detector error model of @p circuit.
- *
- * Requirements: every detector must be noise-deterministic (see
- * TableauSimulator::checkDetectorsDeterministic) and the number of
- * observables must be <= 32.
+ * Extract the detector error model of @p circuit (at most 32
+ * observables).  A circuit with a nondeterministic detector or
+ * observable is refused (HETARCH_FATAL naming the first one
+ * findNondeterminism reports), not given a DEM.
  */
 DetectorErrorModel buildDetectorErrorModel(const Circuit& circuit);
+
+/** Nondeterminism::collapseOp of a qubit's initial |0>. */
+inline constexpr std::size_t kInitialState = static_cast<std::size_t>(-1);
+
+/** A detector or observable whose noiseless parity is random. */
+struct Nondeterminism
+{
+    bool observable = false; ///< an observable, else a detector
+    std::uint32_t index = 0; ///< detector or observable index
+    std::uint32_t qubit = 0; ///< the collapsed qubit
+    /** The anticommuting M/MR/R nearest the end, or kInitialState. */
+    std::size_t collapseOp = kInitialState;
+
+    /** "detector 3 is not deterministic: its parity anticommutes ..." */
+    std::string message() const;
+};
+
+/**
+ * The detectors, then the observables, of @p circuit whose noiseless
+ * parity is random, each ascending.  Exact: buildDetectorErrorModel's
+ * reverse walk with no noise branches.
+ */
+std::vector<Nondeterminism> findNondeterminism(const Circuit& circuit);
 
 } // namespace stab
 } // namespace hetarch

@@ -302,7 +302,6 @@ TableauSimulator::checkDetectorsDeterministic(const Circuit& circuit,
     for (int t = 0; t < trials; ++t) {
         TableauSimulator sim(circuit.numQubits());
         // Noiseless run, but *random* outcomes this time.
-        Circuit noiseless(circuit.numQubits());
         std::vector<bool> record;
         for (const auto& op : circuit.ops()) {
             switch (op.code) {

@@ -12,8 +12,10 @@ namespace {
 
 TEST(Logging, FatalExitsWithStatusOne)
 {
+    // A user error names the input, not the library's source line: the
+    // message ends the line.
     EXPECT_EXIT(HETARCH_FATAL("bad config value ", 42),
-                ::testing::ExitedWithCode(1), "bad config value 42");
+                ::testing::ExitedWithCode(1), "fatal: bad config value 42\n");
 }
 
 TEST(Logging, PanicAborts)

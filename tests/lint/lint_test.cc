@@ -127,8 +127,8 @@ badCases()
                      "determinism", Severity::Error, 2,
                      "not deterministic"});
     // Resetting half an entangled pair leaves the partner's outcome
-    // tied to the collapse coin: the reset is NOT a no-op for
-    // determinism.
+    // a coin: carried back through the CX and H, its parity is X_0 Z_1
+    // at the start, which anticommutes with qubit 0's initial |0>.
     cases.push_back({"reset_half_of_bell_pair",
                      build({{OpCode::H, {0}, {}, 0},
                             {OpCode::CX, {0, 1}, {}, 0},
@@ -136,7 +136,14 @@ badCases()
                             {OpCode::M, {1}, {}, 0},
                             {OpCode::DETECTOR, {0}, {}, 0}}),
                      "determinism", Severity::Error, 4,
-                     "random collapse"});
+                     "initial |0> of qubit 0"});
+    cases.push_back({"measure_plus_after_reset",
+                     build({{OpCode::R, {0}, {}, 0},
+                            {OpCode::H, {0}, {}, 0},
+                            {OpCode::M, {0}, {}, 0},
+                            {OpCode::DETECTOR, {0}, {}, 0}}),
+                     "determinism", Severity::Error, 3,
+                     "collapse of qubit 0 at op 0"});
     return cases;
 }
 
@@ -318,7 +325,7 @@ class DeterminismCrossValidation : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(DeterminismCrossValidation, SymbolicProofMatchesMonteCarlo)
+TEST_P(DeterminismCrossValidation, ReverseWalkMatchesMonteCarlo)
 {
     const auto c = randomCircuit(1000 + GetParam());
 

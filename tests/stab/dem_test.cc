@@ -1,16 +1,22 @@
 /**
  * @file
  * Tests for detector-error-model extraction, cross-validated against
- * direct frame sampling.
+ * direct frame sampling, and for the determinism check its reverse
+ * walk carries, cross-validated against the sampled tableau oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "core/logging.hh"
+#include "core/rng.hh"
 #include "stab/circuit.hh"
 #include "stab/dem.hh"
 #include "stab/frame.hh"
+#include "stab/tableau.hh"
 #include "support/packed_samples.hh"
 
 namespace hetarch {
@@ -41,7 +47,9 @@ TEST(Dem, ZErrorBeforeZMeasurementDropsOut)
 
 TEST(Dem, HadamardRoutesZToDetector)
 {
+    // H|0> = |+> measures randomly; the second H brings back |0>.
     Circuit c(1);
+    c.h(0);
     c.zError(0, 0.25);
     c.h(0);
     c.detector({c.measure(0)});
@@ -186,7 +194,8 @@ TEST(Dem, MatchesFrameSamplerOnMixedNoiseCircuit)
     c.detector({m0, m1});
     c.detector({m1, m2});
     c.detector({m2, m3});
-    c.observableInclude(0, {m3});
+    // One GHZ qubit alone is a coin; the parity of two is not.
+    c.observableInclude(0, {m2, m3});
     expectDemMatchesFrame(c, 404);
 }
 
@@ -219,6 +228,144 @@ TEST(Dem, TotalWeightReflectsNoise)
     noisy.xError(0, 0.5);
     noisy.detector({noisy.measure(0)});
     EXPECT_GT(buildDetectorErrorModel(noisy).totalErrorWeight(), 0.4);
+}
+
+TEST(Dem, RefusesNondeterministicCircuit)
+{
+    // Measuring |+> is a coin flip: no DEM describes that detector.
+    Circuit c(1);
+    c.h(0);
+    c.detector({c.measure(0)});
+    ScopedFatalCapture capture;
+    try {
+        buildDetectorErrorModel(c);
+        FAIL() << "a nondeterministic detector got a DEM";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "detector 0 is not deterministic"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/**
+ * An unstructured random circuit: 2-6 qubits and 5-45 ops drawn from
+ * H/S/SDG/X/Y/CX/CZ/SWAP/M/R/MR/DEPOL1, then 1-6 detectors over 1-3
+ * records (about half of them differences of one qubit's consecutive
+ * records) and sometimes one observable.  Nothing makes the
+ * annotations deterministic, so both verdicts come up.
+ */
+Circuit
+randomUnstructuredCircuit(std::uint64_t seed)
+{
+    Rng rng(seed);
+    const auto nq = static_cast<std::uint32_t>(2 + rng.uniformInt(5));
+    auto qubit = [&] {
+        return static_cast<std::uint32_t>(rng.uniformInt(nq));
+    };
+    Circuit c(nq);
+    std::vector<std::vector<std::size_t>> records(nq); // per qubit
+    const std::size_t n_ops = 5 + rng.uniformInt(41);
+    for (std::size_t i = 0; i < n_ops; ++i) {
+        const auto q = qubit();
+        const auto r = static_cast<std::uint32_t>(
+            (q + 1 + rng.uniformInt(nq - 1)) % nq); // r != q
+        switch (rng.uniformInt(12)) {
+          case 0: c.h(q); break;
+          case 1: c.s(q); break;
+          case 2: c.sdg(q); break;
+          case 3: c.x(q); break;
+          case 4: c.y(q); break;
+          case 5: c.cx(q, r); break;
+          case 6: c.cz(q, r); break;
+          case 7: c.swap(q, r); break;
+          case 8: records[q].push_back(c.measure(q)); break;
+          case 9: c.reset(q); break;
+          case 10: records[q].push_back(c.measureReset(q)); break;
+          default: c.depolarize1(q, 0.1); break;
+        }
+    }
+    if (c.numMeasurements() == 0) {
+        const auto q = qubit();
+        records[q].push_back(c.measure(q));
+    }
+    auto some_records = [&] {
+        std::vector<std::size_t> out(1 + rng.uniformInt(3));
+        for (auto& m : out)
+            m = rng.uniformInt(c.numMeasurements());
+        return out;
+    };
+    const std::size_t n_dets = 1 + rng.uniformInt(6);
+    for (std::size_t d = 0; d < n_dets; ++d) {
+        const auto& own = records[qubit()];
+        if (rng.bernoulli(0.5) && own.size() >= 2) {
+            const auto k = rng.uniformInt(own.size() - 1);
+            c.detector({own[k], own[k + 1]});
+        } else {
+            c.detector(some_records());
+        }
+    }
+    if (rng.bernoulli(0.4))
+        c.observableInclude(0, some_records());
+    return c;
+}
+
+/** @p c with one annotation left: detector or observable @p index. */
+Circuit
+keepOnly(const Circuit& c, bool observable, std::uint32_t index)
+{
+    Circuit out(c.numQubits());
+    std::uint32_t det = 0;
+    for (const auto& op : c.ops()) {
+        bool keep = true;
+        if (op.code == OpCode::DETECTOR)
+            keep = !observable && det++ == index;
+        else if (op.code == OpCode::OBSERVABLE)
+            keep = observable && op.id == index;
+        if (keep)
+            out.appendOp(op);
+    }
+    return out;
+}
+
+TEST(Dem, FindNondeterminismMatchesTableauOracle)
+{
+    std::size_t verdicts[2] = {0, 0}; // deterministic, random
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        const auto c = randomUnstructuredCircuit(seed);
+        const auto found = findNondeterminism(c);
+        auto check = [&](bool observable, std::uint32_t index) {
+            const bool random = std::any_of(
+                found.begin(), found.end(), [&](const auto& n) {
+                    return n.observable == observable && n.index == index;
+                });
+            // 32 random-outcome runs miss a coin with odds 2^-31.
+            const bool sampled_random =
+                !TableauSimulator::checkDetectorsDeterministic(
+                    keepOnly(c, observable, index), 32);
+            EXPECT_EQ(random, sampled_random)
+                << "seed " << seed
+                << (observable ? " observable " : " detector ") << index
+                << "\n" << c.toString();
+            ++verdicts[random];
+        };
+        for (std::uint32_t d = 0; d < c.numDetectors(); ++d)
+            check(false, d);
+        for (std::uint32_t k = 0; k < c.numObservables(); ++k)
+            check(true, k);
+
+        // The DEM builder runs the same walk: it refuses exactly these.
+        ScopedFatalCapture capture;
+        bool refused = false;
+        try {
+            buildDetectorErrorModel(c);
+        } catch (const FatalError&) {
+            refused = true;
+        }
+        EXPECT_EQ(refused, !found.empty()) << "seed " << seed;
+    }
+    EXPECT_GT(verdicts[0], 0u);
+    EXPECT_GT(verdicts[1], 0u);
 }
 
 } // namespace

@@ -1,12 +1,13 @@
 /**
  * @file
  * hetarch-lint: static verification for .circ files and the repo's
- * circuit builders.
+ * circuit builders.  Every unit runs lint's full pass list, the exact
+ * determinism check included; --distance analyzes only a unit with no
+ * errors.
  *
  * Usage: hetarch-lint [options] [FILE...]
  *
  *   --strict            fail (exit 2) on warnings, not just errors
- *   --no-determinism    skip the symbolic determinism pass
  *   --distance          run the fault-path analyzer: certified circuit
  *                       distance, detector coverage, union bounds
  *   --max-weight=K      evaluate the union bound at weight K instead
@@ -111,8 +112,7 @@ int
 usage()
 {
     std::cerr
-        << "usage: hetarch-lint [--strict] [--no-determinism]\n"
-           "                    [--distance] [--max-weight=K]\n"
+        << "usage: hetarch-lint [--strict] [--distance] [--max-weight=K]\n"
            "                    [--expect-distance=D] "
            "[--format=text|json]\n"
            "                    [--timing] [--device=NAME]\n"
@@ -239,7 +239,6 @@ main(int argc, char** argv)
     std::string device_name = "fixed-frequency-transmon";
     std::string storage_name = "3d-multimode-resonator";
     std::vector<std::uint32_t> storage_qubits;
-    lint::LintOptions options;
     lint::FaultOptions fault_options;
     std::vector<Unit> units;
 
@@ -266,8 +265,6 @@ main(int argc, char** argv)
         };
         if (arg == "--strict") {
             strict = true;
-        } else if (arg == "--no-determinism") {
-            options.checkDeterminism = false;
         } else if (arg == "--distance") {
             distance = true;
         } else if (arg.rfind("--max-weight=", 0) == 0) {
@@ -381,9 +378,9 @@ main(int argc, char** argv)
 
         lint::FileReport file;
         file.path = unit.label;
-        file.report = lint::lintCircuit(circ, options);
-        // The analyzer presumes deterministic detectors, so it only
-        // runs on a circuit lint reports no errors for.
+        file.report = lint::lintCircuit(circ);
+        // The DEM builder refuses nondeterministic detectors, so the
+        // analyzer only runs on a circuit lint reports no errors for.
         std::shared_ptr<const lint::FaultAnalysis> fault_analysis;
         if (distance && file.report.clean()) {
             fault_analysis =
@@ -434,8 +431,8 @@ main(int argc, char** argv)
                 lint::flow::FlowOptions flow_options;
                 flow_options.faults =
                     fault_analysis ? fault_analysis.get() : nullptr;
-                // The DEM behind the gate budget presumes
-                // deterministic detectors — same gate as --distance.
+                // The DEM behind the gate budget refuses
+                // nondeterministic detectors — same gate as --distance.
                 flow_options.gateBudget =
                     distance && file.report.clean();
                 flow_options.staleAfterNs = stale_after;
