@@ -30,6 +30,12 @@
 #            the hetarch-flow-v1 JSON; expect-budget caps the certified
 #            end-to-end budget (which must also be > 0); one negative
 #            self-check demands peak+1 on a clean fixture and must fail
+#   builders/ the three --builders sweeps (--strict, --timing, --flow,
+#            each with --distance --format=json), byte for byte: fault
+#            distances, union bounds, schedules and flow budgets end to
+#            end.  The numbers are exact doubles, some derived through
+#            libm (std::exp in the idle twirl); regenerate a golden
+#            only for a change meant to move them, never to pass
 #
 # Also pins the exit-code contract: 0 clean / 1 unreadable-or-parse
 # failure / 2 findings above threshold (--strict promotes warnings).
@@ -299,6 +305,16 @@ for f in "$DIR"/flow/*.circ; do
     if ! check_flow_json "$TMP/out.json" "$expect_hazards" \
                          "$expect_peak" "$expect_budget"; then
         echo "FAIL: flow annotations not satisfied: $f"
+        fail=1
+    fi
+done
+
+for sweep in strict timing flow; do
+    "$LINT" "--$sweep" --distance --builders --format=json \
+        > "$TMP/sweep.json"
+    if ! cmp -s "$TMP/sweep.json" "$DIR/builders/$sweep.json"; then
+        echo "FAIL: --$sweep --distance --builders report differs" \
+             "from builders/$sweep.json"
         fail=1
     fi
 done

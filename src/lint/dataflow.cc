@@ -7,7 +7,6 @@
 #include "exec/thread_pool.hh"
 #include "lint/schedule.hh"
 #include "obs/obs.hh"
-#include "stab/dem.hh"
 
 namespace hetarch {
 namespace lint {
@@ -349,10 +348,8 @@ analyzeFlow(const stab::Circuit& circuit, const TimingModel& model,
     // probabilities bounds the logical error rate end to end.
     std::vector<double> probs;
     if (options.gateBudget) {
-        const auto dem = stab::buildDetectorErrorModel(circuit);
-        probs.reserve(dem.mechanisms.size());
-        for (const auto& m : dem.mechanisms)
-            probs.push_back(m.probability);
+        HETARCH_ASSERT(options.faults, "gateBudget needs options.faults");
+        probs = options.faults->mechanismProbabilities;
     }
     const std::size_t gateMechs = probs.size();
     for (std::size_t q = 0; q < nq; ++q)

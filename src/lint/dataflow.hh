@@ -157,10 +157,9 @@ struct FlowOptions
      */
     const FaultAnalysis* faults = nullptr;
     /**
-     * Compose the gate-error union bound into the budget.  The DEM it
-     * builds refuses (HETARCH_FATAL) a circuit with nondeterministic
-     * detectors; gate on a clean lint report before enabling.  When
-     * false, gateBound is 0 and budget equals idleBound.
+     * Compose the gate-error union bound into the budget.  Requires
+     * `faults`, whose mechanism probabilities it reads.  When false,
+     * gateBound is 0 and budget equals idleBound.
      */
     bool gateBudget = false;
     /**

@@ -152,6 +152,9 @@ analyzeFaults(const stab::DetectorErrorModel& dem,
     out.numHyperedges = graph.hyperedgeMechanisms().size();
     out.deadDetectors = graph.deadDetectors();
     out.undetectableMechanisms = graph.undetectableMechanisms();
+    out.mechanismProbabilities.reserve(dem.mechanisms.size());
+    for (const auto& m : dem.mechanisms)
+        out.mechanismProbabilities.push_back(m.probability);
     cAnalyses.add();
 
     for (std::uint32_t bit = 0; bit < dem.numObservables; ++bit) {

@@ -112,6 +112,12 @@ struct FaultAnalysis
     std::vector<std::uint32_t> deadDetectors;
     /** Mechanisms flipping an observable but no detector (ascending). */
     std::vector<std::uint32_t> undetectableMechanisms;
+    /**
+     * The DEM's mechanism probabilities in mechanism order, so that the
+     * flow analyzer's gate budget needs no second DEM build.  The
+     * report writers do not emit them.
+     */
+    std::vector<double> mechanismProbabilities;
 
     /** Smallest certified distance over all observables. */
     std::size_t minDistance() const;
@@ -123,7 +129,8 @@ struct FaultAnalysis
                numHyperedges == o.numHyperedges &&
                observables == o.observables &&
                deadDetectors == o.deadDetectors &&
-               undetectableMechanisms == o.undetectableMechanisms;
+               undetectableMechanisms == o.undetectableMechanisms &&
+               mechanismProbabilities == o.mechanismProbabilities;
     }
 };
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <map>
 #include <numeric>
 
+#include "core/flat_hash_index.hh"
 #include "core/logging.hh"
 
 namespace hetarch {
@@ -46,27 +46,62 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
             g.det2node[d] = static_cast<std::int32_t>(g.nNodes++);
     }
 
-    // key = (u, v) with boundary encoded as -1; candidate obs variants
-    // tracked with their probabilities so the dominant one wins.
+    // Edge candidates in first-seen order, found through their packed
+    // (min, max) key, the boundary -1 packed as 0 so that key order is
+    // pair order.  Each candidate's observable masks form a list in
+    // `votes` that sums p per mask, so the dominant mask wins.
     struct Candidate
     {
+        std::uint64_t key = 0;
         double p = 0.0;
-        std::map<std::uint32_t, double> byObs;
+        std::int32_t votes = -1;
     };
-    std::map<std::pair<std::int32_t, std::int32_t>, Candidate> edge_map;
+    struct Vote
+    {
+        std::uint32_t obs = 0;
+        double p = 0.0;
+        std::int32_t next = -1;
+    };
+    std::vector<Candidate> cands;
+    std::vector<Vote> votes;
+    FlatHashIndex index;
 
-    auto add_edge = [&](std::int32_t u, std::int32_t v, double p,
-                        std::uint32_t obs) {
+    auto key_of = [](std::int32_t u, std::int32_t v) {
         if (u > v)
             std::swap(u, v);
-        auto& cand = edge_map[{u, v}];
-        cand.p = combineP(cand.p, p);
-        cand.byObs[obs] += p;
+        return std::uint64_t{static_cast<std::uint32_t>(u + 1)} << 32 |
+               static_cast<std::uint32_t>(v + 1);
+    };
+    auto find = [&](std::uint64_t key) {
+        return index.find(FlatHashIndex::mix(key), [&](std::uint32_t c) {
+            return cands[c].key == key;
+        });
+    };
+    auto add_edge = [&](std::int32_t u, std::int32_t v, double p,
+                        std::uint32_t obs) {
+        const auto key = key_of(u, v);
+        auto c = find(key);
+        if (c == FlatHashIndex::kAbsent) {
+            c = static_cast<std::uint32_t>(cands.size());
+            index.insert(FlatHashIndex::mix(key), c);
+            cands.push_back({key});
+        }
+        cands[c].p = combineP(cands[c].p, p);
+        std::int32_t* link = &cands[c].votes;
+        while (*link >= 0 && votes[static_cast<std::size_t>(*link)].obs != obs)
+            link = &votes[static_cast<std::size_t>(*link)].next;
+        auto vote = *link;
+        if (vote < 0) {
+            vote = *link = static_cast<std::int32_t>(votes.size());
+            votes.push_back({obs});
+        }
+        votes[static_cast<std::size_t>(vote)].p += p;
     };
 
     std::vector<const stab::ErrorMechanism*> deferred;
+    std::vector<std::int32_t> nodes;
     for (const auto& mech : dem.mechanisms) {
-        std::vector<std::int32_t> nodes;
+        nodes.clear();
         for (auto d : mech.detectors)
             if (g.det2node[d] >= 0)
                 nodes.push_back(g.det2node[d]);
@@ -83,14 +118,19 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
         }
     }
 
-    // Decompose >2-detector mechanisms onto existing elementary edges.
-    auto has_key = [&](std::int32_t u, std::int32_t v) {
-        if (u > v)
-            std::swap(u, v);
-        return edge_map.count({u, v}) > 0;
+    // Decompose >2-detector mechanisms onto existing elementary edges:
+    // reuse an elementary edge's own observable mask, since the
+    // decomposition parity works out because the elementary mechanisms
+    // exist.
+    auto merge = [&](std::int32_t u, std::int32_t v, double p) {
+        const auto c = find(key_of(u, v));
+        if (c != FlatHashIndex::kAbsent)
+            cands[c].p = combineP(cands[c].p, p);
+        return c != FlatHashIndex::kAbsent;
     };
+    std::vector<std::int32_t> rest;
     for (const auto* mech : deferred) {
-        std::vector<std::int32_t> rest;
+        rest.clear();
         for (auto d : mech->detectors)
             if (g.det2node[d] >= 0)
                 rest.push_back(g.det2node[d]);
@@ -100,13 +140,7 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
             for (std::size_t i = 0; i < rest.size() && !found; ++i) {
                 for (std::size_t j = i + 1; j < rest.size() && !found;
                      ++j) {
-                    if (has_key(rest[i], rest[j])) {
-                        // Reuse the elementary edge's own observable
-                        // mask: the decomposition parity works out
-                        // because the elementary mechanisms exist.
-                        auto& cand = edge_map[{std::min(rest[i], rest[j]),
-                                               std::max(rest[i], rest[j])}];
-                        cand.p = combineP(cand.p, mech->probability);
+                    if (merge(rest[i], rest[j], mech->probability)) {
                         rest.erase(rest.begin() +
                                    static_cast<std::ptrdiff_t>(j));
                         rest.erase(rest.begin() +
@@ -122,32 +156,35 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
                 clean = false;
             }
         }
-        if (rest.size() == 1) {
-            if (has_key(-1, rest[0])) {
-                auto& cand = edge_map[{-1, rest[0]}];
-                cand.p = combineP(cand.p, mech->probability);
-            } else {
-                add_edge(-1, rest[0], mech->probability,
-                         carries_observables ? mech->observables : 0);
-                clean = false;
-            }
+        if (rest.size() == 1 && !merge(-1, rest[0], mech->probability)) {
+            add_edge(-1, rest[0], mech->probability,
+                     carries_observables ? mech->observables : 0);
+            clean = false;
         }
         if (!clean)
             ++g.undecomposed;
     }
 
-    for (const auto& [key, cand] : edge_map) {
+    std::sort(cands.begin(), cands.end(),
+              [](const Candidate& a, const Candidate& b) {
+                  return a.key < b.key;
+              });
+    g.edgeList.reserve(cands.size());
+    for (const auto& cand : cands) {
         GraphEdge e;
-        // key is (min, max), so a boundary (-1) always lands in first.
-        e.u = key.second;
-        e.v = key.first;
+        // The key packs (min, max), so a boundary (-1) lands in v.
+        e.u = static_cast<std::int32_t>(cand.key & 0xffffffffu) - 1;
+        e.v = static_cast<std::int32_t>(cand.key >> 32) - 1;
         e.probability = cand.p;
         double best_p = -1.0;
-        for (const auto& [obs, p] : cand.byObs) {
-            if (p > best_p) {
-                best_p = p;
-                e.observables = obs;
+        for (auto i = cand.votes; i >= 0;) {
+            const Vote& vote = votes[static_cast<std::size_t>(i)];
+            if (vote.p > best_p ||
+                (vote.p == best_p && vote.obs < e.observables)) {
+                best_p = vote.p;
+                e.observables = vote.obs;
             }
+            i = vote.next;
         }
         e.weight = weightFromProbability(cand.p);
         g.edgeList.push_back(e);

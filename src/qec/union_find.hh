@@ -53,6 +53,15 @@ class DecodingGraph
      * Build from a DEM keeping only detectors whose tag equals
      * @p wanted_tag.  @p tags is indexed by detector id.
      *
+     * Mechanisms on the same node pair merge into one edge, in DEM
+     * order, as q(1 - p) + p(1 - q).  Its observable mask is voted by
+     * the mechanisms that map onto the pair directly (one or two kept
+     * detectors, or a pair no existing edge decomposes): each mask's p
+     * sums, the largest sum wins, and on a tie the smallest mask wins.
+     * A mechanism decomposed onto existing edges adds its p to each
+     * but does not vote.  Edges are ordered by (min, max) node id, the
+     * boundary counting as -1.
+     *
      * @p carries_observables: whether logical flips are attributed to
      * this graph.  In a memory-Z experiment only X-type errors flip the
      * logical, and they are caught by the Z-stabilizer graph — so that

@@ -1,10 +1,12 @@
 #include "stab/dem.hh"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <utility>
 
+#include "core/flat_hash_index.hh"
 #include "core/logging.hh"
 
 namespace hetarch {
@@ -18,28 +20,18 @@ namespace {
  * id kObsBase + k.
  */
 using SensSet = std::vector<std::uint32_t>;
+using SensSpan = std::span<const std::uint32_t>;
 
 constexpr std::uint32_t kObsBase = 0x80000000u;
 
-/** Symmetric difference, keeping the result sorted. */
+/** @p out = the symmetric difference of @p a and @p b, sorted. */
 void
-xorInto(SensSet& a, const SensSet& b)
+xorOf(SensSpan a, SensSpan b, SensSet& out)
 {
-    if (b.empty())
-        return;
-    SensSet out;
+    out.clear();
     out.reserve(a.size() + b.size());
     std::set_symmetric_difference(a.begin(), a.end(), b.begin(), b.end(),
                                   std::back_inserter(out));
-    a = std::move(out);
-}
-
-SensSet
-xorOf(const SensSet& a, const SensSet& b)
-{
-    SensSet out = a;
-    xorInto(out, b);
-    return out;
 }
 
 /**
@@ -58,6 +50,8 @@ struct SensitivityWalk
     /** Measurement index -> annotation ids referencing it. */
     std::vector<SensSet> measAnn;
     std::vector<SensSet> sensX, sensZ;
+    /** xorInto's output; it trades storage with the set it replaces. */
+    SensSet scratch;
 
     explicit SensitivityWalk(const Circuit& c)
         : circuit(c), measAnn(c.numMeasurements())
@@ -77,6 +71,15 @@ struct SensitivityWalk
         sensZ.resize(c.numQubits());
     }
 
+    /** @p a ^= @p b, allocating nothing once the buffers are warm. */
+    void xorInto(SensSet& a, const SensSet& b)
+    {
+        if (b.empty())
+            return;
+        xorOf(a, b, scratch);
+        a.swap(scratch);
+    }
+
     /**
      * Walk once, calling @p on_noise(op) at each noise op with sensX and
      * sensZ as of that op.  Returns the random annotations by id (so
@@ -86,12 +89,11 @@ struct SensitivityWalk
     template <typename OnNoise>
     std::vector<Nondeterminism> run(OnNoise&& on_noise)
     {
-        std::map<std::uint32_t, Nondeterminism> random;
+        std::vector<Nondeterminism> random;
         auto collapse = [&](std::uint32_t q, std::size_t op_index) {
             for (auto id : sensZ[q]) {
                 const bool obs = id >= kObsBase;
-                random.try_emplace(id, Nondeterminism{
-                    obs, obs ? id - kObsBase : id, q, op_index});
+                random.push_back({obs, obs ? id - kObsBase : id, q, op_index});
             }
         };
 
@@ -179,10 +181,111 @@ struct SensitivityWalk
                        "measurement bookkeeping out of sync");
         for (std::uint32_t q = 0; q < sensZ.size(); ++q)
             collapse(q, kInitialState);
-        std::vector<Nondeterminism> out;
-        out.reserve(random.size());
-        for (const auto& [id, n] : random)
-            out.push_back(n);
+        // Reported in walk order, so an annotation's first report is
+        // its collapse nearest the end.
+        const auto id = [](const Nondeterminism& n) {
+            return std::pair(n.observable, n.index);
+        };
+        std::ranges::stable_sort(random, {}, id);
+        const auto repeats = std::ranges::unique(random, {}, id);
+        random.erase(repeats.begin(), repeats.end());
+        return random;
+    }
+};
+
+/**
+ * The distinct sensitivity sets emitted, each with its combined
+ * probability.  The sets lie back to back in one id arena behind a
+ * 64-bit hash index, so an emission allocates nothing once warm.
+ */
+struct MechanismAccumulator
+{
+    struct Entry
+    {
+        std::uint32_t begin = 0, size = 0; ///< the set's ids in `ids`
+        double p = 0.0;
+    };
+    std::vector<std::uint32_t> ids;
+    std::vector<Entry> entries; ///< in first-emission order
+    FlatHashIndex index;
+
+    SensSpan set(const Entry& e) const
+    {
+        return {ids.data() + e.begin, e.size};
+    }
+
+    /** Combine each set's probabilities in emission order. */
+    void emit(double p, SensSpan s)
+    {
+        if (p <= 0.0 || s.empty())
+            return;
+        std::uint64_t h = s.size();
+        for (const auto id : s)
+            h = (h ^ id) * 0x9e3779b97f4a7c15ull;
+        h = FlatHashIndex::mix(h);
+        const auto e = index.find(h, [&](std::uint32_t i) {
+            return std::ranges::equal(set(entries[i]), s);
+        });
+        if (e != FlatHashIndex::kAbsent) {
+            const double q = entries[e].p;
+            entries[e].p = q * (1.0 - p) + p * (1.0 - q);
+            return;
+        }
+        index.insert(h, static_cast<std::uint32_t>(entries.size()));
+        entries.push_back({static_cast<std::uint32_t>(ids.size()),
+                           static_cast<std::uint32_t>(s.size()), p});
+        ids.insert(ids.end(), s.begin(), s.end());
+    }
+
+    /**
+     * The mechanisms in lexicographic set order: a counting sort by
+     * first id (observables after the detectors), then each bucket by
+     * second id and the rest.  Ids ascend strictly, so a second id is
+     * at least 1, and 0 marks a one-id set, which comes first.
+     */
+    std::vector<ErrorMechanism> sorted(std::size_t num_detectors) const
+    {
+        const auto bucket = [&](std::uint32_t id) -> std::size_t {
+            return id < kObsBase ? id : num_detectors + (id - kObsBase);
+        };
+        std::vector<std::uint32_t> start(num_detectors + kMaxObservables + 1);
+        for (const auto& e : entries)
+            ++start[bucket(ids[e.begin]) + 1];
+        std::partial_sum(start.begin(), start.end(), start.begin());
+
+        struct Ranked
+        {
+            std::uint32_t second, entry;
+        };
+        std::vector<Ranked> order(entries.size());
+        auto fill = start;
+        for (std::uint32_t i = 0; i < entries.size(); ++i) {
+            const auto s = set(entries[i]);
+            order[fill[bucket(s[0])]++] = {s.size() > 1 ? s[1] : 0, i};
+        }
+        const auto less = [&](const Ranked& a, const Ranked& b) {
+            if (a.second != b.second || a.second == 0)
+                return a.second < b.second;
+            const auto x = set(entries[a.entry]).subspan(2);
+            const auto y = set(entries[b.entry]).subspan(2);
+            return std::lexicographical_compare(x.begin(), x.end(),
+                                                y.begin(), y.end());
+        };
+        for (std::size_t b = 0; b + 1 < start.size(); ++b)
+            std::sort(order.begin() + start[b], order.begin() + start[b + 1],
+                      less);
+
+        std::vector<ErrorMechanism> out(order.size());
+        for (std::size_t k = 0; k < order.size(); ++k) {
+            const Entry& e = entries[order[k].entry];
+            const auto s = set(e);
+            const auto obs = std::lower_bound(s.begin(), s.end(), kObsBase);
+            auto& mech = out[k];
+            mech.probability = e.p;
+            mech.detectors.assign(s.begin(), obs);
+            for (auto it = obs; it != s.end(); ++it)
+                mech.observables |= 1u << (*it - kObsBase);
+        }
         return out;
     }
 };
@@ -265,67 +368,51 @@ buildDetectorErrorModel(const Circuit& circuit)
     HETARCH_ASSERT(circuit.numObservables() <= kMaxObservables,
                    "at most ", kMaxObservables, " observables supported");
 
-    // Declared before the accumulator so that it is freed after it:
-    // the other order shifts glibc's arena layout and peak RSS.
     SensitivityWalk walk(circuit);
     const auto& sens_x = walk.sensX;
     const auto& sens_z = walk.sensZ;
+    MechanismAccumulator acc;
 
-    // Accumulate mechanisms keyed by their sensitivity set, combining
-    // probabilities of independent identical mechanisms.
-    std::map<SensSet, double> acc;
-    auto emit = [&](double p, const SensSet& set) {
-        if (p <= 0.0 || set.empty())
-            return;
-        auto [it, inserted] = acc.try_emplace(set, p);
-        if (!inserted) {
-            const double q = it->second;
-            it->second = q * (1.0 - p) + p * (1.0 - q);
-        }
-    };
-
+    // Y and two-qubit combinations go through reused buffers.
+    SensSet ya, yb, combo;
     const auto random = walk.run([&](const Op& op) {
         switch (op.code) {
           case OpCode::X_ERROR:
-            emit(op.params[0], sens_x[op.targets[0]]);
+            acc.emit(op.params[0], sens_x[op.targets[0]]);
             break;
           case OpCode::Z_ERROR:
-            emit(op.params[0], sens_z[op.targets[0]]);
+            acc.emit(op.params[0], sens_z[op.targets[0]]);
             break;
           case OpCode::PAULI1: {
             const auto q = op.targets[0];
-            emit(op.params[0], sens_x[q]);
-            emit(op.params[1], xorOf(sens_x[q], sens_z[q]));
-            emit(op.params[2], sens_z[q]);
+            xorOf(sens_x[q], sens_z[q], ya);
+            acc.emit(op.params[0], sens_x[q]);
+            acc.emit(op.params[1], ya);
+            acc.emit(op.params[2], sens_z[q]);
             break;
           }
           case OpCode::DEPOL1: {
             const auto q = op.targets[0];
             const double p3 = op.params[0] / 3.0;
-            emit(p3, sens_x[q]);
-            emit(p3, xorOf(sens_x[q], sens_z[q]));
-            emit(p3, sens_z[q]);
+            xorOf(sens_x[q], sens_z[q], ya);
+            acc.emit(p3, sens_x[q]);
+            acc.emit(p3, ya);
+            acc.emit(p3, sens_z[q]);
             break;
           }
           case OpCode::DEPOL2: {
             const auto qa = op.targets[0], qb = op.targets[1];
             const double p15 = op.params[0] / 15.0;
-            const SensSet ya = xorOf(sens_x[qa], sens_z[qa]);
-            const SensSet yb = xorOf(sens_x[qb], sens_z[qb]);
-            const SensSet* setsA[4] = {nullptr, &sens_x[qa], &ya,
-                                       &sens_z[qa]};
-            const SensSet* setsB[4] = {nullptr, &sens_x[qb], &yb,
-                                       &sens_z[qb]};
+            xorOf(sens_x[qa], sens_z[qa], ya);
+            xorOf(sens_x[qb], sens_z[qb], yb);
+            const SensSpan setsA[4] = {{}, sens_x[qa], ya, sens_z[qa]};
+            const SensSpan setsB[4] = {{}, sens_x[qb], yb, sens_z[qb]};
             for (int a = 0; a < 4; ++a) {
                 for (int b = 0; b < 4; ++b) {
                     if (a == 0 && b == 0)
                         continue;
-                    SensSet set;
-                    if (setsA[a])
-                        set = *setsA[a];
-                    if (setsB[b])
-                        xorInto(set, *setsB[b]);
-                    emit(p15, set);
+                    xorOf(setsA[a], setsB[b], combo);
+                    acc.emit(p15, combo);
                 }
             }
             break;
@@ -342,18 +429,7 @@ buildDetectorErrorModel(const Circuit& circuit)
     DetectorErrorModel dem;
     dem.numDetectors = circuit.numDetectors();
     dem.numObservables = circuit.numObservables();
-    dem.mechanisms.reserve(acc.size());
-    for (const auto& [set, p] : acc) {
-        ErrorMechanism mech;
-        mech.probability = p;
-        for (auto id : set) {
-            if (id >= kObsBase)
-                mech.observables |= 1u << (id - kObsBase);
-            else
-                mech.detectors.push_back(id);
-        }
-        dem.mechanisms.push_back(std::move(mech));
-    }
+    dem.mechanisms = acc.sorted(circuit.numDetectors());
     return dem;
 }
 

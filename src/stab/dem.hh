@@ -9,9 +9,17 @@
  *
  * Extraction runs a single reverse pass over the circuit, maintaining
  * for every qubit the set of detectors/observables sensitive to an X
- * or Z error at the current position (Pauli sensitivity sets).  This
- * is O(#ops x set-size) — the same trick Stim uses — so building the
- * DEM for a distance-18 surface-code experiment takes milliseconds.
+ * or Z error at the current position (Pauli sensitivity sets), the
+ * same trick Stim uses.  Each noise op emits its Pauli branches' sets,
+ * and identical sets merge into one mechanism.  The distinct sets lie
+ * back to back in one flat id arena behind a 64-bit hash index, so an
+ * emission is one probe and allocates nothing once warm; they are
+ * sorted once at the end.
+ *
+ * The output is fixed bit for bit.  Each set combines its
+ * probabilities as q(1 - p) + p(1 - q) in emission order, and the
+ * mechanisms come out in lexicographic order of their sets (detector
+ * ids, then observable ids).
  *
  * The same pass decides detector determinism exactly: an annotation
  * still sensitive to a Z error right after a Z-basis collapse of that

@@ -431,8 +431,8 @@ main(int argc, char** argv)
                 lint::flow::FlowOptions flow_options;
                 flow_options.faults =
                     fault_analysis ? fault_analysis.get() : nullptr;
-                // The DEM behind the gate budget refuses
-                // nondeterministic detectors — same gate as --distance.
+                // The gate budget reads the fault analysis, which a
+                // report still clean here was given above.
                 flow_options.gateBudget =
                     distance && file.report.clean();
                 flow_options.staleAfterNs = stale_after;
