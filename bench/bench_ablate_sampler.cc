@@ -6,7 +6,8 @@
  *    frame sampler is what makes paper-scale experiments affordable);
  *  - where block sampling spends its time: noise resolution (RNG
  *    contract v2's geometric-gap draws) vs frame replay, at Fig. 6 and
- *    sub-threshold noise, with the generator words drawn per shot;
+ *    sub-threshold noise, with the generator words drawn per shot, the
+ *    error events kept per 64-shot word and the block scratch's size;
  *  - word-parallel blocks vs 1-word blocks.
  */
 
@@ -30,6 +31,18 @@ namespace {
 
 using namespace hetarch;
 using namespace hetarch::units;
+
+/** Bytes held by a block scratch's buffers. */
+std::size_t
+scratchBytes(const stab::FrameBlockScratch& s)
+{
+    const std::size_t words = s.frame.capacity() + s.meas.capacity() +
+                              s.collapse.capacity() + s.fold.capacity();
+    return words * sizeof(std::uint64_t) +
+           (s.events.capacity() + s.sorted.capacity()) *
+               sizeof(stab::NoiseEvent) +
+           s.siteStart.capacity() * sizeof(std::uint32_t);
+}
 
 /** Fig. 6 noise; @p scale = 0.1 with 5x coherence is sub-threshold. */
 qec::CircuitNoise
@@ -80,7 +93,7 @@ void
 BM_FrameReplayBlock(benchmark::State& state)
 {
     // Pure frame propagation (the replay pass) at a given block width;
-    // the noise tape is resolved once outside the loop.
+    // the block's noise events are resolved once outside the loop.
     const auto words = static_cast<std::size_t>(state.range(0));
     const auto circ = qec::surfaceMemoryZ(9, 9, noiseModel());
     const auto prog = stab::FrameProgram::compile(circ);
@@ -156,10 +169,12 @@ main(int argc, char** argv)
     std::cout << "\n=== Ablation: noise resolution vs frame replay "
                  "(RNG contract v2) ===\n";
     // Resolution draws one uniform per noise op per 64 shots plus a
-    // gap and a Pauli pick per error event, so its cost follows the
-    // event count; replay walks every op whatever the noise.
+    // gap and a Pauli pick per error event, and keeps one event per
+    // non-zero flip mask, so its cost and the scratch follow the event
+    // count; replay walks the noise-free ops plus the events.
     TextTable p({"distance", "noise", "shots", "resolve(ms)", "replay(ms)",
-                 "draws/shot", "flips/shot"});
+                 "draws/shot", "flips/shot", "events/word",
+                 "scratch(KB)"});
     for (const double scale : {1.0, 0.1}) {
         for (std::size_t d : {3ul, 5ul, 9ul, 13ul}) {
             const auto circ = qec::surfaceMemoryZ(d, d, noiseModel(scale));
@@ -168,14 +183,16 @@ main(int argc, char** argv)
             const std::size_t shots = blocks * 8 * 64;
             stab::FrameBlockScratch scratch;
             Rng warm(0);
-            prog->resolveNoiseTape(scratch, 8, warm); // page in the tape
+            prog->resolveNoiseTape(scratch, 8, warm); // page in the scratch
             Rng rng(1);
             std::uint64_t flips = 0;
+            std::size_t events = 0;
             double resolve_ms = 0.0, replay_ms = 0.0;
             for (std::size_t b = 0; b < blocks; ++b) {
                 const auto r0 = clock::now();
                 flips += prog->resolveNoiseTape(scratch, 8, rng);
                 const auto r1 = clock::now();
+                events += scratch.eventCount;
                 prog->replayBlock(scratch);
                 const auto r2 = clock::now();
                 resolve_ms +=
@@ -193,7 +210,13 @@ main(int argc, char** argv)
             p.addRow({std::to_string(d), scale < 1.0 ? "sub" : "fig6",
                       std::to_string(shots), formatFixed(resolve_ms, 2),
                       formatFixed(replay_ms, 2), per_shot(rng.draws()),
-                      per_shot(flips)});
+                      per_shot(flips),
+                      formatFixed(static_cast<double>(events) /
+                                      static_cast<double>(blocks * 8),
+                                  1),
+                      formatFixed(static_cast<double>(scratchBytes(scratch)) /
+                                      1024.0,
+                                  1)});
         }
     }
     p.print(std::cout);
@@ -235,7 +258,7 @@ main(int argc, char** argv)
                   formatFixed(n_ms / w_ms, 1) + "x",
                   identical ? "yes" : "NO"});
 
-        // Propagation-only arm: replay a resolved tape, W words per
+        // Propagation-only arm: replay resolved events, W words per
         // walk vs one word per walk, equal shot totals.
         const auto prog = stab::FrameProgram::compile(circ);
         const std::size_t reps = 64;

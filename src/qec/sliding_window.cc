@@ -24,6 +24,23 @@ obs::Histogram& hSyndromeWeight = obs::histogram("qec.syndrome_weight");
 obs::Histogram& hWindowDecodeNs =
     obs::histogram("qec.stream.window_decode_ns");
 
+/**
+ * Transpose a 64x64 bit matrix in place: bit j of a[i] moves to bit i
+ * of a[j].  Six rounds of block swaps (Hacker's Delight, 7-3).
+ */
+void
+transpose64(std::uint64_t (&a)[64])
+{
+    std::uint64_t m = 0x00000000ffffffffull;
+    for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
+        for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
+            const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -45,6 +62,12 @@ SlidingWindowDecoder::SlidingWindowDecoder(const DecoderSetup& setup,
       dec(graph)
 {
     const auto& prog = *setup.program;
+    // One spare word, so carryBits can read the word after any group.
+    carry.assign(prog.numDetectors() / 64 + 2, 0);
+    const auto& det2node = graph.detectorToNode();
+    for (std::size_t d = 0; d < det2node.size(); ++d)
+        if (det2node[d] >= 0)
+            carry[d / 64] |= std::uint64_t{1} << (d % 64);
     nRounds = std::max<std::size_t>(prog.numSlices(), 1);
     isWindowed =
         config.windowRounds > 0 && config.windowRounds < nRounds;
@@ -111,16 +134,22 @@ SlidingWindowDecoder::pushBlock(const stab::SyndromeBlock& block)
         return;
     }
 
-    // Extract the round's fired detectors per lane and project them
-    // onto the carrying graph; the pending lists are the only syndrome
-    // storage, so a consumed block can be recycled immediately.
-    collectFired(block.detWords.data(), 1, 1, block.detWords.size(),
-                 block.detBegin);
-    for (std::size_t l = 0; l < lanes; ++l) {
-        if (fired[l].empty())
-            continue;
-        shotWeight[l] += static_cast<std::uint32_t>(fired[l].size());
-        graph.projectSparse(fired[l], pending[l]);
+    // Append each lane's fired carrying-class nodes to its pending
+    // list; the pending lists are the only syndrome storage, so a
+    // consumed block can be recycled immediately.
+    const std::size_t groups = transposeWord(block.detWords.data(), 1,
+                                             block.detWords.size());
+    const auto& det2node = graph.detectorToNode();
+    for (std::size_t g = 0; g < groups; ++g) {
+        const std::size_t first = block.detBegin + g * 64;
+        const std::uint64_t carried = carryBits(first);
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const std::uint64_t fired = rows[l * groups + g];
+            shotWeight[l] += static_cast<std::uint32_t>(std::popcount(fired));
+            for (std::uint64_t b = fired & carried; b; b &= b - 1)
+                pending[l].push_back(static_cast<std::uint32_t>(
+                    det2node[first + std::countr_zero(b)]));
+        }
     }
 
     if (pushedRounds == nRounds) {
@@ -131,63 +160,82 @@ SlidingWindowDecoder::pushBlock(const stab::SyndromeBlock& block)
     }
 }
 
-void
-SlidingWindowDecoder::collectFired(const std::uint64_t* det,
-                                   std::size_t stride, std::size_t words,
-                                   std::size_t n_det, std::uint32_t first)
+std::uint64_t
+SlidingWindowDecoder::carryBits(std::size_t first) const
 {
-    // The scan may write any lane of a word, so every lane of every
-    // word is cleared, including lanes past the last shot.
-    if (fired.size() < words * 64)
-        fired.resize(words * 64);
-    for (std::size_t s = 0; s < words * 64; ++s)
-        fired[s].clear();
-    for (std::size_t d = 0; d < n_det; ++d) {
-        for (std::size_t w = 0; w < words; ++w) {
-            std::uint64_t word = det[d * stride + w];
-            while (word) {
-                const auto l =
-                    static_cast<std::size_t>(std::countr_zero(word));
-                word &= word - 1;
-                fired[w * 64 + l].push_back(first +
-                                            static_cast<std::uint32_t>(d));
-            }
-        }
+    const std::size_t k = first / 64;
+    const std::size_t shift = first % 64;
+    const std::uint64_t bits = carry[k] >> shift;
+    return shift ? bits | carry[k + 1] << (64 - shift) : bits;
+}
+
+std::size_t
+SlidingWindowDecoder::transposeWord(const std::uint64_t* det,
+                                    std::size_t stride, std::size_t n_det)
+{
+    const std::size_t groups = (n_det + 63) / 64;
+    rows.resize(64 * groups);
+    std::uint64_t block[64];
+    for (std::size_t g = 0; g < groups; ++g) {
+        const std::size_t n = std::min<std::size_t>(64, n_det - g * 64);
+        for (std::size_t i = 0; i < n; ++i)
+            block[i] = det[(g * 64 + i) * stride];
+        std::fill(block + n, block + 64, 0);
+        transpose64(block);
+        for (std::size_t l = 0; l < 64; ++l)
+            rows[l * groups + g] = block[l];
     }
+    return groups;
 }
 
 void
 SlidingWindowDecoder::decodeShots(const std::uint64_t* det,
                                   std::size_t stride, std::size_t shots)
 {
-    collectFired(det, stride, (shots + 63) / 64, detColumn.size(), 0);
+    // One 64-shot word at a time: transpose it into shot-major rows,
+    // then walk each shot's fired detectors in ascending order.  Every
+    // fired detector counts toward the syndrome weight; union-find
+    // reads only the carrying-class ones, as nodes of its graph.  Each
+    // shot decodes once, in shot order: reusing repeated syndromes
+    // never paid for the sort it needs.
+    const auto& det2node = graph.detectorToNode();
+    const std::size_t n_det = detColumn.size();
     predicted.assign(shots, 0);
-    for (std::size_t s = 0; s < shots; ++s) {
-        acc.syndromeWeights.record(fired[s].size());
-        // Weight-0 fast path: both decoders map the empty syndrome to
-        // the zero correction.
-        if (fired[s].empty())
-            ++acc.trivialShots;
+    for (std::size_t s0 = 0; s0 < shots; s0 += 64) {
+        const std::size_t groups = transposeWord(det + s0 / 64, stride,
+                                                 n_det);
+        for (std::size_t l = 0; l < 64 && s0 + l < shots; ++l) {
+            const std::uint64_t* row = rows.data() + l * groups;
+            std::size_t weight = 0;
+            for (std::size_t g = 0; g < groups; ++g)
+                weight += static_cast<std::size_t>(std::popcount(row[g]));
+            acc.syndromeWeights.record(weight);
+            // Weight-0 fast path: both decoders map the empty syndrome
+            // to the zero correction.
+            if (weight == 0) {
+                ++acc.trivialShots;
+                continue;
+            }
+            idsBuf.clear();
+            if (kind == DecoderKind::GreedyDem) {
+                for (std::size_t g = 0; g < groups; ++g)
+                    for (std::uint64_t b = row[g]; b; b &= b - 1)
+                        idsBuf.push_back(static_cast<std::uint32_t>(
+                            g * 64 + std::countr_zero(b)));
+                predicted[s0 + l] =
+                    setup.greedy->decodeSparse(idsBuf, residual,
+                                               residualNext);
+                continue;
+            }
+            for (std::size_t g = 0; g < groups; ++g)
+                for (std::uint64_t b = row[g] & carry[g]; b; b &= b - 1)
+                    idsBuf.push_back(static_cast<std::uint32_t>(
+                        det2node[g * 64 + std::countr_zero(b)]));
+            predicted[s0 + l] = dec.decodeSparse(idsBuf);
+        }
     }
-
-    if (kind == DecoderKind::GreedyDem) {
-        for (std::size_t s = 0; s < shots; ++s)
-            if (!fired[s].empty())
-                predicted[s] = setup.greedy->decodeSparse(fired[s], residual,
-                                                          residualNext);
-        return;
-    }
-    // Shot order over the whole buffer, on the carrying graph only.
-    // No sort and no dedup: reusing repeated syndromes never paid for
-    // its sort, and per-word loops measured slower than this order.
-    for (std::size_t s = 0; s < shots; ++s) {
-        if (fired[s].empty())
-            continue;
-        nodesBuf.clear();
-        graph.projectSparse(fired[s], nodesBuf);
-        predicted[s] = dec.decodeSparse(nodesBuf);
-    }
-    syncGrowthWork();
+    if (kind != DecoderKind::GreedyDem)
+        syncGrowthWork();
 }
 
 void

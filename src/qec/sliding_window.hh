@@ -162,9 +162,19 @@ class SlidingWindowDecoder
     std::size_t decodeBuffer(const stab::DetectorSamples& samples);
 
   private:
-    void collectFired(const std::uint64_t* det, std::size_t stride,
-                      std::size_t words, std::size_t n_det,
-                      std::uint32_t first);
+    /**
+     * Carrying-class bits of detectors [@p first, @p first + 64): bit i
+     * is set iff detector first + i is a node of the decoding graph.
+     */
+    std::uint64_t carryBits(std::size_t first) const;
+    /**
+     * Transpose one 64-shot word of @p n_det packed detector words
+     * (detector i at det[i * stride]) into shot-major rows: bit i of
+     * rows[l * groups + g] is detector g * 64 + i of lane l.  Returns
+     * groups = ceil(n_det / 64).
+     */
+    std::size_t transposeWord(const std::uint64_t* det, std::size_t stride,
+                              std::size_t n_det);
     void decodeShots(const std::uint64_t* det, std::size_t stride,
                      std::size_t shots);
     std::size_t countFailures(const std::uint64_t* obs, std::size_t stride,
@@ -205,9 +215,13 @@ class SlidingWindowDecoder
     /** Round of each graph node (windowed mode only). */
     std::vector<std::uint32_t> nodeRound;
 
-    // Reused scratch.  fired[s]: shot s's fired detector ids,
-    // ascending (64 entries per packed word; cleared, never shrunk).
-    std::vector<std::vector<std::uint32_t>> fired;
+    /** Carrying-class detector bitmap (see carryBits). */
+    std::vector<std::uint64_t> carry;
+
+    // Reused scratch.  rows: one word's shot-major fired bitmap (see
+    // transposeWord); idsBuf: one shot's fired ids, ascending.
+    std::vector<std::uint64_t> rows;
+    std::vector<std::uint32_t> idsBuf;
     std::vector<std::uint32_t> nodesBuf;
     std::vector<std::uint32_t> edgesBuf;
     std::vector<std::uint32_t> flipsBuf;

@@ -14,9 +14,10 @@ namespace {
 // Telemetry.  Flip counts are per 64-lane word (idle lanes of a final
 // partial batch included), so they are bit-identical for any chunking
 // of a shot budget and any worker count.  noise_words counts resolved
-// noise-tape rows (tape slots x 64-shot batches) — a function of the
-// program and the shot budget alone, so it too is invariant under
-// worker count AND under the sampler's block width.  rng_draws
+// noise-tape slots (tapeWords() x 64-shot batches), every mask
+// resolution could produce whether or not it is kept as an event — a
+// function of the program and the shot budget alone, so it too is
+// invariant under worker count AND under the sampler's block width.  rng_draws
 // counts the generator words noise resolution consumed; each chunk's
 // draws are fixed by its seed and RNG contract v2, whatever the width
 // or the worker count.

@@ -21,7 +21,29 @@ namespace {
 // function of the workload, not of scheduling.
 obs::Counter& cProgramCompiles = obs::counter("stab.sampler.program_compiles");
 
-/** Noise-tape slots an op consumes in block execution. */
+/** The noise opcodes end the enum. */
+bool
+isNoise(FrameOpCode code)
+{
+    return code >= FrameOpCode::XError;
+}
+
+/** Index of a noise opcode: X_ERROR, Z_ERROR, PAULI1, DEPOL1, DEPOL2. */
+std::size_t
+noiseIndex(FrameOpCode code)
+{
+    static_assert(static_cast<int>(FrameOpCode::Depol2) -
+                          static_cast<int>(FrameOpCode::XError) ==
+                      4,
+                  "five noise opcodes end the enum");
+    return static_cast<std::size_t>(code) -
+           static_cast<std::size_t>(FrameOpCode::XError);
+}
+
+/**
+ * Noise-tape slots of an op: the masks its resolution can produce per
+ * 64-shot word (the noise_words accounting; see tapeWords()).
+ */
 std::uint32_t
 tapeSlotsOf(FrameOpCode code)
 {
@@ -33,12 +55,30 @@ tapeSlotsOf(FrameOpCode code)
         return 1; // the error mask
       case FrameOpCode::Pauli1:
       case FrameOpCode::Depol1:
-        return 2; // resolved X-flip and Z-flip masks
+        return 2; // X-flip and Z-flip masks
       case FrameOpCode::Depol2:
-        return 4; // err & v0..v3 (X_a, Z_a, X_b, Z_b masks)
+        return 4; // X_a, Z_a, X_b, Z_b masks
       default:
         return 0;
     }
+}
+
+/**
+ * Mean error events per 64-shot word of each noise opcode (by
+ * noiseIndex) on channel @p ch of per-lane error probability @p p: a
+ * flip-mask row is non-zero when one of the 64 lanes errs with a Pauli
+ * that flips it.
+ */
+std::array<double, 5>
+meanEvents(double p, const NoiseChannel& ch)
+{
+    const double q = p > 0.0 ? std::min(p, 1.0) : 0.0; // NaN -> 0
+    const auto nonzero = [q](double share) {
+        return 1.0 - std::pow(1.0 - q * share, 64);
+    };
+    return {nonzero(1.0), nonzero(1.0),
+            nonzero(ch.pickXY) + nonzero(1.0 - ch.pickX),
+            2.0 * nonzero(2.0 / 3.0), 4.0 * nonzero(8.0 / 15.0)};
 }
 
 /**
@@ -94,10 +134,9 @@ forEachErringLane(const NoiseChannel& ch, Rng& rng, Visit&& visit)
 /**
  * Resolve noise op @p op over one 64-lane word under RNG contract v2.
  * Returns the erring-lane mask; when it is non-zero, @p m holds the
- * op's flip masks in tape-slot order (X_ERROR/Z_ERROR: the error
- * mask; PAULI1/DEPOL1: X then Z flips of qubit a; DEPOL2: X_a, Z_a,
- * X_b, Z_b).  Forced inline, like the helpers above, so the caller's
- * generator copy never leaves registers.
+ * flips of the op's four frame rows X_a, Z_a, X_b, Z_b (zero where the
+ * op cannot flip).  Forced inline, like the helpers above, so the
+ * caller's generator copy never leaves registers.
  */
 [[gnu::always_inline]] inline std::uint64_t
 resolveNoise(const FrameOp& op, const NoiseChannel& ch, Rng& rng,
@@ -135,8 +174,10 @@ resolveNoise(const FrameOp& op, const NoiseChannel& ch, Rng& rng,
         });
     if (!err)
         return 0;
-    if (op.code == FrameOpCode::XError || op.code == FrameOpCode::ZError)
+    if (op.code == FrameOpCode::XError)
         fx = err;
+    if (op.code == FrameOpCode::ZError)
+        fz = err;
     m[0] = fx;
     m[1] = fz;
     m[2] = gx;
@@ -233,12 +274,15 @@ FrameProgram::compile(const Circuit& circuit)
     // One NoiseChannel per distinct (p, PAULI1 split): a d=13 memory
     // circuit has ~20k noise ops but only a handful of channels.
     std::map<std::array<double, 3>, std::uint32_t> channel_ids;
+    std::vector<std::array<double, 5>> channel_events;
     const auto channel = [&](double p, double pick_x, double pick_xy) {
         const auto [it, fresh] = channel_ids.try_emplace(
             {p, pick_x, pick_xy},
             static_cast<std::uint32_t>(prog->channels.size()));
-        if (fresh)
+        if (fresh) {
             prog->channels.push_back(makeChannel(p, pick_x, pick_xy));
+            channel_events.push_back(meanEvents(p, prog->channels.back()));
+        }
         return it->second;
     };
 
@@ -255,22 +299,64 @@ FrameProgram::compile(const Circuit& circuit)
     std::vector<std::uint32_t> meas_slice(prog->nQubits, kNever);
     std::uint32_t cur_slice = 0;
     std::uint32_t meas_count = 0;
+    std::uint32_t m_ops = 0;
+    std::uint32_t slot = 0;
+    double expected = 0.0;
+    prog->eventPrefix.push_back(0.0);
     FrameSliceInfo open; // ranges accumulate; begin fields are current
     const auto close_slice = [&] {
-        open.opEnd = static_cast<std::uint32_t>(prog->stream.size());
+        prog->eventPrefix.push_back(expected);
+        open.opEnd = static_cast<std::uint32_t>(prog->replayOps.size());
+        open.rngEnd = static_cast<std::uint32_t>(prog->rngOps.size());
+        open.tapeEnd = slot;
+        open.collapseEnd = m_ops;
         open.measEnd = meas_count;
         open.detEnd =
             static_cast<std::uint32_t>(prog->detOffsets.size() - 1);
         prog->slices.push_back(open);
         open.opBegin = open.opEnd;
+        open.rngBegin = open.rngEnd;
+        open.tapeBegin = open.tapeEnd;
+        open.collapseBegin = open.collapseEnd;
         open.measBegin = open.measEnd;
         open.detBegin = open.detEnd;
         ++cur_slice;
     };
 
+    // Size both op lists up front (a zero-probability PAULI1 counts but
+    // is dropped below): one exact allocation each instead of a chain
+    // of doubling copies, which also left every later d = 7 setup
+    // paging in ~1 MB more.
+    std::size_t n_rng = 0, n_replay = 0;
+    for (const auto& op : circuit.ops()) {
+        switch (op.code) {
+          case OpCode::X:
+          case OpCode::Y:
+          case OpCode::Z:
+          case OpCode::DETECTOR:
+          case OpCode::OBSERVABLE:
+            break;
+          case OpCode::X_ERROR:
+          case OpCode::Z_ERROR:
+          case OpCode::PAULI1:
+          case OpCode::DEPOL1:
+          case OpCode::DEPOL2:
+            ++n_rng;
+            break;
+          case OpCode::M:
+            ++n_rng;
+            ++n_replay;
+            break;
+          default:
+            ++n_replay;
+        }
+    }
+    prog->rngOps.reserve(n_rng);
+    prog->replayOps.reserve(n_replay);
+
     prog->detOffsets.push_back(0);
     for (const auto& op : circuit.ops()) {
-        FrameOp f;
+        FrameOp f{};
         f.a = op.targets.empty() ? 0 : op.targets[0];
         f.b = op.targets.size() > 1 ? op.targets[1] : 0;
         switch (op.code) {
@@ -344,8 +430,24 @@ FrameProgram::compile(const Circuit& circuit)
                 obs_meas[op.id].push_back(m);
             continue;
         }
-        prog->stream.push_back(f);
+        // Noise ops leave the replay stream: each is tagged with the
+        // replay op it precedes, and its errors are applied there.
+        // RNG-consuming ops (noise and M) form the resolution list, in
+        // stream order, which is the order contract v2 draws in.
+        slot += tapeSlotsOf(f.code);
+        if (isNoise(f.code)) {
+            f.site = static_cast<std::uint32_t>(prog->replayOps.size());
+            prog->rngOps.push_back(f);
+            expected += channel_events[f.channel][noiseIndex(f.code)];
+        } else {
+            if (f.code == FrameOpCode::M) {
+                prog->rngOps.push_back(f);
+                ++m_ops;
+            }
+            prog->replayOps.push_back(f);
+        }
     }
+    prog->nTapeSlots = slot;
     HETARCH_ASSERT(prog->detOffsets.size() == prog->nDets + 1,
                    "detector count mismatch while compiling");
 
@@ -412,31 +514,28 @@ FrameProgram::compile(const Circuit& circuit)
     prog->lookback = look;
     prog->ringCapacity = std::bit_ceil(look);
 
-    // Noise-tape layout: assign every RNG-consuming op a contiguous
-    // slot range in stream order (the resolution order), and keep a
-    // dense copy of just those ops so the per-word resolution pass
-    // never dispatches pure Cliffords.  Slices own contiguous runs of
-    // both.
-    std::uint32_t slot = 0;
-    for (auto& s : prog->slices) {
-        s.rngBegin = static_cast<std::uint32_t>(prog->rngOps.size());
-        s.tapeBegin = slot;
-        for (std::uint32_t i = s.opBegin; i < s.opEnd; ++i) {
-            auto& f = prog->stream[i];
-            const std::uint32_t slots = tapeSlotsOf(f.code);
-            if (slots == 0)
-                continue;
-            f.tape = slot;
-            slot += slots;
-            prog->rngOps.push_back(f);
-        }
-        s.rngEnd = static_cast<std::uint32_t>(prog->rngOps.size());
-        s.tapeEnd = slot;
-    }
-    prog->nTapeSlots = slot;
-
     cProgramCompiles.add();
     return prog;
+}
+
+std::vector<FrameOp>
+FrameProgram::ops() const
+{
+    // Each noise op goes just before the replay op at its site; the M
+    // ops of the resolution list are taken from the replay list.
+    std::vector<FrameOp> out;
+    out.reserve(replayOps.size() + rngOps.size());
+    auto r = rngOps.begin();
+    for (std::size_t i = 0; i <= replayOps.size(); ++i) {
+        for (; r != rngOps.end() &&
+               (r->code == FrameOpCode::M || r->site == i);
+             ++r)
+            if (r->code != FrameOpCode::M)
+                out.push_back(*r);
+        if (i < replayOps.size())
+            out.push_back(replayOps[i]);
+    }
+    return out;
 }
 
 void
@@ -447,10 +546,10 @@ FrameProgram::beginBlock(FrameBlockScratch& scratch, std::size_t words,
                    "block width ", words, " out of range");
     scratch.words = words;
     scratch.measMask = ring ? ringCapacity - 1 : ~std::size_t{0};
-    scratch.x.assign(nQubits * words, 0);
-    scratch.z.assign(nQubits * words, 0);
+    scratch.frame.assign(2 * nQubits * words, 0);
     scratch.meas.assign((ring ? ringCapacity : nMeas) * words, 0);
     scratch.fold.resize(words);
+    scratch.eventCount = 0;
 }
 
 std::uint64_t
@@ -465,25 +564,37 @@ FrameProgram::resolveSlices(FrameBlockScratch& scratch, std::size_t first,
                    "program; a partial slice range runs at one word");
     const auto& lo = slices[first];
     const auto& hi = slices[last - 1];
-    scratch.tapeBegin = lo.tapeBegin;
-    scratch.tape.assign((hi.tapeEnd - lo.tapeBegin) * words, 0);
+    scratch.collapse.resize((hi.collapseEnd - lo.collapseBegin) * words);
 
-    // Word by word, op by op: the draw order of contract v2.  Errors
-    // are rare, so the tape starts zeroed and only erring ops (and the
-    // collapse words) write their slot-major rows; a clean op costs one
-    // draw and one compare.  The generator is copied so its state stays
-    // in registers (tape stores could alias the caller's).
+    // Word by word, op by op: the draw order of contract v2.  A clean
+    // noise op costs one draw and one compare and leaves nothing; an
+    // erring one writes its four flip masks as events and keeps the
+    // non-zero ones, without a branch per mask.  The generator is
+    // copied so its state stays in registers (event stores could alias
+    // the caller's).
     Rng rng = generator;
     std::uint64_t flips = 0;
-    auto* tape = scratch.tape.data();
+    auto* collapse = scratch.collapse.data();
+    // Size the events for the range's mean count M plus M/16 + 64,
+    // several standard deviations of the count at any M, so a block
+    // carries no doubling slack and rarely grows (by doubling, below).
+    auto& events = scratch.events;
+    const double mean = (eventPrefix[last] - eventPrefix[first]) *
+                        static_cast<double>(words);
+    const auto want = static_cast<std::size_t>(mean + mean / 16) + 64;
+    if (events.size() < want)
+        events.resize(want);
+    std::size_t n = 0;
+    const auto z_rows = static_cast<std::uint32_t>(nQubits * words);
     const FrameOp* ops_begin = rngOps.data() + lo.rngBegin;
     const FrameOp* ops_end = rngOps.data() + hi.rngEnd;
     std::uint64_t m[4] = {};
     for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t* c = collapse + w;
         for (const FrameOp* op = ops_begin; op != ops_end; ++op) {
-            auto* slot = tape + (op->tape - lo.tapeBegin) * words + w;
             if (op->code == FrameOpCode::M) {
-                *slot = rng();
+                *c = rng();
+                c += words;
                 continue;
             }
             const std::uint64_t err =
@@ -491,11 +602,37 @@ FrameProgram::resolveSlices(FrameBlockScratch& scratch, std::size_t first,
             if (!err)
                 continue;
             flips += static_cast<std::uint64_t>(std::popcount(err));
-            for (std::uint32_t j = 0; j < tapeSlotsOf(op->code); ++j)
-                slot[j * words] = m[j];
+            if (events.size() - n < 4)
+                events.resize(2 * n + 64);
+            const auto xa = static_cast<std::uint32_t>(op->a * words + w);
+            const auto xb = static_cast<std::uint32_t>(op->b * words + w);
+            const std::uint32_t rows[4] = {xa, z_rows + xa, xb, z_rows + xb};
+            for (std::size_t j = 0; j < 4; ++j) {
+                events[n] = {op->site, rows[j], m[j]};
+                n += m[j] != 0;
+            }
         }
     }
     generator = rng;
+
+    if (words > 1) {
+        // Each word's events are in site order; a stable counting sort
+        // on the site interleaves the W runs into one site-ordered list.
+        const std::uint32_t base = lo.opBegin;
+        auto& start = scratch.siteStart;
+        start.assign(hi.opEnd - base + 2, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            ++start[events[i].site - base + 1];
+        for (std::size_t k = 1; k < start.size(); ++k)
+            start[k] += start[k - 1];
+        auto& sorted = scratch.sorted;
+        if (sorted.size() < events.size())
+            sorted.resize(events.size()); // the two swap roles below
+        for (std::size_t i = 0; i < n; ++i)
+            sorted[start[events[i].site - base]++] = events[i];
+        std::swap(events, sorted);
+    }
+    scratch.eventCount = n;
     return flips;
 }
 
@@ -504,84 +641,77 @@ FrameProgram::replaySlices(FrameBlockScratch& scratch, std::size_t first,
                            std::size_t last) const
 {
     HETARCH_DEBUG_ASSERT(scratch.words >= 1 &&
-                             scratch.x.size() == nQubits * scratch.words,
+                             scratch.frame.size() ==
+                                 2 * nQubits * scratch.words,
                          "replay on an unprepared scratch");
     // Locals throughout: a store through a frame row may alias any
     // size_t field of the scratch, so reading fields in the loop would
     // reload them after every store.
-    auto* x = scratch.x.data();
-    auto* z = scratch.z.data();
+    auto* x = scratch.frame.data();
+    auto* z = x + nQubits * scratch.words;
     auto* meas = scratch.meas.data();
+    const std::uint64_t* collapse = scratch.collapse.data();
     const std::size_t mask = scratch.measMask;
-    const std::uint64_t* tape_rows = scratch.tape.data();
-    const std::size_t tape_begin = scratch.tapeBegin;
+    const NoiseEvent* ev = scratch.events.data();
+    const NoiseEvent* ev_end = ev + scratch.eventCount;
     std::size_t m = slices[first].measBegin;
-    const FrameOp* begin = stream.data() + slices[first].opBegin;
-    const FrameOp* end = stream.data() + slices[last - 1].opEnd;
+    const FrameOp* base = replayOps.data();
+    const FrameOp* op = base + slices[first].opBegin;
+    const FrameOp* end = base + slices[last - 1].opEnd;
     withBlockWords(scratch.words, [&](auto words) {
         constexpr std::size_t w = decltype(words)::value;
-        // Tape row of slot t; the range was resolved from tape_begin.
-        const auto tape = [&](std::uint32_t t) {
-            return tape_rows + (t - tape_begin) * w;
-        };
         const auto record = [&](const std::uint64_t* row) {
             std::copy_n(row, w, meas + (m++ & mask) * w);
         };
-        for (const FrameOp* op = begin; op != end; ++op) {
-            auto* xa = x + op->a * w;
-            auto* za = z + op->a * w;
-            auto* xb = x + op->b * w;
-            auto* zb = z + op->b * w;
-            switch (op->code) {
-              case FrameOpCode::H:
-                swapRows(xa, za, w);
-                break;
-              case FrameOpCode::SGate:
-                xorRow(za, xa, w);
-                break;
-              case FrameOpCode::CX:
-                xorRow(xb, xa, w);
-                xorRow(za, zb, w);
-                break;
-              case FrameOpCode::CZ:
-                xorRow(za, xb, w);
-                xorRow(zb, xa, w);
-                break;
-              case FrameOpCode::Swap:
-                swapRows(xa, xb, w);
-                swapRows(za, zb, w);
-                break;
-              case FrameOpCode::M:
-                record(xa);
-                xorRow(za, tape(op->tape), w);
-                break;
-              case FrameOpCode::R:
-                std::fill_n(xa, w, 0);
-                std::fill_n(za, w, 0);
-                break;
-              case FrameOpCode::MR:
-                record(xa);
-                std::fill_n(xa, w, 0);
-                std::fill_n(za, w, 0);
-                break;
-              case FrameOpCode::XError:
-                xorRow(xa, tape(op->tape), w);
-                break;
-              case FrameOpCode::ZError:
-                xorRow(za, tape(op->tape), w);
-                break;
-              case FrameOpCode::Pauli1:
-              case FrameOpCode::Depol1:
-                xorRow(xa, tape(op->tape), w);
-                xorRow(za, tape(op->tape + 1), w);
-                break;
-              case FrameOpCode::Depol2:
-                xorRow(xa, tape(op->tape), w);
-                xorRow(za, tape(op->tape + 1), w);
-                xorRow(xb, tape(op->tape + 2), w);
-                xorRow(zb, tape(op->tape + 3), w);
-                break;
+        for (;; ++ev) {
+            // Run the ops up to the next event's site, then apply the
+            // event; the last stop is the range's end.
+            const FrameOp* stop = ev != ev_end ? base + ev->site : end;
+            for (; op != stop; ++op) {
+                auto* xa = x + op->a * w;
+                auto* za = z + op->a * w;
+                auto* xb = x + op->b * w;
+                auto* zb = z + op->b * w;
+                switch (op->code) {
+                  case FrameOpCode::H:
+                    swapRows(xa, za, w);
+                    break;
+                  case FrameOpCode::SGate:
+                    xorRow(za, xa, w);
+                    break;
+                  case FrameOpCode::CX:
+                    xorRow(xb, xa, w);
+                    xorRow(za, zb, w);
+                    break;
+                  case FrameOpCode::CZ:
+                    xorRow(za, xb, w);
+                    xorRow(zb, xa, w);
+                    break;
+                  case FrameOpCode::Swap:
+                    swapRows(xa, xb, w);
+                    swapRows(za, zb, w);
+                    break;
+                  case FrameOpCode::M:
+                    record(xa);
+                    xorRow(za, collapse, w);
+                    collapse += w;
+                    break;
+                  case FrameOpCode::R:
+                    std::fill_n(xa, w, 0);
+                    std::fill_n(za, w, 0);
+                    break;
+                  case FrameOpCode::MR:
+                    record(xa);
+                    std::fill_n(xa, w, 0);
+                    std::fill_n(za, w, 0);
+                    break;
+                  default:
+                    break; // noise ops are resolved into events
+                }
             }
+            if (ev == ev_end)
+                break;
+            x[ev->row] ^= ev->mask;
         }
     });
     HETARCH_DEBUG_ASSERT(m == slices[last - 1].measEnd,

@@ -1,17 +1,19 @@
 /**
  * @file
- * Compiled frame programs: a Circuit lowered once into a flat op
- * stream plus sparse detector/observable XOR masks.
+ * Compiled frame programs: a Circuit lowered once into flat op lists
+ * plus sparse detector/observable XOR masks.
  *
  * The Pauli-frame sampler used to re-interpret the full op list per
  * 64-shot batch — including the annotation ops it skips — and then
  * re-scan it a second time to fold measurement flips into detectors.
  * A FrameProgram hoists all of that out of the hot loop:
  *
- *   - unitary/noise/measure ops become a dense array of compact
- *     FrameOps, and ops that neither touch the frame nor consume
- *     randomness (bare Paulis, annotations, zero-probability PAULI1)
- *     are dropped entirely;
+ *   - unitary/noise/measure ops become compact FrameOps in two dense
+ *     lists, the noise-free ops that replay walks and the
+ *     RNG-consuming ops (noise and M) that resolution walks, and ops
+ *     that neither touch the frame nor consume randomness (bare
+ *     Paulis, annotations, zero-probability PAULI1) are dropped
+ *     entirely;
  *   - every distinct noise channel gets one NoiseChannel of
  *     precomputed constants that its ops index, so the per-op cost of
  *     a d=13 circuit's ~20k noise ops is one index, not one table;
@@ -45,9 +47,17 @@
  * Cost per 64-shot word is one draw per noise op plus O(error events).
  * No resolution step reads frame state, so the draws of a word are fixed
  * before any frame update; that is what lets the block path resolve a
- * whole tape first and replay it afterwards, and what makes samples
+ * whole block first and replay it afterwards, and what makes samples
  * bit-identical across block widths, worker counts and the streaming
  * path.
+ *
+ * Resolution keeps only what errs.  A noise op whose word draws no error
+ * leaves nothing behind; an erring one leaves one noise event per
+ * non-zero flip mask: the frame row it flips, the mask, and the op's
+ * replay site, the index of the first noise-free op after it.  Replay
+ * walks the noise-free ops alone and applies each event just before its
+ * site, so a clean noise op costs one draw and nothing else.  The
+ * collapse word of every M lands in a dense row of its own.
  */
 
 #pragma once
@@ -88,12 +98,12 @@ struct FrameOp
     std::uint32_t a = 0;
     std::uint32_t b = 0;
     /**
-     * First noise-tape slot of this op: the resolve pass writes the
-     * op's drawn masks into tape rows [tape, tape + slots), and the
-     * replay pass XORs them into the frame.  Zero-slot ops (pure
-     * Cliffords, R, MR) never read it.
+     * Noise ops: the replay site, the index in the noise-free replay
+     * stream of the first op after this one (the stream's length for
+     * trailing noise).  The op's error events are applied just before
+     * that op runs.  Other ops never read it.
      */
-    std::uint32_t tape = 0;
+    std::uint32_t site = 0;
     /** Noise ops: index into FrameProgram::noiseChannels(). */
     std::uint32_t channel = 0;
 };
@@ -125,44 +135,65 @@ struct NoiseChannel
 };
 
 /**
- * Reusable per-thread frame state for W-word blocks (W x 64 shots).
- * All rows are word-blocks: qubit q's X frame occupies
- * x[q * words .. q * words + words), measurement record m occupies
- * meas[(m & measMask) * words ..), and noise-tape slot t occupies
- * tape[(t - tapeBegin) * words ..).  Word j of every row holds the same
- * 64-shot lane group, so word-major slices of a block are bit-identical
- * to W independent 64-shot batches.
+ * One resolved error: XOR @p mask into word @p row of the frame buffer
+ * just before replay op @p site runs.
+ */
+struct NoiseEvent
+{
+    std::uint32_t site = 0;
+    std::uint32_t row = 0;
+    std::uint64_t mask = 0;
+};
+
+/**
+ * Reusable per-thread state for W-word blocks (W x 64 shots).  All rows
+ * are word-blocks: qubit q's X frame occupies frame[q * words ..), its Z
+ * frame frame[(numQubits() + q) * words ..), measurement record m
+ * occupies meas[(m & measMask) * words ..), and the collapse word of the
+ * range's i-th M op occupies collapse[i * words ..).  Word j of every
+ * row holds the same 64-shot lane group, so word-major slices of a
+ * block are bit-identical to W independent 64-shot batches.
+ *
+ * Noise lives in events[0, eventCount), ordered by replay site, and
+ * grows with the error events a block draws, not with the circuit.
+ * Resolution writes all four masks of an erring op before it knows
+ * which are non-zero, so it keeps events.size() four entries ahead of
+ * the count.
  */
 struct FrameBlockScratch
 {
     std::size_t words = 0; ///< block width the buffers are sized for
     /** Record-row mask: all ones for the full record, else the ring's. */
     std::size_t measMask = 0;
-    std::size_t tapeBegin = 0; ///< program tape slot of tape row 0
-    std::vector<std::uint64_t> x;
-    std::vector<std::uint64_t> z;
+    std::vector<std::uint64_t> frame;    ///< X rows, then Z rows
     std::vector<std::uint64_t> meas;
-    std::vector<std::uint64_t> tape; ///< resolved noise masks, slot-major
+    std::vector<std::uint64_t> collapse; ///< M collapse words
+    std::vector<NoiseEvent> events;      ///< resolved errors, site order
+    std::size_t eventCount = 0;
+    std::vector<NoiseEvent> sorted;      ///< counting-sort target
+    std::vector<std::uint32_t> siteStart; ///< counting-sort offsets
     std::vector<std::uint64_t> fold; ///< annotation-fold accumulator row
 };
 
 /**
- * One compiled slice ("round") of the op stream: the half-open op,
- * RNG-op, tape-slot, measurement-record, detector and
- * per-slice-observable ranges it covers.  Slices partition the stream;
- * boundaries fall where a qubit is measured for the second time since
- * the previous boundary, which for round-structured circuits (every
- * ancilla measured once per round) lands exactly one QEC round per
- * slice.
+ * One compiled slice ("round") of the op stream: the half-open
+ * replay-op, RNG-op, tape-slot, collapse-row, measurement-record,
+ * detector and per-slice-observable ranges it covers.  Slices partition
+ * the stream; boundaries fall where a qubit is measured for the second
+ * time since the previous boundary, which for round-structured circuits
+ * (every ancilla measured once per round) lands exactly one QEC round
+ * per slice.  A slice's noise events have sites in [opBegin, opEnd].
  */
 struct FrameSliceInfo
 {
-    std::uint32_t opBegin = 0;   ///< first compiled op of the slice
+    std::uint32_t opBegin = 0;   ///< first noise-free (replay) op
     std::uint32_t opEnd = 0;
     std::uint32_t rngBegin = 0;  ///< first RNG-consuming op of the slice
     std::uint32_t rngEnd = 0;
     std::uint32_t tapeBegin = 0; ///< first noise-tape slot of the slice
     std::uint32_t tapeEnd = 0;
+    std::uint32_t collapseBegin = 0; ///< first M op (collapse row)
+    std::uint32_t collapseEnd = 0;
     std::uint32_t measBegin = 0; ///< first measurement record
     std::uint32_t measEnd = 0;
     std::uint32_t detBegin = 0;  ///< first detector emitted in the slice
@@ -188,7 +219,12 @@ class FrameProgram
     std::size_t numDetectors() const { return nDets; }
     std::size_t numObservables() const { return nObs; }
 
-    const std::vector<FrameOp>& ops() const { return stream; }
+    /**
+     * Every compiled op, noise included, in circuit order, rebuilt from
+     * the replay and resolution lists (for reference interpreters and
+     * tests; the kernels read those lists directly).
+     */
+    std::vector<FrameOp> ops() const;
     /** Distinct noise channels, indexed by FrameOp::channel. */
     const std::vector<NoiseChannel>& noiseChannels() const
     {
@@ -214,7 +250,13 @@ class FrameProgram
         return obsMeas.data() + obsOffsets[k + 1];
     }
 
-    /** Noise-tape slots per 64-shot batch (rows of the tape buffer). */
+    /**
+     * Noise-tape slots per 64-shot batch: one per M collapse word and
+     * one per flip mask a noise op can produce (X_ERROR/Z_ERROR 1,
+     * PAULI1/DEPOL1 2, DEPOL2 4).  The dense tape this counts is never
+     * stored; only its non-zero masks become events.  It stays the
+     * work-size measure behind stab.sampler.noise_words.
+     */
     std::size_t tapeWords() const { return nTapeSlots; }
 
     /** Number of compiled slices (>= 1 for a non-empty program). */
@@ -239,14 +281,16 @@ class FrameProgram
     // One kernel set runs every program, over a range of slices at W
     // words (W x 64 shots):
     //
-    //   1. resolveSlices draws the range's noise tape word by word, ops
-    //      in stream order, as RNG contract v2 says.  No draw reads the
-    //      frame, so the draws of a word are fixed before any frame
-    //      update and the tape can be resolved ahead of the replay.
-    //   2. replaySlices walks the range's ops once over W-word rows,
-    //      XORing the tape in at every noise site and recording
-    //      measurement rows.  Frame propagation is bitwise per lane, so
-    //      each word comes out as a 1-word block would compute it.
+    //   1. resolveSlices draws the range's noise word by word, ops in
+    //      stream order, as RNG contract v2 says, keeping each M's
+    //      collapse word and one event per non-zero flip mask.  No draw
+    //      reads the frame, so the draws of a word are fixed before any
+    //      frame update and a whole block resolves ahead of its replay.
+    //   2. replaySlices walks the range's noise-free ops once over
+    //      W-word rows, applying each event just before its site and
+    //      recording measurement rows.  Frame propagation is bitwise per
+    //      lane, so each word comes out as a 1-word block would compute
+    //      it.
     //   3. foldSlices XOR-folds the range's detectors and observable
     //      includes into packed words.
     //
@@ -271,10 +315,10 @@ class FrameProgram
                     bool ring) const;
 
     /**
-     * Pass 1 over slices [@p first, @p last): zero the range's tape
-     * rows and resolve them, drawing word by word in the exact order of
-     * RNG contract v2.  Only erring ops (and every collapse word) write
-     * their slot-major rows.  Returns the applied error-lane popcount
+     * Pass 1 over slices [@p first, @p last): resolve the range's noise,
+     * drawing word by word in the exact order of RNG contract v2, into
+     * the scratch's collapse rows and site-ordered events (the previous
+     * range's are replaced).  Returns the applied error-lane popcount
      * over all words, idle lanes included (the frame_flips counter
      * contribution).  A range short of the whole program requires a
      * 1-word scratch.
@@ -285,9 +329,9 @@ class FrameProgram
 
     /**
      * Pass 2 over slices [@p first, @p last) of the resolved range:
-     * replay the ops over the W-word frame rows, XORing the tape at
-     * every noise site and recording measurement rows.  Slices replay
-     * in order.
+     * replay the noise-free ops over the W-word frame rows, applying
+     * every event at its site and recording measurement rows.  Slices
+     * replay in order.
      */
     void replaySlices(FrameBlockScratch& scratch, std::size_t first,
                       std::size_t last) const;
@@ -318,7 +362,7 @@ class FrameProgram
     /**
      * The whole program's pass 2.  Requires a scratch prepared by
      * resolveNoiseTape (or, for replay-only benchmarking, one whose
-     * resolved tape is replayed again).
+     * resolved events are replayed again).
      */
     void replayBlock(FrameBlockScratch& scratch) const;
 
@@ -335,10 +379,13 @@ class FrameProgram
     std::size_t nMeas = 0;
     std::size_t nDets = 0;
     std::size_t nObs = 0;
-    std::vector<FrameOp> stream;
     std::vector<NoiseChannel> channels;
-    /** RNG-consuming ops only (tape slots assigned), resolution order. */
+    /** RNG-consuming ops only (noise ops and M), resolution order. */
     std::vector<FrameOp> rngOps;
+    /** Noise-free ops only, replay order; noise sites index it. */
+    std::vector<FrameOp> replayOps;
+    /** Mean error events per word before each slice (size slices + 1). */
+    std::vector<double> eventPrefix;
     std::size_t nTapeSlots = 0;
     std::vector<std::uint32_t> detOffsets; ///< size nDets + 1
     std::vector<std::uint32_t> detMeas;

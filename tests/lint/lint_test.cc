@@ -333,7 +333,8 @@ TEST_P(DeterminismCrossValidation, ReverseWalkMatchesMonteCarlo)
     LintReport report;
     passDeterminism(c, report);
     EXPECT_TRUE(report.clean()) << report.toString();
-    EXPECT_TRUE(stab::TableauSimulator::checkDetectorsDeterministic(c));
+    // The sampled oracle misses a single coin with odds 2^-31 at 32 runs.
+    EXPECT_TRUE(stab::TableauSimulator::checkDetectorsDeterministic(c, 32));
 }
 
 TEST_P(DeterminismCrossValidation, MutatedCircuitFlaggedByBoth)

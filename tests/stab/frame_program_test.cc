@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "core/rng.hh"
 #include "qec/surface_circuit.hh"
@@ -205,6 +207,85 @@ TEST(FrameProgram, PackedSamplerMatchesReferenceBitForBit)
                 EXPECT_EQ(next, rng_ref()) << "interpreter rng diverged";
                 EXPECT_EQ(next, rng_stream()) << "stream rng diverged";
             }
+        }
+    }
+}
+
+/**
+ * Noise at every edge of the replay-site mapping, over two slices: before
+ * the first replay op (site 0), between slice 0's last gate and slice
+ * 1's first measurement (the site both slices share), and after the
+ * last op (the end site).  It also covers the p >= 1 path (X_ERROR(1),
+ * DEPOLARIZE1(1)) and DEPOL2 words whose four masks are partly zero.
+ */
+Circuit
+siteEdgeCircuit()
+{
+    Circuit c(4);
+    c.xError(0, 0.3);
+    c.zError(3, 0.4);
+    c.depolarize1(1, 1.0);
+    c.cx(0, 2); // spreads qubit 0's X error only if applied before it
+    c.h(3);     // records qubit 3's Z error only if applied before it
+    std::vector<std::size_t> r0, r1;
+    for (std::uint32_t q = 0; q < 4; ++q)
+        r0.push_back(c.measure(q));
+    c.cx(1, 0);
+    c.depolarize2(0, 1, 0.05); // mostly one erring lane per word
+    c.xError(2, 1.0);
+    for (std::uint32_t q = 0; q < 4; ++q)
+        r1.push_back(c.measure(q));
+    for (std::uint32_t q = 0; q < 4; ++q)
+        c.detector({r0[q], r1[q]});
+    c.observableInclude(0, {r1[0], r1[3]});
+    c.depolarize2(2, 3, 0.3);
+    c.xError(1, 0.2);
+    return c;
+}
+
+TEST(FrameProgram, NoiseEventsAtSiteEdgesMatchInterpreter)
+{
+    const auto prog = FrameProgram::compile(siteEdgeCircuit());
+    ASSERT_EQ(prog->numSlices(), 2u);
+    const auto& s1 = prog->sliceInfo(1);
+    ASSERT_EQ(prog->sliceInfo(0).opEnd, s1.opBegin);
+    std::vector<std::uint32_t> sites;
+    for (const auto& op : prog->ops())
+        if (op.code >= FrameOpCode::XError) // the noise opcodes end the enum
+            sites.push_back(op.site);
+    for (const std::uint32_t edge : {0u, s1.opBegin, s1.opEnd})
+        EXPECT_NE(std::find(sites.begin(), sites.end(), edge), sites.end())
+            << "no noise op at site " << edge;
+
+    const FrameSimulator sim(prog);
+    for (const std::size_t shots : {std::size_t{37}, std::size_t{1000}}) {
+        for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "shots=" << shots << " seed=" << seed);
+            Rng rng_ref(seed);
+            const auto ref = sampleByInterpreter(*prog, shots, rng_ref);
+            const std::uint64_t next = rng_ref();
+
+            Rng rng_batch(seed);
+            const auto batch = sim.sampleDetectors(shots, rng_batch);
+            EXPECT_EQ(batch.detWords, ref.detWords) << "batch";
+            EXPECT_EQ(batch.obsWords, ref.obsWords) << "batch";
+            EXPECT_EQ(rng_batch(), next) << "batch";
+
+            for (const std::size_t width :
+                 {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+                Rng rng(seed);
+                const auto got = sampleAtWidth(*prog, shots, width, rng);
+                EXPECT_EQ(got.detWords, ref.detWords) << "width " << width;
+                EXPECT_EQ(got.obsWords, ref.obsWords) << "width " << width;
+                EXPECT_EQ(rng(), next) << "width " << width;
+            }
+
+            Rng rng_stream(seed);
+            const auto streamed = sampleByStream(prog, shots, rng_stream);
+            EXPECT_EQ(streamed.detWords, ref.detWords) << "stream";
+            EXPECT_EQ(streamed.obsWords, ref.obsWords) << "stream";
+            EXPECT_EQ(rng_stream(), next) << "stream";
         }
     }
 }

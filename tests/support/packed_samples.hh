@@ -132,7 +132,7 @@ sampleAtWidth(const FrameProgram& prog, std::size_t shots,
  * compiled ops over one 64-shot word at a time with scalar frame
  * updates, resolving noise straight from RNG contract v2
  * (frame_program.hh) by a linear inverse-CDF scan instead of the
- * tape, the search buckets, replayBlock or foldAnnotationsBlock.  A
+ * events, the search buckets, replayBlock or foldAnnotationsBlock.  A
  * wrong kernel row shows up as a bit difference against it.
  */
 inline DetectorSamples
