@@ -133,11 +133,9 @@ unionBoundAtWeight(const stab::DetectorErrorModel& dem, std::size_t weight)
     // Shared e_k kernel (schedule.hh): the schedule analyzer's idle
     // bound and this union bound are the same polynomial over
     // different mechanism sets.
-    std::vector<double> probs;
-    probs.reserve(dem.mechanisms.size());
-    for (const auto& m : dem.mechanisms)
-        probs.push_back(m.probability);
-    return sched::elementarySymmetricBound(probs, weight);
+    const auto probs = dem.mechanisms.probabilities();
+    return sched::elementarySymmetricBound({probs.begin(), probs.end()},
+                                           weight);
 }
 
 FaultAnalysis
@@ -152,9 +150,8 @@ analyzeFaults(const stab::DetectorErrorModel& dem,
     out.numHyperedges = graph.hyperedgeMechanisms().size();
     out.deadDetectors = graph.deadDetectors();
     out.undetectableMechanisms = graph.undetectableMechanisms();
-    out.mechanismProbabilities.reserve(dem.mechanisms.size());
-    for (const auto& m : dem.mechanisms)
-        out.mechanismProbabilities.push_back(m.probability);
+    const auto probs = dem.mechanisms.probabilities();
+    out.mechanismProbabilities.assign(probs.begin(), probs.end());
     cAnalyses.add();
 
     for (std::uint32_t bit = 0; bit < dem.numObservables; ++bit) {

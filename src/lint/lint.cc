@@ -105,12 +105,13 @@ void
 passRecordRefs(const stab::Circuit& circuit, LintReport& report)
 {
     const auto& ops = circuit.ops();
+    std::vector<std::uint32_t> sorted;
     for (std::size_t i = 0; i < ops.size(); ++i) {
-        const auto& op = ops[i];
+        const auto op = ops[i];
         if (!isAnnotation(op.code))
             continue;
         // A record index referenced twice cancels out of the parity.
-        auto sorted = op.targets;
+        sorted.assign(op.targets.begin(), op.targets.end());
         std::sort(sorted.begin(), sorted.end());
         if (std::adjacent_find(sorted.begin(), sorted.end()) !=
             sorted.end()) {

@@ -12,7 +12,8 @@ DemDecoder::DemDecoder(const stab::DetectorErrorModel& dem)
         const auto& m = dem.mechanisms[i];
         if (m.detectors.empty())
             continue;
-        auto [it, inserted] = exact.try_emplace(m.detectors, i);
+        auto [it, inserted] =
+            exact.try_emplace(std::vector<std::uint32_t>(m.detectors), i);
         if (!inserted &&
             dem.mechanisms[it->second].probability < m.probability) {
             it->second = i;

@@ -1,5 +1,6 @@
 #include "qec/surface_circuit.hh"
 
+#include <utility>
 #include <vector>
 
 #include "core/logging.hh"
@@ -50,9 +51,9 @@ surfaceMemory(std::size_t distance, std::size_t rounds,
     for (long i = 0; i <= d; ++i) {
         for (long j = 0; j <= d; ++j) {
             std::vector<std::uint32_t> sup;
+            sup.reserve(4);
             for (const auto& [dr, dc] :
-                 std::vector<std::pair<long, long>>{
-                     {-1, -1}, {-1, 0}, {0, -1}, {0, 0}}) {
+                 {std::pair{-1L, -1L}, {-1L, 0L}, {0L, -1L}, {0L, 0L}}) {
                 if (valid(i + dr, j + dc))
                     sup.push_back(data_idx(i + dr, j + dc));
             }
@@ -65,7 +66,7 @@ surfaceMemory(std::size_t distance, std::size_t rounds,
                 keep = (is_x && top_bottom) || (!is_x && !top_bottom);
             }
             if (keep)
-                plaqs.push_back({i, j, is_x, next_anc++, sup});
+                plaqs.push_back({i, j, is_x, next_anc++, std::move(sup)});
         }
     }
 
@@ -84,6 +85,7 @@ surfaceMemory(std::size_t distance, std::size_t rounds,
 
     // Previous-round measurement record index per plaquette.
     std::vector<std::size_t> prev_meas(plaqs.size(), SIZE_MAX);
+    std::vector<bool> busy;
 
     // Reset all ancillas up front.  Data qubits start in |0>; for a
     // memory-X experiment they are rotated into |+> (noiseless
@@ -109,7 +111,7 @@ surfaceMemory(std::size_t distance, std::size_t rounds,
 
         // --- layers 1..4: CNOT dance --------------------------------
         for (int layer = 0; layer < 4; ++layer) {
-            std::vector<bool> busy(circ.numQubits(), false);
+            busy.assign(circ.numQubits(), false);
             for (const auto& p : plaqs) {
                 const long* off = p.isX ? x_order[layer] : z_order[layer];
                 const long r = p.i + off[0], c = p.j + off[1];
@@ -178,11 +180,12 @@ surfaceMemory(std::size_t distance, std::size_t rounds,
     for (std::uint32_t q = 0; q < n_data; ++q)
         data_meas[q] = circ.measure(q);
 
+    std::vector<std::size_t> refs;
     for (std::size_t pi = 0; pi < plaqs.size(); ++pi) {
         const auto& p = plaqs[pi];
         if (p.isX != memory_x)
             continue;
-        std::vector<std::size_t> refs;
+        refs.clear();
         for (auto dq : p.data)
             refs.push_back(data_meas[dq]);
         refs.push_back(prev_meas[pi]);

@@ -98,9 +98,10 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
         votes[static_cast<std::size_t>(vote)].p += p;
     };
 
-    std::vector<const stab::ErrorMechanism*> deferred;
+    std::vector<std::uint32_t> deferred;
     std::vector<std::int32_t> nodes;
-    for (const auto& mech : dem.mechanisms) {
+    for (std::uint32_t i = 0; i < dem.mechanisms.size(); ++i) {
+        const auto mech = dem.mechanisms[i];
         nodes.clear();
         for (auto d : mech.detectors)
             if (g.det2node[d] >= 0)
@@ -114,7 +115,7 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
         } else if (nodes.size() == 2) {
             add_edge(nodes[0], nodes[1], mech.probability, obs);
         } else {
-            deferred.push_back(&mech);
+            deferred.push_back(i);
         }
     }
 
@@ -129,9 +130,10 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
         return c != FlatHashIndex::kAbsent;
     };
     std::vector<std::int32_t> rest;
-    for (const auto* mech : deferred) {
+    for (const auto m : deferred) {
+        const auto mech = dem.mechanisms[m];
         rest.clear();
-        for (auto d : mech->detectors)
+        for (auto d : mech.detectors)
             if (g.det2node[d] >= 0)
                 rest.push_back(g.det2node[d]);
         bool clean = true;
@@ -140,7 +142,7 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
             for (std::size_t i = 0; i < rest.size() && !found; ++i) {
                 for (std::size_t j = i + 1; j < rest.size() && !found;
                      ++j) {
-                    if (merge(rest[i], rest[j], mech->probability)) {
+                    if (merge(rest[i], rest[j], mech.probability)) {
                         rest.erase(rest.begin() +
                                    static_cast<std::ptrdiff_t>(j));
                         rest.erase(rest.begin() +
@@ -151,14 +153,14 @@ DecodingGraph::fromDem(const stab::DetectorErrorModel& dem,
             }
             if (!found) {
                 // Fallback: pair the two closest ids.
-                add_edge(rest[0], rest[1], mech->probability, 0);
+                add_edge(rest[0], rest[1], mech.probability, 0);
                 rest.erase(rest.begin(), rest.begin() + 2);
                 clean = false;
             }
         }
-        if (rest.size() == 1 && !merge(-1, rest[0], mech->probability)) {
-            add_edge(-1, rest[0], mech->probability,
-                     carries_observables ? mech->observables : 0);
+        if (rest.size() == 1 && !merge(-1, rest[0], mech.probability)) {
+            add_edge(-1, rest[0], mech.probability,
+                     carries_observables ? mech.observables : 0);
             clean = false;
         }
         if (!clean)

@@ -34,6 +34,21 @@ opCodeName(OpCode code)
     return "?";
 }
 
+void
+OpTable::add(OpCode code, std::uint32_t id,
+             std::initializer_list<std::uint32_t> op_targets,
+             std::initializer_list<double> op_params)
+{
+    // Offsets are 32-bit; 2^32 targets would be a 16 GB circuit.
+    HETARCH_ASSERT(targets.size() < UINT32_MAX && params.size() < UINT32_MAX,
+                   "circuit arenas past 32-bit offsets");
+    recs.push_back({static_cast<std::uint32_t>(targets.size()),
+                    static_cast<std::uint32_t>(params.size()), id,
+                    static_cast<std::uint32_t>(code)});
+    targets.insert(targets.end(), op_targets);
+    params.insert(params.end(), op_params);
+}
+
 Circuit::Circuit(std::size_t num_qubits)
     : nq(num_qubits)
 {
@@ -50,7 +65,7 @@ void
 Circuit::pushUnary(OpCode code, std::uint32_t q)
 {
     ensureQubit(q);
-    opList.push_back({code, {q}, {}, 0});
+    opTable.add(code, 0, {q});
 }
 
 void
@@ -59,7 +74,21 @@ Circuit::pushPair(OpCode code, std::uint32_t a, std::uint32_t b)
     HETARCH_ASSERT(a != b, "two-qubit op needs distinct qubits");
     ensureQubit(a);
     ensureQubit(b);
-    opList.push_back({code, {a, b}, {}, 0});
+    opTable.add(code, 0, {a, b});
+}
+
+void
+Circuit::pushAnnotation(OpCode code, std::uint32_t id,
+                        const std::vector<std::size_t>& meas_indices)
+{
+    opTable.add(code, id, {});
+    for (auto m : meas_indices) {
+        HETARCH_ASSERT(m < nMeas,
+                       code == OpCode::DETECTOR ? "detector" : "observable",
+                       " references measurement ", m, " but only ", nMeas,
+                       " exist");
+        opTable.targets.push_back(static_cast<std::uint32_t>(m));
+    }
 }
 
 void Circuit::h(std::uint32_t q) { pushUnary(OpCode::H, q); }
@@ -113,7 +142,7 @@ Circuit::xError(std::uint32_t q, double p)
     HETARCH_ASSERT(p >= 0.0 && p <= 1.0, "probability out of range");
     ensureQubit(q);
     if (p > 0.0)
-        opList.push_back({OpCode::X_ERROR, {q}, {p}, 0});
+        opTable.add(OpCode::X_ERROR, 0, {q}, {p});
 }
 
 void
@@ -122,7 +151,7 @@ Circuit::zError(std::uint32_t q, double p)
     HETARCH_ASSERT(p >= 0.0 && p <= 1.0, "probability out of range");
     ensureQubit(q);
     if (p > 0.0)
-        opList.push_back({OpCode::Z_ERROR, {q}, {p}, 0});
+        opTable.add(OpCode::Z_ERROR, 0, {q}, {p});
 }
 
 void
@@ -133,7 +162,7 @@ Circuit::pauliChannel1(std::uint32_t q, double px, double py, double pz)
                    "invalid Pauli channel probabilities");
     ensureQubit(q);
     if (px + py + pz > 0.0)
-        opList.push_back({OpCode::PAULI1, {q}, {px, py, pz}, 0});
+        opTable.add(OpCode::PAULI1, 0, {q}, {px, py, pz});
 }
 
 void
@@ -142,7 +171,7 @@ Circuit::depolarize1(std::uint32_t q, double p)
     HETARCH_ASSERT(p >= 0.0 && p <= 1.0, "probability out of range");
     ensureQubit(q);
     if (p > 0.0)
-        opList.push_back({OpCode::DEPOL1, {q}, {p}, 0});
+        opTable.add(OpCode::DEPOL1, 0, {q}, {p});
 }
 
 void
@@ -153,21 +182,14 @@ Circuit::depolarize2(std::uint32_t a, std::uint32_t b, double p)
     ensureQubit(a);
     ensureQubit(b);
     if (p > 0.0)
-        opList.push_back({OpCode::DEPOL2, {a, b}, {p}, 0});
+        opTable.add(OpCode::DEPOL2, 0, {a, b}, {p});
 }
 
 std::size_t
 Circuit::detector(const std::vector<std::size_t>& meas_indices,
                   std::uint32_t tag)
 {
-    Op op{OpCode::DETECTOR, {}, {}, tag};
-    op.targets.reserve(meas_indices.size());
-    for (auto m : meas_indices) {
-        HETARCH_ASSERT(m < nMeas, "detector references measurement ", m,
-                       " but only ", nMeas, " exist");
-        op.targets.push_back(static_cast<std::uint32_t>(m));
-    }
-    opList.push_back(std::move(op));
+    pushAnnotation(OpCode::DETECTOR, tag, meas_indices);
     detTags.push_back(tag);
     return nDets++;
 }
@@ -176,38 +198,9 @@ void
 Circuit::observableInclude(std::uint32_t index,
                            const std::vector<std::size_t>& meas_indices)
 {
-    Op op{OpCode::OBSERVABLE, {}, {}, index};
-    op.targets.reserve(meas_indices.size());
-    for (auto m : meas_indices) {
-        HETARCH_ASSERT(m < nMeas, "observable references measurement ", m,
-                       " but only ", nMeas, " exist");
-        op.targets.push_back(static_cast<std::uint32_t>(m));
-    }
-    opList.push_back(std::move(op));
+    pushAnnotation(OpCode::OBSERVABLE, index, meas_indices);
     if (index + 1 > nObs)
         nObs = index + 1;
-}
-
-void
-Circuit::append(const Circuit& other)
-{
-    const auto meas_offset = static_cast<std::uint32_t>(nMeas);
-    for (Op op : other.opList) {
-        if (op.code == OpCode::DETECTOR || op.code == OpCode::OBSERVABLE) {
-            for (auto& t : op.targets)
-                t += meas_offset;
-            if (op.code == OpCode::DETECTOR) {
-                detTags.push_back(op.id);
-                ++nDets;
-            } else if (op.id + 1 > nObs) {
-                nObs = op.id + 1;
-            }
-        }
-        opList.push_back(std::move(op));
-    }
-    nMeas += other.nMeas;
-    if (other.nq > nq)
-        nq = other.nq;
 }
 
 void
@@ -333,12 +326,20 @@ Circuit::appendOp(const Op& op, const std::string& context)
     }
 }
 
+void
+Circuit::appendOp(const OpView& op, const std::string& context)
+{
+    appendOp(Op{op.code, op.targets, {op.params.begin(), op.params.end()},
+                op.id},
+             context);
+}
+
 std::string
 Circuit::toString() const
 {
     std::ostringstream os;
     os.precision(17);
-    for (const auto& op : opList) {
+    for (const auto& op : opTable) {
         os << opCodeName(op.code);
         if (op.code == OpCode::OBSERVABLE ||
             (op.code == OpCode::DETECTOR && op.id != 0))

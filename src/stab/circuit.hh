@@ -15,12 +15,23 @@
  * decides it exactly, buildDetectorErrorModel refuses a circuit that
  * breaks it, and TableauSimulator::checkDetectorsDeterministic is the
  * sampled oracle.
+ *
+ * Storage is flat, the layout Stim uses (Gidney, Quantum 5, 497,
+ * 2021): one 16-byte record per op (opcode, id and offsets) over one
+ * target arena and one parameter arena, so appending an op allocates
+ * nothing once the three arrays have grown.  ops() reads the records
+ * back as OpView values whose targets and params are spans into the
+ * arenas; Op is the owning value that appendOp takes from parsers,
+ * tools and tests.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,7 +73,7 @@ enum class OpCode : std::uint8_t
 /** Mnemonic of an opcode, as emitted by Circuit::toString. */
 const char* opCodeName(OpCode code);
 
-/** One circuit operation. */
+/** One circuit operation, owning its targets and params. */
 struct Op
 {
     OpCode code;
@@ -75,6 +86,121 @@ struct Op
 
     /** Exact comparison; no tolerance on params. */
     bool operator==(const Op&) const = default;
+};
+
+/**
+ * A run of 32-bit ids inside a flat arena: an op's targets, a DEM
+ * mechanism's detectors.  A span that also compares by value and
+ * copies out to a vector where a caller wants one.
+ */
+class IdSpan : public std::span<const std::uint32_t>
+{
+  public:
+    using std::span<const std::uint32_t>::span;
+    using const_iterator = iterator; ///< gtest prints it as a container
+
+    operator std::vector<std::uint32_t>() const { return {begin(), end()}; }
+
+    friend bool operator==(IdSpan a, IdSpan b)
+    {
+        return std::ranges::equal(a, b);
+    }
+};
+
+/**
+ * Iterator over a flat table whose operator[] builds a view by value
+ * (OpTable, DetectorErrorModel's MechanismTable).
+ */
+template <typename Table>
+class ViewIterator
+{
+  public:
+    ViewIterator(const Table* table, std::size_t index)
+        : table(table), index(index)
+    {
+    }
+
+    auto operator*() const { return (*table)[index]; }
+    ViewIterator& operator++()
+    {
+        ++index;
+        return *this;
+    }
+    bool operator==(const ViewIterator&) const = default;
+
+  private:
+    const Table* table;
+    std::size_t index;
+};
+
+/** One stored op, viewed in place; see OpTable. */
+struct OpView
+{
+    OpCode code;
+    /** Qubit targets, or measurement-record indices for annotations. */
+    IdSpan targets;
+    /** Noise parameters (p, or px/py/pz). */
+    std::span<const double> params;
+    /** OBSERVABLE: which logical observable; DETECTOR: metadata tag. */
+    std::uint32_t id = 0;
+};
+
+class Circuit;
+
+/**
+ * A circuit's ops in flat storage: one Record per op, holding where its
+ * targets and params begin in the two arenas; they end where the next
+ * op's begin, or at the arena's end for the last op.  Only Circuit
+ * appends.
+ */
+class OpTable
+{
+  public:
+    std::size_t size() const { return recs.size(); }
+
+    OpView operator[](std::size_t i) const
+    {
+        const Record& r = recs[i];
+        const bool last = i + 1 == recs.size();
+        const std::size_t t_end =
+            last ? targets.size() : recs[i + 1].targetBegin;
+        const std::size_t p_end =
+            last ? params.size() : recs[i + 1].paramBegin;
+        return {static_cast<OpCode>(r.code),
+                {targets.data() + r.targetBegin, t_end - r.targetBegin},
+                {params.data() + r.paramBegin, p_end - r.paramBegin},
+                r.id};
+    }
+    ViewIterator<OpTable> begin() const { return {this, 0}; }
+    ViewIterator<OpTable> end() const { return {this, size()}; }
+
+    bool operator==(const OpTable&) const = default;
+
+  private:
+    friend class Circuit;
+    friend std::uint64_t hashCircuit(const Circuit& circuit);
+
+    /** 16 bytes with no padding, so hashCircuit reads them as words. */
+    struct Record
+    {
+        std::uint32_t targetBegin = 0;
+        std::uint32_t paramBegin = 0;
+        std::uint32_t id = 0;
+        std::uint32_t code = 0; ///< an OpCode
+        bool operator==(const Record&) const = default;
+    };
+
+    /**
+     * Append an op.  Targets pushed onto the arena afterwards extend
+     * it (annotations, whose record lists are copied in one by one).
+     */
+    void add(OpCode code, std::uint32_t id,
+             std::initializer_list<std::uint32_t> op_targets,
+             std::initializer_list<double> op_params = {});
+
+    std::vector<Record> recs;
+    std::vector<std::uint32_t> targets;
+    std::vector<double> params;
 };
 
 /**
@@ -101,7 +227,7 @@ class Circuit
     /** One past the highest observable id used. */
     std::size_t numObservables() const { return nObs; }
 
-    const std::vector<Op>& ops() const { return opList; }
+    const OpTable& ops() const { return opTable; }
 
     // --- unitaries ---------------------------------------------------
     void h(std::uint32_t q);
@@ -141,9 +267,6 @@ class Circuit
     void observableInclude(std::uint32_t index,
                            const std::vector<std::size_t>& meas_indices);
 
-    /** Append another circuit (qubit indices shared). */
-    void append(const Circuit& other);
-
     /**
      * Validating raw append: checks target arity (pair ops take an
      * even, stim-style target list and are split into canonical
@@ -156,12 +279,15 @@ class Circuit
      * (parsers, tools, tests).
      */
     void appendOp(const Op& op, const std::string& context = "");
+    /** appendOp of an owning copy of @p op, taken before any write,
+        so @p op may view this circuit's own storage. */
+    void appendOp(const OpView& op, const std::string& context = "");
 
     /** Per-detector metadata tags, indexed by detector id. */
     const std::vector<std::uint32_t>& detectorTags() const { return detTags; }
 
     /** Count of operations, for cost reporting. */
-    std::size_t size() const { return opList.size(); }
+    std::size_t size() const { return opTable.size(); }
 
     /** Human-readable dump (one op per line). */
     std::string toString() const;
@@ -174,12 +300,14 @@ class Circuit
   private:
     void pushUnary(OpCode code, std::uint32_t q);
     void pushPair(OpCode code, std::uint32_t a, std::uint32_t b);
+    void pushAnnotation(OpCode code, std::uint32_t id,
+                        const std::vector<std::size_t>& meas_indices);
 
     std::size_t nq = 0;
     std::size_t nMeas = 0;
     std::size_t nDets = 0;
     std::size_t nObs = 0;
-    std::vector<Op> opList;
+    OpTable opTable;
     std::vector<std::uint32_t> detTags;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 namespace hetarch {
@@ -15,7 +17,7 @@ analyzeCircuit(const Circuit& circuit)
     stats.detectors = circuit.numDetectors();
 
     std::vector<std::size_t> ready(circuit.numQubits(), 0);
-    auto schedule = [&](const std::vector<std::uint32_t>& targets) {
+    auto schedule = [&](std::span<const std::uint32_t> targets) {
         std::size_t start = 0;
         for (auto t : targets)
             start = std::max(start, ready[t]);
@@ -69,29 +71,74 @@ analyzeCircuit(const Circuit& circuit)
     return stats;
 }
 
+namespace {
+
+/**
+ * FNV-1a over 64-bit words in four interleaved lanes: word k of each
+ * 32-byte block feeds lane k, so four multiply chains run side by side
+ * instead of one.  An array ends with a zero-padded block, then its
+ * length goes into lane 0.
+ */
+struct LaneHash
+{
+    static constexpr std::uint64_t kPrime = 1099511628211ull;
+    std::uint64_t h0 = 1469598103934665603ull, h1 = h0 ^ 1, h2 = h0 ^ 2,
+                  h3 = h0 ^ 3;
+
+    static std::uint64_t step(std::uint64_t h, const unsigned char* p)
+    {
+        std::uint64_t w;
+        std::memcpy(&w, p, sizeof w);
+        return (h ^ w) * kPrime;
+    }
+
+    void word(std::uint64_t v) { h0 = (h0 ^ v) * kPrime; }
+
+    /** The elements' bytes (doubles by bit pattern). */
+    template <typename T>
+    void array(const std::vector<T>& v)
+    {
+        // Local lanes stay in registers; the members could alias the
+        // input bytes, so the compiler would store them every block.
+        auto a = h0, b = h1, c = h2, d = h3;
+        const auto block = [&](const unsigned char* p) {
+            a = step(a, p);
+            b = step(b, p + 8);
+            c = step(c, p + 16);
+            d = step(d, p + 24);
+        };
+        const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+        std::size_t n = v.size() * sizeof(T);
+        for (; n >= 32; n -= 32, p += 32)
+            block(p);
+        unsigned char tail[32] = {};
+        if (n > 0)
+            std::memcpy(tail, p, n);
+        block(tail);
+        h0 = a, h1 = b, h2 = c, h3 = d;
+        word(v.size());
+    }
+
+    std::uint64_t finish() const
+    {
+        return (((h0 ^ h1) * kPrime ^ h2) * kPrime ^ h3) * kPrime;
+    }
+};
+
+} // namespace
+
 std::uint64_t
 hashCircuit(const Circuit& circuit)
 {
-    std::uint64_t h = 1469598103934665603ull; // FNV offset basis
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull; // FNV prime
-    };
-    mix(circuit.numQubits());
-    for (const auto& op : circuit.ops()) {
-        mix(static_cast<std::uint64_t>(op.code));
-        mix(op.id);
-        mix(op.targets.size());
-        for (auto t : op.targets)
-            mix(t);
-        mix(op.params.size());
-        for (double p : op.params) {
-            std::uint64_t bits;
-            std::memcpy(&bits, &p, sizeof bits);
-            mix(bits);
-        }
-    }
-    return h;
+    static_assert(std::has_unique_object_representations_v<OpTable::Record>,
+                  "records are hashed as raw bytes");
+    const OpTable& ops = circuit.ops();
+    LaneHash h;
+    h.word(circuit.numQubits());
+    h.array(ops.recs);
+    h.array(ops.targets);
+    h.array(ops.params);
+    return h.finish();
 }
 
 } // namespace stab

@@ -36,10 +36,12 @@ struct CircuitStats
 CircuitStats analyzeCircuit(const Circuit& circuit);
 
 /**
- * Content hash of a circuit: FNV-1a over the full op stream including
- * noise parameters, so two circuits hash alike iff they simulate,
- * decode, and schedule identically.  The memoization key of
- * qec::DecoderCache.
+ * Content hash of a circuit: FNV-1a in four interleaved lanes over its
+ * register size and its flat op storage (records, targets and the bits
+ * of the noise parameters), so equal circuits hash alike and circuits
+ * that simulate, decode or schedule differently almost surely do not.
+ * The memoization key of qec::DecoderCache, with the op and detector
+ * counts beside it.
  */
 std::uint64_t hashCircuit(const Circuit& circuit);
 

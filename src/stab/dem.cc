@@ -103,7 +103,7 @@ struct SensitivityWalk
 
         const auto& ops = circuit.ops();
         for (std::size_t i = ops.size(); i-- > 0;) {
-            const Op& op = ops[i];
+            const OpView op = ops[i];
             switch (op.code) {
               case OpCode::H:
                 std::swap(sensX[op.targets[0]], sensZ[op.targets[0]]);
@@ -243,7 +243,7 @@ struct MechanismAccumulator
      * second id and the rest.  Ids ascend strictly, so a second id is
      * at least 1, and 0 marks a one-id set, which comes first.
      */
-    std::vector<ErrorMechanism> sorted(std::size_t num_detectors) const
+    MechanismTable sorted(std::size_t num_detectors) const
     {
         const auto bucket = [&](std::uint32_t id) -> std::size_t {
             return id < kObsBase ? id : num_detectors + (id - kObsBase);
@@ -275,16 +275,18 @@ struct MechanismAccumulator
             std::sort(order.begin() + start[b], order.begin() + start[b + 1],
                       less);
 
-        std::vector<ErrorMechanism> out(order.size());
-        for (std::size_t k = 0; k < order.size(); ++k) {
-            const Entry& e = entries[order[k].entry];
+        const auto detector_ids = std::ranges::count_if(
+            ids, [](std::uint32_t id) { return id < kObsBase; });
+        MechanismTable out;
+        out.reserve(order.size(), static_cast<std::size_t>(detector_ids));
+        for (const auto& r : order) {
+            const Entry& e = entries[r.entry];
             const auto s = set(e);
             const auto obs = std::lower_bound(s.begin(), s.end(), kObsBase);
-            auto& mech = out[k];
-            mech.probability = e.p;
-            mech.detectors.assign(s.begin(), obs);
+            std::uint32_t mask = 0;
             for (auto it = obs; it != s.end(); ++it)
-                mech.observables |= 1u << (*it - kObsBase);
+                mask |= 1u << (*it - kObsBase);
+            out.push_back(e.p, {s.begin(), obs}, mask);
         }
         return out;
     }
@@ -292,12 +294,32 @@ struct MechanismAccumulator
 
 } // namespace
 
+void
+MechanismTable::reserve(std::size_t mechanisms, std::size_t ids)
+{
+    probs.reserve(mechanisms);
+    masks.reserve(mechanisms);
+    detectorBegin.reserve(mechanisms);
+    detectorIds.reserve(ids);
+}
+
+void
+MechanismTable::push_back(double probability,
+                          std::span<const std::uint32_t> detectors,
+                          std::uint32_t observables)
+{
+    probs.push_back(probability);
+    masks.push_back(observables);
+    detectorBegin.push_back(static_cast<std::uint32_t>(detectorIds.size()));
+    detectorIds.insert(detectorIds.end(), detectors.begin(), detectors.end());
+}
+
 double
 DetectorErrorModel::totalErrorWeight() const
 {
     double w = 0.0;
-    for (const auto& m : mechanisms)
-        w += m.probability;
+    for (const double p : mechanisms.probabilities())
+        w += p;
     return w;
 }
 
@@ -320,9 +342,10 @@ DetectorErrorModel::applyMechanisms(
     for (auto i : indices) {
         HETARCH_ASSERT(i < mechanisms.size(),
                        "mechanism index out of range");
-        for (auto d : mechanisms[i].detectors)
+        const auto m = mechanisms[i];
+        for (auto d : m.detectors)
             dets[d] ^= 1;
-        obs ^= mechanisms[i].observables;
+        obs ^= m.observables;
     }
     return {std::move(dets), obs};
 }
@@ -359,7 +382,7 @@ Nondeterminism::message() const
 std::vector<Nondeterminism>
 findNondeterminism(const Circuit& circuit)
 {
-    return SensitivityWalk(circuit).run([](const Op&) {});
+    return SensitivityWalk(circuit).run([](const OpView&) {});
 }
 
 DetectorErrorModel
@@ -375,7 +398,7 @@ buildDetectorErrorModel(const Circuit& circuit)
 
     // Y and two-qubit combinations go through reused buffers.
     SensSet ya, yb, combo;
-    const auto random = walk.run([&](const Op& op) {
+    const auto random = walk.run([&](const OpView& op) {
         switch (op.code) {
           case OpCode::X_ERROR:
             acc.emit(op.params[0], sens_x[op.targets[0]]);

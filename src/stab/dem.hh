@@ -14,7 +14,10 @@
  * and identical sets merge into one mechanism.  The distinct sets lie
  * back to back in one flat id arena behind a 64-bit hash index, so an
  * emission is one probe and allocates nothing once warm; they are
- * sorted once at the end.
+ * sorted once at the end, straight into the model's CSR arrays
+ * (MechanismTable: a probability, an observable mask and a detector
+ * offset per mechanism over one detector-id array).  Consumers read
+ * mechanisms as ErrorMechanism views into those arrays.
  *
  * The output is fixed bit for bit.  Each set combines its
  * probabilities as q(1 - p) + p(1 - q) in emission order, and the
@@ -29,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,14 +45,55 @@ namespace stab {
 /** Observable ids index one 32-bit mask (ErrorMechanism::observables). */
 inline constexpr std::size_t kMaxObservables = 32;
 
-/** One independent error mechanism. */
+/** One independent error mechanism, viewed in place; see MechanismTable. */
 struct ErrorMechanism
 {
     double probability = 0.0;
     /** Sorted detector ids flipped when this mechanism fires. */
-    std::vector<std::uint32_t> detectors;
+    IdSpan detectors;
     /** Bitmask of logical observables flipped. */
     std::uint32_t observables = 0;
+};
+
+/**
+ * A DEM's mechanisms in CSR form: a probability, an observable mask
+ * and a detector offset per mechanism over one detector-id array, so a
+ * model of any size is four allocations.  Mechanism i's detectors
+ * begin at detectorBegin[i] and end where mechanism i + 1's begin, or
+ * at the array's end for the last one.
+ */
+class MechanismTable
+{
+  public:
+    std::size_t size() const { return probs.size(); }
+    bool empty() const { return probs.empty(); }
+
+    ErrorMechanism operator[](std::size_t i) const
+    {
+        const std::size_t begin = detectorBegin[i];
+        const std::size_t end =
+            i + 1 < size() ? detectorBegin[i + 1] : detectorIds.size();
+        return {probs[i], {detectorIds.data() + begin, end - begin},
+                masks[i]};
+    }
+    ViewIterator<MechanismTable> begin() const { return {this, 0}; }
+    ViewIterator<MechanismTable> end() const { return {this, size()}; }
+
+    /** Every mechanism's probability, in mechanism order. */
+    std::span<const double> probabilities() const { return probs; }
+
+    /** Room for @p mechanisms mechanisms and @p ids detector ids. */
+    void reserve(std::size_t mechanisms, std::size_t ids);
+    /** Append a mechanism; @p detectors must be sorted. */
+    void push_back(double probability,
+                   std::span<const std::uint32_t> detectors,
+                   std::uint32_t observables);
+
+  private:
+    std::vector<double> probs;
+    std::vector<std::uint32_t> masks;
+    std::vector<std::uint32_t> detectorBegin;
+    std::vector<std::uint32_t> detectorIds;
 };
 
 /** The full detector error model of a circuit. */
@@ -56,7 +101,7 @@ struct DetectorErrorModel
 {
     std::size_t numDetectors = 0;
     std::size_t numObservables = 0;
-    std::vector<ErrorMechanism> mechanisms;
+    MechanismTable mechanisms;
 
     /**
      * Sample one shot: fires each mechanism independently, returning

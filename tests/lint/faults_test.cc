@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "lint/fault_graph.hh"
@@ -27,16 +28,28 @@ namespace lint {
 namespace {
 
 using stab::DetectorErrorModel;
-using stab::ErrorMechanism;
 
-ErrorMechanism
+struct Mech
+{
+    double p;
+    std::vector<std::uint32_t> dets;
+    std::uint32_t obs;
+};
+
+Mech
 mech(double p, std::vector<std::uint32_t> dets, std::uint32_t obs = 0)
 {
-    ErrorMechanism m;
-    m.probability = p;
-    m.detectors = std::move(dets);
-    m.observables = obs;
-    return m;
+    return {p, std::move(dets), obs};
+}
+
+/** The mechanisms, in order, as a DEM stores them. */
+stab::MechanismTable
+table(std::initializer_list<Mech> mechs)
+{
+    stab::MechanismTable t;
+    for (const auto& m : mechs)
+        t.push_back(m.p, m.dets, m.obs);
+    return t;
 }
 
 /**
@@ -51,8 +64,8 @@ repCodeDem()
     DetectorErrorModel dem;
     dem.numDetectors = 2;
     dem.numObservables = 1;
-    dem.mechanisms = {mech(0.1, {0}, 1), mech(0.1, {0, 1}, 1),
-                      mech(0.1, {1}, 1)};
+    dem.mechanisms = table({mech(0.1, {0}, 1), mech(0.1, {0, 1}, 1),
+                            mech(0.1, {1}, 1)});
     return dem;
 }
 
@@ -63,12 +76,12 @@ TEST(FaultGraph, ClassifiesMechanismsByDetectorCount)
     DetectorErrorModel dem;
     dem.numDetectors = 4;
     dem.numObservables = 2;
-    dem.mechanisms = {
+    dem.mechanisms = table({
         mech(0.1, {0, 1}),         // interior edge
         mech(0.2, {2}, 0b01),      // boundary edge
         mech(0.3, {0, 1, 2}, 0b10), // hyperedge: excluded
         mech(0.4, {}, 0b01),       // undetectable
-    };
+    });
 
     const auto g = FaultGraph::fromDem(dem);
     EXPECT_EQ(g.numDetectors(), 4u);
@@ -124,7 +137,7 @@ TEST(FaultDistance, RepCodeDistanceThreeWithVerifiedCertificate)
 TEST(FaultDistance, UndetectableMechanismIsDistanceOne)
 {
     auto dem = repCodeDem();
-    dem.mechanisms.push_back(mech(0.01, {}, 1));
+    dem.mechanisms.push_back(0.01, {}, 1);
     const auto fa = analyzeFaults(dem);
     EXPECT_EQ(fa.undetectableMechanisms,
               (std::vector<std::uint32_t>{3}));
@@ -140,7 +153,7 @@ TEST(FaultDistance, UnflippableObservableIsUnbounded)
     dem.numObservables = 1;
     // Flips a detector but never the observable: no undetected logical
     // fault exists.
-    dem.mechanisms = {mech(0.1, {0}, 0)};
+    dem.mechanisms = table({mech(0.1, {0}, 0)});
     const auto fa = analyzeFaults(dem);
     EXPECT_EQ(fa.observables[0].distance, kInfiniteDistance);
     EXPECT_FALSE(fa.observables[0].certificate.exists());
@@ -152,12 +165,12 @@ TEST(FaultDistance, HyperedgeObservableLosesGraphlikeFlag)
     DetectorErrorModel dem;
     dem.numDetectors = 3;
     dem.numObservables = 1;
-    dem.mechanisms = {
+    dem.mechanisms = table({
         mech(0.1, {0}, 1),
         mech(0.1, {1}, 0),
         mech(0.1, {0, 1}, 0),
         mech(0.1, {0, 1, 2}, 1), // hyperedge flipping the observable
-    };
+    });
     const auto fa = analyzeFaults(dem);
     EXPECT_EQ(fa.numHyperedges, 1u);
     EXPECT_FALSE(fa.observables[0].graphlike);
@@ -178,8 +191,8 @@ TEST(FaultDistance, CertificateTiesResolveToEarliestSource)
     DetectorErrorModel dem;
     dem.numDetectors = 2;
     dem.numObservables = 1;
-    dem.mechanisms = {mech(0.1, {0}, 1), mech(0.1, {0}, 0),
-                      mech(0.1, {1}, 1), mech(0.1, {1}, 0)};
+    dem.mechanisms = table({mech(0.1, {0}, 1), mech(0.1, {0}, 0),
+                            mech(0.1, {1}, 1), mech(0.1, {1}, 0)});
     const auto fa = analyzeFaults(dem);
     EXPECT_EQ(fa.observables[0].distance, 2u);
     EXPECT_EQ(fa.observables[0].certificate.mechanisms,
@@ -207,8 +220,8 @@ TEST(UnionBound, MatchesElementarySymmetricPolynomialByHand)
     DetectorErrorModel dem;
     dem.numDetectors = 1;
     dem.numObservables = 1;
-    dem.mechanisms = {mech(0.1, {0}, 1), mech(0.2, {0}, 1),
-                      mech(0.3, {0}, 1)};
+    dem.mechanisms = table({mech(0.1, {0}, 1), mech(0.2, {0}, 1),
+                            mech(0.3, {0}, 1)});
     // e_1 = 0.6; e_2 = 0.1*0.2 + 0.1*0.3 + 0.2*0.3 = 0.11;
     // e_3 = 0.006.
     EXPECT_DOUBLE_EQ(unionBoundAtWeight(dem, 1), 0.6);
@@ -257,7 +270,7 @@ TEST(FaultFindings, SeveritiesMatchTheContract)
     DetectorErrorModel dem;
     dem.numDetectors = 2;
     dem.numObservables = 1;
-    dem.mechanisms = {mech(0.1, {0}, 1), mech(0.05, {}, 1)};
+    dem.mechanisms = table({mech(0.1, {0}, 1), mech(0.05, {}, 1)});
 
     LintReport report;
     faultFindings(analyzeFaults(dem), report);
@@ -276,7 +289,7 @@ TEST(FaultFindings, UnboundedDistanceWarnsAboutMiswiring)
     DetectorErrorModel dem;
     dem.numDetectors = 1;
     dem.numObservables = 1;
-    dem.mechanisms = {mech(0.1, {0}, 0)};
+    dem.mechanisms = table({mech(0.1, {0}, 0)});
     LintReport report;
     faultFindings(analyzeFaults(dem), report);
     EXPECT_TRUE(hasFinding(report, "fault-distance", Severity::Warning,

@@ -1,16 +1,15 @@
 /**
  * @file
  * Tests for the circuit IR builder: measurement-record bookkeeping,
- * append() offset remapping, qubit growth, and validation.
+ * qubit growth, validation, and the flat op storage read back.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "stab/circuit.hh"
-#include "stab/dem.hh"
-#include "stab/frame.hh"
-#include "stab/tableau.hh"
-#include "support/packed_samples.hh"
 
 namespace hetarch {
 namespace stab {
@@ -56,48 +55,6 @@ TEST(Circuit, ZeroProbabilityNoiseElided)
     EXPECT_EQ(c.size(), 0u);
 }
 
-TEST(Circuit, AppendRemapsMeasurementReferences)
-{
-    // Two copies of a detector-bearing block: the second block's
-    // detectors must reference the second block's measurements.
-    Circuit block(2);
-    block.xError(0, 1.0);
-    // measure-reset keeps blocks independent when repeated.
-    const auto m0 = block.measureReset(0);
-    const auto m1 = block.measure(1);
-    block.detector({m0}, 7);
-    block.observableInclude(0, {m1});
-
-    Circuit total(2);
-    total.append(block);
-    total.append(block);
-    EXPECT_EQ(total.numMeasurements(), 4u);
-    EXPECT_EQ(total.numDetectors(), 2u);
-    EXPECT_EQ(total.detectorTags().size(), 2u);
-    EXPECT_EQ(total.detectorTags()[1], 7u);
-
-    // Both detectors must fire (each block has its own X error).
-    FrameSimulator sim(total);
-    Rng rng(5);
-    const auto s = sim.sampleDetectors(64, rng);
-    for (std::size_t shot = 0; shot < 64; ++shot) {
-        EXPECT_EQ(detBit(s, shot, 0), 1);
-        EXPECT_EQ(detBit(s, shot, 1), 1);
-        // Observable accumulated across both blocks: two X errors on
-        // qubit 1? No: the X error hits qubit 0 only; qubit 1 is
-        // untouched, so both measurements read 0 and the XOR is 0.
-        EXPECT_EQ(obsBit(s, shot, 0), 0);
-    }
-}
-
-TEST(Circuit, AppendGrowsQubitCount)
-{
-    Circuit small(2);
-    Circuit big(5);
-    small.append(big);
-    EXPECT_EQ(small.numQubits(), 5u);
-}
-
 TEST(Circuit, ToStringMentionsOps)
 {
     Circuit c(2);
@@ -119,27 +76,58 @@ TEST(Circuit, SelfTargetTwoQubitOpDies)
     EXPECT_DEATH(c.depolarize2(0, 0, 0.1), "distinct");
 }
 
-TEST(Circuit, AppendedRepetitionBlocksDecodeCorrectly)
+TEST(Circuit, OpsReadBackFromTheArenas)
 {
-    // Build a two-round repetition experiment via append() and verify
-    // it behaves identically to the inline construction.
-    Circuit round_block(3);
-    for (std::uint32_t q = 0; q < 2; ++q)
-        round_block.xError(q, 0.1);
-    round_block.cx(0, 2);
-    round_block.cx(1, 2);
-    round_block.measureReset(2);
+    Circuit c(3);
+    c.h(2);
+    c.pauliChannel1(0, 0.1, 0.2, 0.3);
+    c.cx(0, 1);
+    const auto m = c.measure(1);
+    c.detector({m}, 7);
+    c.observableInclude(2, {m, m});
 
-    Circuit total(3);
-    total.append(round_block);
-    total.detector({0});
-    total.append(round_block);
-    total.detector({0, 1});
+    const auto& ops = c.ops();
+    ASSERT_EQ(ops.size(), 6u);
+    EXPECT_EQ(ops[0].code, OpCode::H);
+    EXPECT_EQ(ops[0].targets, (std::vector<std::uint32_t>{2}));
+    EXPECT_TRUE(ops[0].params.empty());
+    EXPECT_EQ(ops[1].targets, (std::vector<std::uint32_t>{0}));
+    EXPECT_EQ(std::vector<double>(ops[1].params.begin(), ops[1].params.end()),
+              (std::vector<double>{0.1, 0.2, 0.3}));
+    EXPECT_EQ(ops[2].targets, (std::vector<std::uint32_t>{0, 1}));
+    EXPECT_EQ(ops[4].code, OpCode::DETECTOR);
+    EXPECT_EQ(ops[4].id, 7u);
+    EXPECT_EQ(ops[4].targets, (std::vector<std::uint32_t>{0}));
+    EXPECT_EQ(ops[5].id, 2u);
+    EXPECT_EQ(ops[5].targets, (std::vector<std::uint32_t>{0, 0}));
+    EXPECT_TRUE(ops[5].params.empty());
 
-    EXPECT_TRUE(findNondeterminism(total).empty());
-    // The sampled oracle misses a single coin with odds 2^-31 at 32 runs.
-    EXPECT_TRUE(TableauSimulator::checkDetectorsDeterministic(total, 32));
-    EXPECT_EQ(total.numDetectors(), 2u);
+    std::size_t visited = 0;
+    for (const auto& op : ops)
+        EXPECT_EQ(op.code, ops[visited++].code);
+    EXPECT_EQ(visited, ops.size());
+}
+
+TEST(Circuit, AppendOpCopiesAViewOfItsOwnOps)
+{
+    // Each append grows the arenas the view points into, so appendOp
+    // must copy the view before it writes.
+    Circuit c(2);
+    c.depolarize2(0, 1, 0.25);
+    const auto m = c.measure(1);
+    c.detector({m}, 3);
+    for (int k = 0; k < 100; ++k)
+        c.appendOp(c.ops()[k % 3]);
+    ASSERT_EQ(c.size(), 103u);
+    EXPECT_EQ(c.numDetectors(), 34u);
+    EXPECT_EQ(c.numMeasurements(), 34u);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        const auto op = c.ops()[i];
+        EXPECT_EQ(op.code, c.ops()[i % 3].code);
+        EXPECT_EQ(op.targets, c.ops()[i % 3].targets);
+    }
+    EXPECT_EQ(c.ops()[101].id, 3u);
+    EXPECT_EQ(c.ops()[99].params[0], 0.25);
 }
 
 } // namespace

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/logging.hh"
 #include "core/rng.hh"
@@ -228,6 +230,97 @@ TEST(Dem, TotalWeightReflectsNoise)
     noisy.xError(0, 0.5);
     noisy.detector({noisy.measure(0)});
     EXPECT_GT(buildDetectorErrorModel(noisy).totalErrorWeight(), 0.4);
+}
+
+/** A mechanism's detector ids as a vector. */
+std::vector<std::uint32_t>
+detectorIds(const DetectorErrorModel& dem, std::size_t mechanism)
+{
+    const auto& dets = dem.mechanisms[mechanism].detectors;
+    return {dets.begin(), dets.end()};
+}
+
+/**
+ * Two X errors: q0's flips detectors {0, 1} and observable 0, q1's
+ * flips detector 1 and observables 0 and 1.
+ */
+DetectorErrorModel
+twoMechanismDem()
+{
+    Circuit c(2);
+    c.xError(0, 0.1);
+    c.xError(1, 0.2);
+    const auto m0 = c.measure(0);
+    const auto m1 = c.measure(1);
+    c.detector({m0});
+    c.detector({m0, m1});
+    c.observableInclude(0, {m0, m1});
+    c.observableInclude(1, {m1});
+    return buildDetectorErrorModel(c);
+}
+
+TEST(Dem, ApplyMechanismsXorsDetectorSetsAndMasks)
+{
+    const auto dem = twoMechanismDem();
+    ASSERT_EQ(dem.mechanisms.size(), 2u);
+    EXPECT_EQ(detectorIds(dem, 0), (std::vector<std::uint32_t>{0, 1}));
+    EXPECT_EQ(dem.mechanisms[0].observables, 1u);
+    EXPECT_EQ(detectorIds(dem, 1), (std::vector<std::uint32_t>{1}));
+    EXPECT_EQ(dem.mechanisms[1].observables, 3u);
+
+    const auto [one, one_obs] = dem.applyMechanisms({1});
+    EXPECT_EQ(one, (std::vector<std::uint8_t>{0, 1}));
+    EXPECT_EQ(one_obs, 3u);
+
+    // Detector 1 and observable 0 are flipped by both: they cancel.
+    const auto [both, both_obs] = dem.applyMechanisms({1, 0});
+    EXPECT_EQ(both, (std::vector<std::uint8_t>{1, 0}));
+    EXPECT_EQ(both_obs, 2u);
+
+    const auto [none, none_obs] = dem.applyMechanisms({});
+    EXPECT_EQ(none, (std::vector<std::uint8_t>{0, 0}));
+    EXPECT_EQ(none_obs, 0u);
+}
+
+TEST(Dem, ApplyMechanismsRepeatedIndexCancels)
+{
+    const auto dem = twoMechanismDem();
+    const auto [twice, twice_obs] = dem.applyMechanisms({0, 0});
+    EXPECT_EQ(twice, (std::vector<std::uint8_t>{0, 0}));
+    EXPECT_EQ(twice_obs, 0u);
+
+    const auto [thrice, thrice_obs] = dem.applyMechanisms({0, 1, 0, 0});
+    EXPECT_EQ(thrice, (std::vector<std::uint8_t>{1, 0}));
+    EXPECT_EQ(thrice_obs, 2u);
+}
+
+TEST(Dem, ApplyMechanismsRefusesIndexOutOfRange)
+{
+    const auto dem = twoMechanismDem();
+    EXPECT_DEATH(dem.applyMechanisms({0, 2}), "out of range");
+}
+
+TEST(Dem, DetectorFlipCountsFindDeadDetector)
+{
+    // q1 is noiseless, so detector 1 (its lone record) can never fire.
+    Circuit c(3);
+    c.xError(0, 0.1);
+    c.xError(2, 0.2);
+    const auto m0 = c.measure(0);
+    const auto m1 = c.measure(1);
+    const auto m2 = c.measure(2);
+    c.detector({m0});
+    c.detector({m1});
+    c.detector({m0, m2});
+    const auto dem = buildDetectorErrorModel(c);
+    ASSERT_EQ(dem.mechanisms.size(), 2u);
+    EXPECT_EQ(dem.detectorFlipCounts(),
+              (std::vector<std::uint32_t>{1, 0, 2}));
+
+    Circuit quiet(1);
+    quiet.detector({quiet.measure(0)});
+    EXPECT_EQ(buildDetectorErrorModel(quiet).detectorFlipCounts(),
+              (std::vector<std::uint32_t>{0}));
 }
 
 TEST(Dem, RefusesNondeterministicCircuit)
