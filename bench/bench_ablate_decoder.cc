@@ -2,8 +2,9 @@
  * @file
  * Decoder ablation: weighted union-find vs greedy DEM decoding on the
  * d = 3 surface code, where both apply (logical error rates and
- * throughput), plus the production whole-buffer decode timed on a
- * pre-sampled Fig. 6 d = 7 buffer.
+ * throughput), plus the production whole-buffer decode timed on
+ * pre-sampled buffers: Fig. 6 d = 7, and d = 13 at sub-threshold noise
+ * (p2 = 1e-3, shotbench's mem_d13_sub point).
  */
 
 #include <benchmark/benchmark.h>
@@ -69,15 +70,20 @@ BENCHMARK(BM_DecodeShot)->Arg(0)->Arg(1);
 void
 BM_DecodeBufferSparse(benchmark::State& state)
 {
-    // Production kernel on a pre-sampled fig. 6 d=7 buffer: one
-    // detector-major fired-detector pass, the trivial-shot bypass, then
-    // every shot decoded graph by graph.
-    const auto circ = qec::surfaceMemoryZ(7, 7, fig6Noise());
+    // Production kernel on a pre-sampled buffer: one detector-major
+    // fired-detector pass, the trivial-shot bypass, then every shot
+    // decoded graph by graph.  Arg 7: fig. 6 d=7; arg 13: d=13 at
+    // p2 = 1e-3, where decode is a far smaller share of a shot.
+    const bool sub_threshold = state.range(0) == 13;
+    const auto circ = sub_threshold
+                          ? qec::surfaceMemoryZ(13, 13, noiseModel(1e-3))
+                          : qec::surfaceMemoryZ(7, 7, fig6Noise());
     const auto setup =
         qec::DecoderSetup::build(circ, qec::DecoderKind::UnionFind);
     const stab::FrameSimulator sim(circ);
     Rng rng(5);
-    const auto samples = sim.sampleDetectors(256, rng);
+    const auto samples = sim.sampleDetectors(sub_threshold ? 1024 : 256,
+                                             rng);
     qec::SlidingWindowDecoder kernel(*setup, qec::DecoderKind::UnionFind);
     for (auto _ : state) {
         auto failures = kernel.decodeBuffer(samples);
@@ -85,7 +91,7 @@ BM_DecodeBufferSparse(benchmark::State& state)
     }
     state.SetItemsProcessed(state.iterations() * samples.shots);
 }
-BENCHMARK(BM_DecodeBufferSparse);
+BENCHMARK(BM_DecodeBufferSparse)->Arg(7)->Arg(13);
 
 } // namespace
 

@@ -44,8 +44,9 @@ SCHEMA = "hetarch-obs-v1"
 # contractually required to emit (the trivial-shot decode bypass must
 # be live on every decoding path).
 REQUIRED_COMPANIONS = {
-    # The union-find growth work (sweeps and frontier entries
-    # examined) is the decoder's deterministic cost model.
+    # The union-find growth work (the schedule's sweeps and the
+    # frontier entries they examine, the quiet sweeps applied in one
+    # pass included) is the decoder's deterministic cost model.
     "qec.decode.shots": ("qec.decode.trivial_shots",
                          "qec.decode.uf_sweeps",
                          "qec.decode.uf_edge_visits"),

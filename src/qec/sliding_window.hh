@@ -102,7 +102,11 @@ class SlidingWindowDecoder
         std::uint64_t laneDecodes = 0;   ///< non-empty per-lane decodes
         std::uint64_t committedRounds = 0;
         std::uint64_t carryDefects = 0;  ///< defects carried forward
-        /** Union-find growth work (UnionFindDecoder::sweeps/edgeVisits). */
+        /**
+         * Union-find growth work (UnionFindDecoder::sweeps/edgeVisits):
+         * the schedule's sweeps and the frontier entries they examine,
+         * the quiet sweeps applied in one pass included.
+         */
         std::uint64_t ufSweeps = 0;
         std::uint64_t ufEdgeVisits = 0;
         std::uint64_t batchShots = 0;  ///< shots through decodeBuffer

@@ -230,8 +230,16 @@ UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
 {
     nodeSet.words.assign(nodes.size() / 64 + 1, 0);
     grownSet.words.assign(edgeState.size() / 64 + 1, 0);
-    for (std::size_t e = 0; e < edgeState.size(); ++e)
-        edgeState[e].weight = g.edges()[e].weight;
+    std::int32_t quiet = INT32_MAX;
+    for (std::size_t e = 0; e < edgeState.size(); ++e) {
+        const auto& edge = g.edges()[e];
+        edgeState[e].weight = edge.weight;
+        // Grown from both ends a sweep, or from one at the boundary.
+        const std::int32_t per_sweep = edge.v < 0 ? 2 : 4;
+        quiet = std::min(quiet,
+                         (edge.weight + per_sweep - 1) / per_sweep - 1);
+    }
+    quietSweeps = edgeState.empty() ? 0 : quiet;
 }
 
 void
@@ -326,12 +334,36 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
     keptLen = 0;
     nodes[boundary] = {epoch, static_cast<std::uint32_t>(boundary), 1};
     nodes[boundary].boundary = 1;
-    for (auto v : fired) {
+    // Sweeps 1..quietSweeps in one pass: no edge can complete in them,
+    // so each fired node stays a lone cluster and each sweep grows
+    // every edge of its frontier, its CSR range, by 2.  When no fired
+    // node has an edge the schedule stops after one sweep, so then
+    // nothing is applied or counted.
+    const std::uint64_t ep = epoch;
+    const std::int32_t quiet_growth = 2 * quietSweeps;
+    std::uint64_t degrees = 0;
+    for (std::size_t i = 0; i < fired.size(); ++i) {
+        const auto v = fired[i];
         HETARCH_DEBUG_ASSERT(v < boundary, "node id ", v, " out of range");
+        HETARCH_DEBUG_ASSERT(i == 0 || fired[i - 1] < v,
+                             "fired node ids not strictly ascending");
         reach(v);
         nodes[v].odd = 1;
         nodes[v].defect = 1;
         active.push_back(v);
+        const auto inc = g.incident(v);
+        degrees += inc.size();
+        for (const auto eid : inc) {
+            auto& es = edgeState[eid];
+            es.grown =
+                (es.grown & -static_cast<std::int32_t>(es.epoch == ep)) +
+                quiet_growth;
+            es.epoch = ep;
+        }
+    }
+    if (degrees > 0) {
+        nSweeps += static_cast<std::uint64_t>(quietSweeps);
+        nEdgeVisits += static_cast<std::uint64_t>(quietSweeps) * degrees;
     }
     grow();
     return peel(applied_edges);
@@ -340,12 +372,13 @@ UnionFindDecoder::decodeSparse(std::span<const std::uint32_t> fired,
 void
 UnionFindDecoder::grow()
 {
-    // Round-robin: grow every active cluster's frontier by one unit
-    // until all clusters are neutral (even parity or boundary-touching).
-    // Same schedule as the dense reference: roots ascending, frontier
-    // entries in list order.  Every active cluster contains a cluster
-    // that was active at the previous sweep (a fresh node is even), so
-    // the roots of last sweep's list find all of them.
+    // Round-robin from sweep quietSweeps + 1: grow every active
+    // cluster's frontier by one unit until all clusters are neutral
+    // (even parity or boundary-touching).  Same schedule as the dense
+    // reference: roots ascending, frontier entries in list order.
+    // Every active cluster contains a cluster that was active at the
+    // previous sweep (a fresh node is even), so the roots of last
+    // sweep's list find all of them.
     const std::size_t boundary = g.numNodes();
     const std::uint64_t ep = epoch;
     for (bool progress = true; progress;) {

@@ -17,11 +17,15 @@
  * touches them), so a weight-w syndrome costs O(cluster size), not
  * O(graph size).  A cluster's frontier is a linked list of segments,
  * each a CSR range or a run of a per-decode pool of still-growing
- * edges, so a merge is an O(1) splice.  Tests pin it bit for bit,
- * correction edges included, against a dense reference
- * (tests/support/union_find_reference.hh) that replicates the growth
- * schedule, frontier merge order and peeling order with fresh
- * per-call state and shares no code with the decoder.
+ * edges, so a merge is an O(1) splice.  The first sweeps, in which
+ * no edge can complete (an edge grows by at most 4 per sweep, 2 at
+ * the boundary), leave every cluster a lone defect; decodeSparse
+ * applies them in one pass over the fired nodes' incidence.  Tests
+ * pin it bit for bit, correction edges and growth counters included,
+ * against a dense reference (tests/support/union_find_reference.hh)
+ * that replicates the growth schedule, frontier merge order and
+ * peeling order with fresh per-call state and shares no code with
+ * the decoder.
  */
 
 #pragma once
@@ -122,11 +126,12 @@ class UnionFindDecoder
     explicit UnionFindDecoder(const DecodingGraph& graph);
 
     /**
-     * Decode a syndrome given as the ascending list of fired node ids
-     * and return the predicted logical-observable mask of the
-     * correction.  A pure function of @p fired (the epoch-stamped
-     * arena isolates decodes from each other); runs on the reusable
-     * arena (no per-shot allocation once warm).
+     * Decode a syndrome given as the strictly ascending list of fired
+     * node ids (a repeated id would be grown twice; debug builds
+     * assert the order) and return the predicted logical-observable
+     * mask of the correction.  A pure function of @p fired (the
+     * epoch-stamped arena isolates decodes from each other); runs on
+     * the reusable arena (no per-shot allocation once warm).
      *
      * When @p applied_edges is non-null, the ids of the correction
      * edges the peeling pass applied are appended to it (in peel
@@ -139,9 +144,11 @@ class UnionFindDecoder
                                    nullptr);
 
     /**
-     * Growth work since construction: sweeps, and frontier entries
-     * examined (already-grown entries a sweep drops included).  Both
-     * are functions of the decoded fired lists alone.
+     * Growth work since construction: the schedule's sweeps, and the
+     * frontier entries they examine (already-grown entries a sweep
+     * drops included), the quiet sweeps applied in one pass counted
+     * as if walked.  Both are functions of the decoded fired lists
+     * alone.
      */
     std::uint64_t sweeps() const { return nSweeps; }
     std::uint64_t edgeVisits() const { return nEdgeVisits; }
@@ -200,6 +207,12 @@ class UnionFindDecoder
     std::uint32_t peel(std::vector<std::uint32_t>* applied_edges);
 
     const DecodingGraph& g;
+    /**
+     * Sweeps no syndrome can complete an edge in: the minimum over
+     * edges of ceil(weight / 4) - 1, ceil(weight / 2) - 1 for a
+     * boundary edge.
+     */
+    std::int32_t quietSweeps = 0;
 
     // Bumping `epoch` invalidates every record in O(1).  Sized
     // numNodes() + 1 (last slot = virtual boundary node) or #edges.

@@ -47,32 +47,72 @@ xorOf(SensSpan a, SensSpan b, SensSet& out)
 struct SensitivityWalk
 {
     const Circuit& circuit;
-    /** Measurement index -> annotation ids referencing it. */
-    std::vector<SensSet> measAnn;
+    /**
+     * Measurement m's annotations, as CSR: the ids in
+     * measIds[measBegin[m], measBegin[m + 1]), ascending, each one
+     * that references m an odd number of times.
+     */
+    std::vector<std::uint32_t> measBegin, measIds;
     std::vector<SensSet> sensX, sensZ;
     /** xorInto's output; it trades storage with the set it replaces. */
     SensSet scratch;
 
     explicit SensitivityWalk(const Circuit& c)
-        : circuit(c), measAnn(c.numMeasurements())
+        : circuit(c), measBegin(c.numMeasurements() + 1, 0)
     {
-        std::uint32_t det_id = 0;
-        for (const auto& op : c.ops()) {
-            if (op.code == OpCode::DETECTOR) {
-                for (auto m : op.targets)
-                    xorInto(measAnn[m], {det_id});
-                ++det_id;
-            } else if (op.code == OpCode::OBSERVABLE) {
-                for (auto m : op.targets)
-                    xorInto(measAnn[m], {kObsBase + op.id});
+        const auto each_reference = [&](auto&& visit) {
+            std::uint32_t det_id = 0;
+            for (const auto& op : c.ops()) {
+                if (op.code == OpCode::DETECTOR) {
+                    for (auto m : op.targets)
+                        visit(m, det_id);
+                    ++det_id;
+                } else if (op.code == OpCode::OBSERVABLE) {
+                    for (auto m : op.targets)
+                        visit(m, kObsBase + op.id);
+                }
+            }
+        };
+        each_reference([&](std::uint32_t m, std::uint32_t) {
+            ++measBegin[m + 1];
+        });
+        std::partial_sum(measBegin.begin(), measBegin.end(),
+                         measBegin.begin());
+        measIds.resize(measBegin.back());
+        auto fill = measBegin;
+        each_reference([&](std::uint32_t m, std::uint32_t id) {
+            measIds[fill[m]++] = id;
+        });
+        // Sort each slice and keep an id once per odd-length run,
+        // compacting in place (a slice never moves right).
+        std::uint32_t out = 0;
+        for (std::size_t m = 0; m + 1 < measBegin.size(); ++m) {
+            const auto begin = measIds.begin() + measBegin[m];
+            const auto end = measIds.begin() + measBegin[m + 1];
+            std::sort(begin, end);
+            measBegin[m] = out;
+            for (auto it = begin; it != end;) {
+                const auto run = it;
+                while (it != end && *it == *run)
+                    ++it;
+                if ((it - run) % 2)
+                    measIds[out++] = *run;
             }
         }
+        measBegin.back() = out;
         sensX.resize(c.numQubits());
         sensZ.resize(c.numQubits());
     }
 
+    /** The annotations referencing measurement @p m. */
+    SensSpan annotations(std::size_t m) const
+    {
+        return {measIds.data() + measBegin[m],
+                measBegin[m + 1] - measBegin[m]};
+    }
+
     /** @p a ^= @p b, allocating nothing once the buffers are warm. */
-    void xorInto(SensSet& a, const SensSet& b)
+    void xorInto(SensSet& a, SensSpan b)
     {
         if (b.empty())
             return;
@@ -143,7 +183,7 @@ struct SensitivityWalk
                 collapse(q, i);
                 // X before a Z measurement flips the outcome and
                 // survives; Z before it is erased by the collapse.
-                xorInto(sensX[q], measAnn[next_meas]);
+                xorInto(sensX[q], annotations(next_meas));
                 sensZ[q].clear();
                 break;
               }
@@ -161,7 +201,8 @@ struct SensitivityWalk
                 // Reverse of (M then R): the reset erases everything
                 // after, then the measurement makes X sensitive to the
                 // record.
-                sensX[q] = measAnn[next_meas];
+                const auto record = annotations(next_meas);
+                sensX[q].assign(record.begin(), record.end());
                 sensZ[q].clear();
                 break;
               }
@@ -174,7 +215,7 @@ struct SensitivityWalk
                 break;
               case OpCode::DETECTOR:
               case OpCode::OBSERVABLE:
-                break; // handled through measAnn
+                break; // handled through annotations()
             }
         }
         HETARCH_ASSERT(next_meas == 0,

@@ -2,16 +2,20 @@
  * @file
  * Tests for the bit-packed sparse decode pipeline: the arena-backed
  * union-find decoder must be bit-identical to the dense reference in
- * tests/support — predicted mask and correction edges in peel order,
- * on random syndromes and at the d = 13 Fig. 6 operating point —
- * weight-0 shots must be counted by the trivial-shot bypass, all
- * observables must be failure-checked, and the packed samples plus
- * every decode counter must be invariant across 1/2/8 workers.
+ * tests/support — predicted mask, correction edges in peel order and
+ * growth counters, on random syndromes, on hand-built graphs at the
+ * edges of its quiet-sweep pass, and at the d = 13 Fig. 6 and
+ * sub-threshold operating points — weight-0 shots must be counted by
+ * the trivial-shot bypass, all observables must be failure-checked,
+ * and the packed samples plus every decode counter must be invariant
+ * across 1/2/8 workers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "qec/decoder_cache.hh"
 #include "qec/memory_experiment.hh"
 #include "qec/surface_circuit.hh"
+#include "stab/dem.hh"
 #include "stab/frame.hh"
 #include "support/packed_samples.hh"
 #include "support/union_find_reference.hh"
@@ -38,6 +43,45 @@ counterValue(const obs::Snapshot& snap, const std::string& name)
         if (n == name)
             return v;
     return 0;
+}
+
+/**
+ * Decode @p fired (global detector ids) with @p dec and with the dense
+ * reference, expecting the same mask, correction edges and growth
+ * work; returns the number of correction edges.
+ */
+std::size_t
+expectMatchesReference(UnionFindDecoder& dec, const DecodingGraph& graph,
+                       std::span<const std::uint32_t> fired,
+                       const std::string& where)
+{
+    std::vector<std::uint32_t> dense_edges, sparse_edges;
+    GrowthWork work;
+    const auto dense = unionFindReference(
+        graph, denseSyndrome(graph, fired), &dense_edges, &work);
+    std::vector<std::uint32_t> nodes;
+    graph.projectSparse(fired, nodes);
+    const auto sweeps = dec.sweeps();
+    const auto visits = dec.edgeVisits();
+    EXPECT_EQ(dec.decodeSparse(nodes, &sparse_edges), dense) << where;
+    EXPECT_EQ(sparse_edges, dense_edges) << where;
+    EXPECT_EQ(dec.sweeps() - sweeps, work.sweeps) << where;
+    EXPECT_EQ(dec.edgeVisits() - visits, work.edgeVisits) << where;
+    return dense_edges.size();
+}
+
+/**
+ * Sweeps in which no edge of @p graph can complete: an edge grows by
+ * at most 4 a sweep, 2 from its one end at the boundary.
+ */
+std::int32_t
+quietSweeps(const DecodingGraph& graph)
+{
+    std::int32_t quiet = INT32_MAX;
+    for (const auto& e : graph.edges())
+        quiet = std::min(quiet, e.v < 0 ? (e.weight + 1) / 2 - 1
+                                        : (e.weight + 3) / 4 - 1);
+    return quiet;
 }
 
 TEST(PackedDecode, SparseUnionFindMatchesDenseOnRandomSyndromes)
@@ -65,15 +109,10 @@ TEST(PackedDecode, SparseUnionFindMatchesDenseOnRandomSyndromes)
 
             for (const auto* graph : {&setup->graphZ, &setup->graphX}) {
                 auto& dec = graph == &setup->graphZ ? dec_z : dec_x;
-                std::vector<std::uint32_t> dense_edges, sparse_edges;
-                const auto dense = unionFindReference(
-                    *graph, denseSyndrome(*graph, fired), &dense_edges);
-                std::vector<std::uint32_t> nodes;
-                graph->projectSparse(fired, nodes);
-                EXPECT_EQ(dec.decodeSparse(nodes, &sparse_edges), dense)
-                    << "permille=" << permille << " trial=" << trial;
-                EXPECT_EQ(sparse_edges, dense_edges)
-                    << "permille=" << permille << " trial=" << trial;
+                expectMatchesReference(
+                    dec, *graph, fired,
+                    "permille=" + std::to_string(permille) +
+                        " trial=" + std::to_string(trial));
             }
         }
     }
@@ -84,22 +123,23 @@ TEST(PackedDecode, SparseUnionFindMatchesDenseOnRandomSyndromes)
               0u);
 }
 
-TEST(PackedDecode, SparseUnionFindMatchesDenseAtFig6Distance13)
+/**
+ * Decode @p shots sampled shots of the d = 13 memory circuit at
+ * @p noise on both graphs, each against the dense reference, after
+ * checking that the carrying graph has @p quiet quiet sweeps; returns
+ * the number of correction edges compared.
+ */
+std::size_t
+expectDistance13MatchesReference(const CircuitNoise& noise,
+                                 std::size_t shots, std::int32_t quiet)
 {
-    // The production regime: ~117 defects and ~160 merges per graph
-    // decode, where a wrong union tie-break or frontier order changes
-    // the correction edges even when the 1-bit mask survives.
-    CircuitNoise noise;
-    noise.p2 = 1e-2;
-    noise.p1 = 1e-3;
-    noise.dataT1 = noise.dataT2 = 0.1 * units::ms;
-    noise.ancT1 = noise.ancT2 = 0.1 * units::ms;
     const auto circuit = surfaceMemoryZ(13, 13, noise);
     const auto setup = DecoderSetup::build(circuit, DecoderKind::UnionFind);
+    EXPECT_EQ(quietSweeps(setup->graphZ), quiet);
 
     const stab::FrameSimulator frame(circuit);
     Rng rng(1313);
-    const auto samples = frame.sampleDetectors(256, rng);
+    const auto samples = frame.sampleDetectors(shots, rng);
     const auto fired = firedDetectors(samples);
 
     // One decoder pair reused across every shot, as a chunk kernel is.
@@ -109,19 +149,113 @@ TEST(PackedDecode, SparseUnionFindMatchesDenseAtFig6Distance13)
     for (std::size_t s = 0; s < samples.shots; ++s) {
         for (const auto* graph : {&setup->graphZ, &setup->graphX}) {
             auto& dec = graph == &setup->graphZ ? dec_z : dec_x;
-            std::vector<std::uint32_t> dense_edges, sparse_edges;
-            const auto dense = unionFindReference(
-                *graph, denseSyndrome(*graph, fired[s]), &dense_edges);
-            std::vector<std::uint32_t> nodes;
-            graph->projectSparse(fired[s], nodes);
-            EXPECT_EQ(dec.decodeSparse(nodes, &sparse_edges), dense)
-                << "shot " << s;
-            EXPECT_EQ(sparse_edges, dense_edges) << "shot " << s;
-            edges_compared += dense_edges.size();
+            edges_compared += expectMatchesReference(
+                dec, *graph, fired[s], "shot " + std::to_string(s));
         }
     }
+    return edges_compared;
+}
+
+TEST(PackedDecode, SparseUnionFindMatchesDenseAtFig6Distance13)
+{
+    // The production regime: ~117 defects and ~160 merges per graph
+    // decode, where a wrong union tie-break or frontier order changes
+    // the correction edges even when the 1-bit mask survives.  Edge
+    // weights 6-12: one quiet sweep.
+    CircuitNoise noise;
+    noise.p2 = 1e-2;
+    noise.p1 = 1e-3;
+    noise.dataT1 = noise.dataT2 = 0.1 * units::ms;
+    noise.ancT1 = noise.ancT2 = 0.1 * units::ms;
+    const std::size_t shots = 256;
+    const auto edges = expectDistance13MatchesReference(noise, shots, 1);
     // Dozens of correction edges per graph decode, not a sparse tail.
-    EXPECT_GT(edges_compared, 2 * samples.shots * 30);
+    EXPECT_GT(edges, 2 * shots * 30);
+}
+
+TEST(PackedDecode, SparseUnionFindMatchesDenseSubThresholdDistance13)
+{
+    // The decoder-ablation point (shotbench's mem_d13_sub): edge
+    // weights 10-16, so two quiet sweeps precede the first merge.
+    CircuitNoise noise;
+    noise.p2 = 1e-3;
+    noise.p1 = 1e-4;
+    noise.dataT1 = noise.dataT2 = 0.5 * units::ms;
+    noise.ancT1 = noise.ancT2 = 0.5 * units::ms;
+    const std::size_t shots = 1024;
+    const auto edges = expectDistance13MatchesReference(noise, shots, 2);
+    EXPECT_GT(edges, 2 * shots * 5);
+}
+
+/**
+ * A three-qubit repetition line plus a lone detector: an X error on q0
+ * or q2 flips one detector (a boundary edge), on q1 both (an ordinary
+ * edge), and detector 2 reads q3, which no error touches.
+ */
+stab::Circuit
+repetitionLine(double p_left, double p_mid, double p_right)
+{
+    stab::Circuit c(4);
+    c.xError(0, p_left);
+    c.xError(1, p_mid);
+    c.xError(2, p_right);
+    std::vector<std::size_t> m;
+    for (std::uint32_t q = 0; q < 4; ++q)
+        m.push_back(c.measure(q));
+    c.detector({m[0], m[1]});
+    c.detector({m[1], m[2]});
+    c.detector({m[3]});
+    c.observableInclude(0, {m[0]});
+    return c;
+}
+
+TEST(PackedDecode, SparseUnionFindMatchesDenseAtQuietSweepEdgeCases)
+{
+    // Weights: p = 0.3 -> 2, 0.047 -> 6, 1e-3 -> 14.  No quiet sweep
+    // (a weight-2 edge); two set by a boundary edge, whose ordinary
+    // neighbour would allow three; one set by an ordinary edge, whose
+    // boundary neighbours would allow six.
+    struct Case
+    {
+        double left, mid, right;
+        std::int32_t quiet;
+    };
+    for (const Case& c : {Case{0.3, 1e-3, 1e-3, 0},
+                          Case{0.047, 1e-3, 1e-3, 2},
+                          Case{1e-3, 0.047, 1e-3, 1}}) {
+        const auto circuit = repetitionLine(c.left, c.mid, c.right);
+        const auto dem = stab::buildDetectorErrorModel(circuit);
+        const auto graph =
+            DecodingGraph::fromDem(dem, circuit.detectorTags(), 0);
+        ASSERT_EQ(graph.numNodes(), 3u);
+        ASSERT_EQ(graph.edges().size(), 3u);
+        ASSERT_TRUE(graph.incident(2).empty());
+        EXPECT_EQ(quietSweeps(graph), c.quiet);
+
+        UnionFindDecoder dec(graph);
+        // Every syndrome, twice over, so each decode also runs on an
+        // arena the previous ones stamped.
+        for (int pass = 0; pass < 2; ++pass) {
+            for (std::uint32_t bits = 1; bits < 8; ++bits) {
+                std::vector<std::uint32_t> fired;
+                for (std::uint32_t d = 0; d < 3; ++d)
+                    if ((bits >> d) & 1)
+                        fired.push_back(d);
+                expectMatchesReference(
+                    dec, graph, fired,
+                    "quiet=" + std::to_string(c.quiet) +
+                        " bits=" + std::to_string(bits));
+            }
+        }
+        // A fired detector no mechanism touches: the schedule's one
+        // sweep visits nothing, whatever the quiet count.
+        const std::uint32_t lone[] = {2};
+        const auto sweeps = dec.sweeps();
+        const auto visits = dec.edgeVisits();
+        EXPECT_EQ(dec.decodeSparse(lone), 0u);
+        EXPECT_EQ(dec.sweeps() - sweeps, 1u);
+        EXPECT_EQ(dec.edgeVisits(), visits);
+    }
 }
 
 TEST(PackedDecode, TrivialShotCounterMatchesWeightZeroShotsExactly)

@@ -99,6 +99,34 @@ TEST(Dem, ObservableMaskRecorded)
     EXPECT_EQ(dem.numObservables, 4u);
 }
 
+TEST(Dem, AnnotationsOutOfIdOrderAndRepeatedReferences)
+{
+    // Observable 0 names m0 before detectors 0 and 1 do, so m0's
+    // annotations arrive out of id order; detector 1 names m1 twice
+    // and observable 1 names it in two includes, so both cancel and
+    // an X error on q1 flips nothing.
+    Circuit c(2);
+    c.xError(0, 0.1);
+    c.xError(1, 0.2);
+    const auto m0 = c.measure(0);
+    const auto m1 = c.measure(1);
+    c.observableInclude(0, {m0});
+    c.detector({m0});
+    c.detector({m1, m0, m1});
+    c.observableInclude(1, {m1});
+    c.observableInclude(1, {m1});
+    EXPECT_TRUE(findNondeterminism(c).empty());
+
+    const auto dem = buildDetectorErrorModel(c);
+    ASSERT_EQ(dem.mechanisms.size(), 1u);
+    EXPECT_NEAR(dem.mechanisms[0].probability, 0.1, 1e-12);
+    EXPECT_EQ(std::vector<std::uint32_t>(
+                  dem.mechanisms[0].detectors.begin(),
+                  dem.mechanisms[0].detectors.end()),
+              (std::vector<std::uint32_t>{0, 1}));
+    EXPECT_EQ(dem.mechanisms[0].observables, 1u);
+}
+
 TEST(Dem, IdenticalMechanismsMerge)
 {
     Circuit c(1);

@@ -7,8 +7,9 @@
  * per graph node), reads the graph only through its public accessors
  * and shares no code with the decoder's epoch arena.  It replicates
  * the growth schedule, frontier merge order and peeling order, so the
- * two must agree bit for bit on every syndrome; tests use it as the
- * independent side of that comparison.
+ * two must agree bit for bit on every syndrome, growth counters
+ * included; tests use it as the independent side of that comparison.
+ * It walks every sweep, the decoder's quiet ones included.
  */
 
 #pragma once
@@ -36,16 +37,25 @@ denseSyndrome(const DecodingGraph& g, std::span<const std::uint32_t> fired)
     return out;
 }
 
+/** Growth work of one decode, as UnionFindDecoder counts it. */
+struct GrowthWork
+{
+    std::uint64_t sweeps = 0;     ///< one per non-empty root list
+    std::uint64_t edgeVisits = 0; ///< frontier entries per walked root
+};
+
 /**
  * Decode one dense syndrome (bit per node of @p g); returns the
  * predicted logical-observable mask of the correction.  When
  * @p applied is non-null, the correction edges are appended to it in
- * peel order.
+ * peel order; when @p work is non-null, the decode's growth work is
+ * added to it.
  */
 inline std::uint32_t
 unionFindReference(const DecodingGraph& g,
                    const std::vector<std::uint8_t>& syndrome,
-                   std::vector<std::uint32_t>* applied = nullptr)
+                   std::vector<std::uint32_t>* applied = nullptr,
+                   GrowthWork* work = nullptr)
 {
     const std::size_t n = g.numNodes();
     HETARCH_ASSERT(syndrome.size() == n, "syndrome size mismatch");
@@ -122,6 +132,8 @@ unionFindReference(const DecodingGraph& g,
         roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
         if (roots.empty())
             break;
+        if (work)
+            ++work->sweeps;
 
         for (auto r : roots) {
             if (find(r) != r || !odd[r] || touches_boundary[r])
@@ -129,6 +141,8 @@ unionFindReference(const DecodingGraph& g,
             std::vector<std::uint32_t> keep;
             auto edges_now = frontier[r];
             frontier[r].clear();
+            if (work)
+                work->edgeVisits += edges_now.size();
             for (auto eid : edges_now) {
                 const auto& e = g.edges()[eid];
                 if (grown[eid] >= e.weight) {
