@@ -34,13 +34,12 @@ main()
 
     // Cell-local assignment: fill cell 0's registers first.
     uec::Assignment assignment;
-    assignment.numRegisters = chain.numRegisters();
+    assignment.chain = chain;
     assignment.registerOf.resize(code.n);
     for (std::size_t q = 0; q < code.n; ++q)
         assignment.registerOf[q] = static_cast<int>(q / 10);
 
-    const auto sched =
-        uec::buildChainedSchedule(code, assignment, chain);
+    const auto sched = uec::buildRoundSchedule(code, assignment);
     std::cout << "serialized round: "
               << units::toUs(sched.duration) << " us across "
               << chain.numAncillas() << " ancilla lanes\n";
@@ -49,8 +48,7 @@ main()
     TextTable t({"Ts(ms)", "p_L/round", "2q gates/shot"});
     for (double ts : {1.0, 10.0, 50.0}) {
         noise.ts = ts * ms;
-        const auto circ =
-            uec::uecChainedMemoryZ(code, assignment, chain, 2, noise);
+        const auto circ = uec::uecMemoryZ(code, assignment, 2, noise);
         const auto stats = stab::analyzeCircuit(circ);
         Rng rng(11);
         const auto res = qec::runMemoryExperiment(

@@ -24,6 +24,8 @@
 #   - wrong --require-counters makes `hetarch-job check` exit 2
 #   - signed, overflowing or over-cap numeric flags make
 #     hetarch-serve exit 1 (probed with empty stdin)
+#   - a '+'-signed or blank-padded --priority makes hetarch-job exit 1,
+#     and a hex --param value travels as a string, not a number
 #
 # The request script and transcript are left in OUT-DIR so CI can
 # upload them as artifacts.
@@ -134,6 +136,19 @@ for flag in --threads=-1 --max-queue=-1 --max-concurrent=-1 \
     expect_rc "hetarch-serve $flag exits 1" 1 \
         bash -c "'$SERVE' $flag < /dev/null"
 done
+
+# hetarch-job reads numbers as whole tokens, as the wire parser does:
+# '+5' and ' 5' once passed as priorities, and the hex float 0x10 was
+# submitted as 16 shots.
+for flag in --priority=+5 "--priority= 5"; do
+    expect_rc "hetarch-job submit $flag exits 1" 1 \
+        "$JOB" submit --kind=memory "$flag"
+done
+if ! "$JOB" submit --kind=memory --param shots=0x10 |
+     grep -q '"shots":"0x10"'; then
+    echo "FAIL: --param shots=0x10 did not travel as a string"
+    fail=1
+fi
 
 expect_rc "hetarch-serve --help exits 0" 0 "$SERVE" --help
 expect_rc "hetarch-job --help exits 0" 0 "$JOB" --help

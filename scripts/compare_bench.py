@@ -10,7 +10,9 @@ Two kinds of artifact per benchmark name:
                        timing/scheduling data and are never gated.
   BENCH_<name>.json    google-benchmark output.  Timings are advisory:
                        deviations beyond the tolerance only print
-                       warnings (CI machines are too noisy to gate on).
+                       warnings (CI machines are too noisy to gate on),
+                       and so does a microbenchmark named in one run
+                       only (renamed, added or dropped).
 
 Usage:
   compare_bench.py --baseline DIR --current DIR [name...]
@@ -143,6 +145,10 @@ def compare_timings(name, baseline, current):
         return out
 
     base, cur = times(baseline), times(current)
+    for bench in sorted(set(base) ^ set(cur)):
+        side = "baseline" if bench in base else "current"
+        warnings.append(f"{name}: {bench} is only in the {side} run "
+                        f"[advisory]")
     for bench in sorted(set(base) & set(cur)):
         b, c = base[bench], cur[bench]
         if not b or not c or b <= 0:
@@ -280,6 +286,20 @@ def self_test():
     slow["benchmarks"][0]["real_time"] = 9000.0
     checks.append(("slow timing is advisory",
                    result(metrics, metrics, slow) == 0))
+
+    # A renamed microbenchmark is listed under both names, and the
+    # comparison stays clean: timings are advisory.
+    renamed = json.loads(json.dumps(bench))
+    renamed["benchmarks"][0]["name"] = "BM_Decode/7"
+    one_sided = compare_timings("x", bench, renamed)
+    checks.append(("one-sided microbenchmarks are listed",
+                   one_sided == [
+                       "x: BM_Decode is only in the baseline run "
+                       "[advisory]",
+                       "x: BM_Decode/7 is only in the current run "
+                       "[advisory]"]))
+    checks.append(("one-sided microbenchmarks are advisory",
+                   result(metrics, metrics, renamed) == 0))
 
     # A required companion dropped from BOTH sides must still fail:
     # exact comparison alone would call the snapshots identical.

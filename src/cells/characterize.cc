@@ -127,8 +127,7 @@ compose(const std::vector<double>& errs)
 } // namespace
 
 CellCharacterization
-characterizeRegister(const StandardCell& reg,
-                     const CharacterizeOptions& opts)
+characterizeRegister(const StandardCell& reg)
 {
     const auto s = findDevice(reg, devices::DeviceRole::Storage);
     const auto c = findDevice(reg, devices::DeviceRole::Compute);
@@ -137,30 +136,12 @@ characterizeRegister(const StandardCell& reg,
 
     const double t_swap = storage.gateTime2q;
 
-    // Load: qubit starts on the compute device, SWAPs into storage.
-    // Decoherence acts on both devices during the swap; the extra
-    // non-coherence gate error (if any) is the storage SWAP infidelity.
+    // Load: qubit starts on the compute device, SWAPs into storage,
+    // decohering at the source device's rate for the swap time.
     auto swap_error = [&](bool into_storage) {
         return oneQubitChannelError([&](DensityMatrix& rho,
                                         std::size_t q) {
-            // Second register qubit models the swap partner.
-            (void)q;
-            DensityMatrix joint = DensityMatrix::tensor(
-                rho, DensityMatrix(1)); // qubit 2 = partner in |0>
-            // Swap qubit 0 <-> 2 with idling on both.
-            const auto& src = into_storage ? compute : storage;
-            const auto& dst = into_storage ? storage : compute;
-            idle(joint, 0, t_swap, src);
-            idle(joint, 2, t_swap, dst);
-            joint.applyUnitary(swapGate(), {0, 2});
-            if (!opts.coherenceLimitedGates) {
-                joint.applyKraus(
-                    dm::channels::depolarizing2(storage.gateError),
-                    {0, 2});
-            }
-            joint.applyUnitary(swapGate(), {0, 2}); // move back for
-                                                    // fidelity extraction
-            rho = joint.partialTrace({0, 1});
+            idle(rho, q, t_swap, into_storage ? compute : storage);
         });
     };
 
@@ -183,8 +164,7 @@ characterizeRegister(const StandardCell& reg,
 }
 
 CellCharacterization
-characterizeParCheck(const StandardCell& cell,
-                     const CharacterizeOptions& opts)
+characterizeParCheck(const StandardCell& cell)
 {
     const auto a = findDevice(cell, devices::DeviceRole::Compute, 0);
     const auto b = findDevice(cell, devices::DeviceRole::Compute, 1);
@@ -192,21 +172,13 @@ characterizeParCheck(const StandardCell& cell,
     const auto& dev_b = cell.deviceList()[b].model;
 
     const double t2q = dev_a.gateTime2q;
-    const double t_read =
-        opts.readoutTime >= 0 ? opts.readoutTime : dev_b.readoutTime;
+    const double t_read = dev_b.readoutTime;
 
     const double cnot_err = twoQubitChannelError(
         cnot(), [&](DensityMatrix& rho) {
             idle(rho, 0, t2q, dev_a);
             idle(rho, 1, t2q, dev_b);
             rho.applyUnitary(cnot(), {0, 1});
-            if (!opts.coherenceLimitedGates || opts.extraGateError2q > 0) {
-                rho.applyKraus(dm::channels::depolarizing2(
-                                   opts.extraGateError2q > 0
-                                       ? opts.extraGateError2q
-                                       : dev_a.gateError),
-                               {0, 1});
-            }
         });
 
     // During readout of qubit b, the kept qubit a idles.
@@ -225,7 +197,7 @@ characterizeParCheck(const StandardCell& cell,
 }
 
 CellCharacterization
-characterizeSeqOp(const StandardCell& cell, const CharacterizeOptions& opts)
+characterizeSeqOp(const StandardCell& cell)
 {
     const auto s = findDevice(cell, devices::DeviceRole::Storage);
     const auto c = findDevice(cell, devices::DeviceRole::Compute, 0);
@@ -236,8 +208,7 @@ characterizeSeqOp(const StandardCell& cell, const CharacterizeOptions& opts)
 
     const double t_swap = storage.gateTime2q;
     const double t2q = compute.gateTime2q;
-    const double t_read =
-        opts.readoutTime >= 0 ? opts.readoutTime : parity.readoutTime;
+    const double t_read = parity.readoutTime;
 
     // stored-cnot: both qubits swap compute<->storage around the gate.
     const double stored_cnot_err = twoQubitChannelError(
@@ -251,11 +222,6 @@ characterizeSeqOp(const StandardCell& cell, const CharacterizeOptions& opts)
             idle(rho, 0, t2q, compute);
             idle(rho, 1, t2q, compute);
             rho.applyUnitary(cnot(), {0, 1});
-            if (opts.extraGateError2q > 0) {
-                rho.applyKraus(
-                    dm::channels::depolarizing2(opts.extraGateError2q),
-                    {0, 1});
-            }
             // Reload.
             for (std::size_t q : {0, 1}) {
                 idle(rho, q, t_swap, storage);
@@ -283,7 +249,7 @@ characterizeSeqOp(const StandardCell& cell, const CharacterizeOptions& opts)
 }
 
 CellCharacterization
-characterizeUsc(const StandardCell& cell, const CharacterizeOptions& opts)
+characterizeUsc(const StandardCell& cell)
 {
     const auto s = findDevice(cell, devices::DeviceRole::Storage);
     const auto c = findDevice(cell, devices::DeviceRole::Compute, 0);
@@ -294,8 +260,7 @@ characterizeUsc(const StandardCell& cell, const CharacterizeOptions& opts)
 
     const double t_swap = storage.gateTime2q;
     const double t2q = compute.gateTime2q;
-    const double t_read =
-        opts.readoutTime >= 0 ? opts.readoutTime : parity.readoutTime;
+    const double t_read = parity.readoutTime;
 
     // Primitive errors via density-matrix simulation.
     const double roundtrip_err = oneQubitChannelError(
@@ -308,11 +273,6 @@ characterizeUsc(const StandardCell& cell, const CharacterizeOptions& opts)
             idle(rho, 0, t2q, compute);
             idle(rho, 1, t2q, parity);
             rho.applyUnitary(cnot(), {0, 1});
-            if (opts.extraGateError2q > 0) {
-                rho.applyKraus(
-                    dm::channels::depolarizing2(opts.extraGateError2q),
-                    {0, 1});
-            }
         });
 
     CellCharacterization out;

@@ -13,7 +13,9 @@
  * Error rates are average-gate-error style: the operation is applied
  * to one half of a maximally entangled reference pair, giving the
  * entanglement fidelity F_e, converted to average fidelity via
- * F_avg = (d F_e + 1) / (d + 1).
+ * F_avg = (d F_e + 1) / (d + 1).  Gates are coherence limited (paper
+ * Section 4): their only error is decoherence during the gate, and
+ * readouts take the device's readout time.
  */
 
 #pragma once
@@ -44,43 +46,26 @@ struct CellCharacterization
     const CharacterizedOp& op(const std::string& name) const;
 };
 
-/** Characterization knobs. */
-struct CharacterizeOptions
-{
-    /**
-     * When true (paper Section 4 default), gates are coherence
-     * limited: their only error is decoherence during the gate.
-     */
-    bool coherenceLimitedGates = true;
-    /** Extra two-qubit depolarizing error per gate (QEC studies: 1e-2). */
-    double extraGateError2q = 0.0;
-    /** Readout duration override; <0 uses the device's readout time. */
-    double readoutTime = -1.0;
-};
-
 /**
  * Register: characterizes "load" / "unload" (SWAP between compute and
  * storage), "idle-1us" (storage decay per microsecond) and
  * "roundtrip" (load + unload).
  */
-CellCharacterization characterizeRegister(
-    const StandardCell& reg, const CharacterizeOptions& opts = {});
+CellCharacterization characterizeRegister(const StandardCell& reg);
 
 /**
  * ParCheck: characterizes "cnot" (two-qubit gate between the compute
  * devices) and "parity-check" (cnot + readout with the kept qubit
  * idling).
  */
-CellCharacterization characterizeParCheck(
-    const StandardCell& cell, const CharacterizeOptions& opts = {});
+CellCharacterization characterizeParCheck(const StandardCell& cell);
 
 /**
  * SeqOp: characterizes "stored-cnot" (swap both qubits out of their
  * Registers, entangle, swap back) and "verified-cnot" (plus a parity
  * readout on the third compute).
  */
-CellCharacterization characterizeSeqOp(
-    const StandardCell& cell, const CharacterizeOptions& opts = {});
+CellCharacterization characterizeSeqOp(const StandardCell& cell);
 
 /**
  * USC: characterizes "stabilizer-check-w{2..6}": serialized CNOTs of a
@@ -89,8 +74,7 @@ CellCharacterization characterizeSeqOp(
  * phenomenological composition of the Register/gate primitives, which
  * is how the module layer consumes it.
  */
-CellCharacterization characterizeUsc(
-    const StandardCell& cell, const CharacterizeOptions& opts = {});
+CellCharacterization characterizeUsc(const StandardCell& cell);
 
 } // namespace cells
 } // namespace hetarch

@@ -28,9 +28,8 @@ makeUecChainedSteane()
     const auto code = qec::makeSteane();
     uec::UecChain chain;
     chain.numUscExt = 1;
-    return uec::uecChainedMemoryZ(
-        code, uec::roundRobinAssignment(code, chain.numRegisters()),
-        chain, 2, uec::UecNoise{});
+    return uec::uecMemoryZ(code, uec::roundRobinAssignment(code, chain), 2,
+                           uec::UecNoise{});
 }
 
 } // namespace

@@ -13,166 +13,73 @@ RoundSchedule
 buildRoundSchedule(const qec::CssCode& code, const Assignment& assignment,
                    const UecTimes& times)
 {
+    const UecChain& chain = assignment.chain;
+    const auto num_registers =
+        static_cast<std::size_t>(chain.numRegisters());
     HETARCH_ASSERT(assignment.registerOf.size() == code.n,
                    "assignment size mismatch");
-    std::vector<int> load(static_cast<std::size_t>(assignment.numRegisters),
-                          0);
+    std::vector<int> load(num_registers, 0);
     for (auto r : assignment.registerOf) {
-        HETARCH_ASSERT(r >= 0 && r < assignment.numRegisters,
+        HETARCH_ASSERT(r >= 0 && r < chain.numRegisters(),
                        "register id out of range");
         ++load[static_cast<std::size_t>(r)];
     }
     for (auto l : load) {
-        if (l > assignment.modesPerRegister)
+        if (l > kModesPerRegister)
             HETARCH_FATAL("register over capacity: ", l, " > ",
-                          assignment.modesPerRegister);
+                          kModesPerRegister);
     }
 
     RoundSchedule sched;
     sched.outOfStorage.assign(code.n, 0.0);
 
-    std::vector<double> reg_free(
-        static_cast<std::size_t>(assignment.numRegisters), 0.0);
-    double anc_free = 0.0;
+    std::vector<double> reg_free(num_registers, 0.0);
+    std::vector<double> anc_free(
+        static_cast<std::size_t>(chain.numAncillas()), 0.0);
+    auto cell_of = [&](std::uint32_t q) {
+        return chain.cellOfRegister(assignment.registerOf[q]);
+    };
 
     int check_index = 0;
     auto run_check = [&](const std::vector<std::uint32_t>& support,
                          bool is_x) {
-        // Ancilla prep (reset; +H for X checks).
-        const double prep = is_x ? times.h : 0.0;
-        const double prep_start = anc_free;
-        anc_free += prep;
-        if (prep > 0.0) {
-            sched.ops.push_back({TimedOp::Kind::AncPrep, prep_start,
-                                 anc_free, 0, check_index, is_x});
+        // Home cell: the one holding most of the support.
+        std::vector<int> cell_count(anc_free.size(), 0);
+        for (auto q : support)
+            ++cell_count[static_cast<std::size_t>(cell_of(q))];
+        const int home = static_cast<int>(
+            std::max_element(cell_count.begin(), cell_count.end()) -
+            cell_count.begin());
+        auto& anc = anc_free[static_cast<std::size_t>(home)];
+
+        // X checks put the ancilla in |+> before their CNOTs.
+        if (is_x) {
+            sched.ops.push_back({TimedOp::Kind::AncPrep, anc, anc + times.h,
+                                 0, check_index, is_x, home, 0});
+            anc += times.h;
         }
 
-        // Order qubits within the check round-robin over registers so
+        // Take the support one Register at a time, round-robin, so
         // SWAPs pipeline against the serial ancilla CNOTs.
-        std::vector<std::uint32_t> order(support.begin(), support.end());
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                             return assignment.registerOf[a] <
-                                    assignment.registerOf[b];
-                         });
-        // Interleave registers: take one from each register in turn.
-        std::vector<std::uint32_t> interleaved;
-        {
-            std::vector<std::vector<std::uint32_t>> buckets(
-                static_cast<std::size_t>(assignment.numRegisters));
-            for (auto q : order)
-                buckets[static_cast<std::size_t>(
-                            assignment.registerOf[q])]
-                    .push_back(q);
-            bool more = true;
-            std::size_t i = 0;
-            while (more) {
-                more = false;
-                for (auto& b : buckets) {
-                    if (i < b.size()) {
-                        interleaved.push_back(b[i]);
-                        more = true;
-                    }
-                }
-                ++i;
-            }
-        }
+        std::vector<std::vector<std::uint32_t>> buckets(num_registers);
+        for (auto q : support)
+            buckets[static_cast<std::size_t>(assignment.registerOf[q])]
+                .push_back(q);
+        std::vector<std::uint32_t> order;
+        for (std::size_t i = 0; order.size() < support.size(); ++i)
+            for (const auto& b : buckets)
+                if (i < b.size())
+                    order.push_back(b[i]);
 
-        for (auto q : interleaved) {
+        for (auto q : order) {
             const auto reg =
                 static_cast<std::size_t>(assignment.registerOf[q]);
+            const int hops = std::abs(cell_of(q) - home);
+
             const double so_start = reg_free[reg];
             const double so_end = so_start + times.swap;
             sched.ops.push_back({TimedOp::Kind::SwapOut, so_start, so_end,
-                                 q, check_index, is_x});
-            const double cx_start = std::max(so_end, anc_free);
-            const double cx_end = cx_start + times.cnot;
-            sched.ops.push_back({TimedOp::Kind::Cnot, cx_start, cx_end, q,
-                                 check_index, is_x});
-            anc_free = cx_end;
-            const double si_end = cx_end + times.swap;
-            sched.ops.push_back({TimedOp::Kind::SwapIn, cx_end, si_end, q,
-                                 check_index, is_x});
-            reg_free[reg] = si_end;
-            sched.outOfStorage[q] += si_end - so_start;
-        }
-
-        // Ancilla measurement (+H first for X checks).
-        const double m_start = anc_free;
-        const double m_end = m_start + (is_x ? times.h : 0.0) +
-                             times.measure;
-        sched.ops.push_back({TimedOp::Kind::AncMeasure, m_start, m_end, 0,
-                             check_index, is_x});
-        anc_free = m_end;
-        ++check_index;
-    };
-
-    for (const auto& support : code.zChecks)
-        run_check(support, false);
-    for (const auto& support : code.xChecks)
-        run_check(support, true);
-
-    std::stable_sort(sched.ops.begin(), sched.ops.end(),
-                     [](const TimedOp& a, const TimedOp& b) {
-                         return a.start < b.start;
-                     });
-    sched.duration = anc_free;
-    for (auto f : reg_free)
-        sched.duration = std::max(sched.duration, f);
-    return sched;
-}
-
-RoundSchedule
-buildChainedSchedule(const qec::CssCode& code, const Assignment& assignment,
-                     const UecChain& chain, const UecTimes& times)
-{
-    HETARCH_ASSERT(assignment.numRegisters == chain.numRegisters(),
-                   "assignment does not match chain configuration");
-    HETARCH_ASSERT(assignment.registerOf.size() == code.n,
-                   "assignment size mismatch");
-
-    RoundSchedule sched;
-    sched.outOfStorage.assign(code.n, 0.0);
-
-    std::vector<double> reg_free(
-        static_cast<std::size_t>(assignment.numRegisters), 0.0);
-    std::vector<double> anc_free(
-        static_cast<std::size_t>(chain.numAncillas()), 0.0);
-
-    int check_index = 0;
-    auto run_check = [&](const std::vector<std::uint32_t>& support,
-                         bool is_x) {
-        // Home cell: majority vote of the support's cells.
-        std::vector<int> cell_count(
-            static_cast<std::size_t>(chain.numAncillas()), 0);
-        for (auto q : support) {
-            ++cell_count[static_cast<std::size_t>(chain.cellOfRegister(
-                assignment.registerOf[q]))];
-        }
-        int home = 0;
-        for (int cell = 1; cell < chain.numAncillas(); ++cell)
-            if (cell_count[static_cast<std::size_t>(cell)] >
-                cell_count[static_cast<std::size_t>(home)])
-                home = cell;
-        auto& anc = anc_free[static_cast<std::size_t>(home)];
-
-        const double prep = is_x ? times.h : 0.0;
-        if (prep > 0.0) {
-            sched.ops.push_back({TimedOp::Kind::AncPrep, anc, anc + prep,
-                                 0, check_index, is_x, home, 0});
-            anc += prep;
-        }
-
-        for (auto q : support) {
-            const auto reg =
-                static_cast<std::size_t>(assignment.registerOf[q]);
-            const int hops = std::abs(
-                chain.cellOfRegister(assignment.registerOf[q]) - home);
-
-            const double so_start = reg_free[reg];
-            const double so_end = so_start + times.swap;
-            sched.ops.push_back({TimedOp::Kind::SwapOut, so_start,
-                                 so_end, q, check_index, is_x, home, 0});
+                                 q, check_index, is_x, home, 0});
             // Route along the compute chain (hops SWAPs), then CNOT.
             const double route = hops * times.swap;
             const double cx_start = std::max(so_end + route, anc);
@@ -187,6 +94,7 @@ buildChainedSchedule(const qec::CssCode& code, const Assignment& assignment,
             sched.outOfStorage[q] += si_end - so_start;
         }
 
+        // Ancilla measurement (+H first for X checks).
         const double m_end = anc + (is_x ? times.h : 0.0) + times.measure;
         sched.ops.push_back({TimedOp::Kind::AncMeasure, anc, m_end, 0,
                              check_index, is_x, home, 0});
@@ -211,28 +119,24 @@ buildChainedSchedule(const qec::CssCode& code, const Assignment& assignment,
 }
 
 Assignment
-roundRobinAssignment(const qec::CssCode& code, int num_registers,
-                     int modes_per_register)
+roundRobinAssignment(const qec::CssCode& code, const UecChain& chain)
 {
     Assignment a;
-    a.numRegisters = num_registers;
-    a.modesPerRegister = modes_per_register;
+    a.chain = chain;
     a.registerOf.resize(code.n);
     for (std::size_t q = 0; q < code.n; ++q)
-        a.registerOf[q] = static_cast<int>(q % num_registers);
+        a.registerOf[q] = static_cast<int>(q % chain.numRegisters());
     return a;
 }
 
 Assignment
-optimizeAssignment(const qec::CssCode& code, int num_registers,
-                   int modes_per_register, const UecTimes& times)
+optimizeAssignment(const qec::CssCode& code, const UecTimes& times)
 {
-    HETARCH_ASSERT(code.n <=
-                       static_cast<std::size_t>(num_registers *
-                                                modes_per_register),
+    const UecChain usc;
+    HETARCH_ASSERT(code.n <= static_cast<std::size_t>(
+                                 usc.numRegisters() * kModesPerRegister),
                    code.name, " does not fit the UEC module");
-    Assignment best =
-        roundRobinAssignment(code, num_registers, modes_per_register);
+    Assignment best = roundRobinAssignment(code, usc);
 
     auto cost = [&](const Assignment& a) {
         const auto sched = buildRoundSchedule(code, a, times);
@@ -251,7 +155,7 @@ optimizeAssignment(const qec::CssCode& code, int num_registers,
     while (improved && guard++ < 50) {
         improved = false;
         for (std::size_t q = 0; q < code.n; ++q) {
-            for (int r = 0; r < num_registers; ++r) {
+            for (int r = 0; r < usc.numRegisters(); ++r) {
                 if (best.registerOf[q] == r)
                     continue;
                 Assignment trial = best;
@@ -260,7 +164,7 @@ optimizeAssignment(const qec::CssCode& code, int num_registers,
                 for (auto x : trial.registerOf)
                     if (x == r)
                         ++load;
-                if (load > modes_per_register)
+                if (load > kModesPerRegister)
                     continue;
                 const double c = cost(trial);
                 if (c + 1e-9 < best_cost) {

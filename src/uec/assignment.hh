@@ -8,9 +8,11 @@
  * ancilla; qubits in different Registers can be swapped in and out
  * concurrently, so a good assignment spreads each check's support
  * across Registers to pipeline the storage SWAPs against the ancilla
- * CNOTs.  The paper uses a brute-force assignment search; we use the
- * same cost function with a deterministic greedy seed plus local
- * search, which reaches the same optima for the paper's code sizes.
+ * CNOTs.  USC-EXT cells chain more Registers and ancillas onto the
+ * USC (UecChain); one scheduler serves the single USC and any chain.
+ * The paper uses a brute-force assignment search; we use the same cost
+ * function with a deterministic greedy seed plus local search, which
+ * reaches the same optima for the paper's code sizes.
  */
 
 #pragma once
@@ -33,12 +35,35 @@ struct UecTimes
     double measure = 1.0 * units::us;  ///< ancilla readout, ns
 };
 
-/** Assignment of each data qubit to a Register index. */
+/** Modes of one Register cell. */
+inline constexpr int kModesPerRegister = 10;
+
+/**
+ * The UEC hardware: a USC (three Registers, one ancilla) extended by
+ * numUscExt USC-EXT cells (two Registers and one ancilla each,
+ * paper Fig. 8), raising capacity to (3 + 2k) x 10 qubits.  The
+ * default is the single USC.  Register r belongs to cell 0 when r < 3,
+ * else cell (r - 3) / 2 + 1; each inter-cell hop of a check's routed
+ * CNOT costs one extra SWAP on the compute chain.
+ */
+struct UecChain
+{
+    int numUscExt = 0;
+
+    int numRegisters() const { return 3 + 2 * numUscExt; }
+    int numAncillas() const { return 1 + numUscExt; }
+    /** Which cell a register belongs to. */
+    int cellOfRegister(int reg) const
+    {
+        return reg < 3 ? 0 : (reg - 3) / 2 + 1;
+    }
+};
+
+/** Assignment of each data qubit to a Register of a chain. */
 struct Assignment
 {
     std::vector<int> registerOf; ///< data qubit -> register id
-    int numRegisters = 3;
-    int modesPerRegister = 10;
+    UecChain chain;
 };
 
 /** One timed hardware operation of the serialized schedule. */
@@ -73,7 +98,13 @@ struct RoundSchedule
 
 /**
  * Build the resource-constrained serialized schedule of one full round
- * (all Z checks then all X checks) for a given assignment.
+ * (all Z checks then all X checks) on the assignment's chain.  Each
+ * check runs on the ancilla of its home cell, the one holding most of
+ * its support (the lowest on a tie); its qubits take turns over their
+ * Registers so the SWAPs of one pipeline against the CNOTs of the
+ * others, and a qubit from another cell rides one SWAP per cell of
+ * distance each way.  Checks on different ancillas run concurrently.
+ * Fatal when a Register holds more than kModesPerRegister qubits.
  */
 RoundSchedule buildRoundSchedule(const qec::CssCode& code,
                                  const Assignment& assignment,
@@ -81,50 +112,15 @@ RoundSchedule buildRoundSchedule(const qec::CssCode& code,
 
 /** Round-robin seed assignment (also the baseline for tests). */
 Assignment roundRobinAssignment(const qec::CssCode& code,
-                                int num_registers = 3,
-                                int modes_per_register = 10);
+                                const UecChain& chain = {});
 
 /**
- * Optimize the assignment by greedy seeding plus pairwise-swap local
- * search minimizing round duration (primary) and total out-of-storage
- * time (secondary).  Deterministic.
+ * Optimize the single-USC assignment by greedy seeding plus
+ * pairwise-swap local search minimizing round duration (primary) and
+ * total out-of-storage time (secondary).  Deterministic.
  */
 Assignment optimizeAssignment(const qec::CssCode& code,
-                              int num_registers = 3,
-                              int modes_per_register = 10,
                               const UecTimes& times = {});
-
-/**
- * Chained UEC (paper Section 4.2.2, Fig. 8): a USC (three Registers,
- * one ancilla) extended by @p num_usc_ext USC-EXT cells (two Registers
- * and one ancilla each), raising capacity to (3 + 2k) x 10 qubits.
- * Register r belongs to cell 0 when r < 3, else cell (r - 3) / 2 + 1;
- * each inter-cell hop of a check's routed CNOT costs one extra SWAP on
- * the compute chain.
- */
-struct UecChain
-{
-    int numUscExt = 0;
-
-    int numRegisters() const { return 3 + 2 * numUscExt; }
-    int numAncillas() const { return 1 + numUscExt; }
-    /** Which cell a register belongs to. */
-    int cellOfRegister(int reg) const
-    {
-        return reg < 3 ? 0 : (reg - 3) / 2 + 1;
-    }
-};
-
-/**
- * Serialized round schedule over a chained UEC: each check runs on the
- * ancilla of the cell holding most of its support; qubits from other
- * cells pay one SWAP hop per cell of distance.  Checks on different
- * ancillas run concurrently.
- */
-RoundSchedule buildChainedSchedule(const qec::CssCode& code,
-                                   const Assignment& assignment,
-                                   const UecChain& chain,
-                                   const UecTimes& times = {});
 
 } // namespace uec
 } // namespace hetarch

@@ -5,8 +5,8 @@
 
 #include "core/logging.hh"
 #include "lint/lint.hh"
+#include "qec/css_circuit.hh"
 #include "qec/noise_model.hh"
-#include "qec/surface_circuit.hh"
 
 namespace hetarch {
 namespace uec {
@@ -184,40 +184,6 @@ embedOnLattice(const qec::CssCode& code)
     };
     place_checks(code.zChecks);
     place_checks(code.xChecks);
-
-    // Routing cost for one round under the ancilla-walk model: a
-    // nearest-neighbour tour of each check's support (one SWAP per
-    // walked cell, one CNOT per data qubit).
-    std::size_t gates = 0;
-    check = 0;
-    auto count_gates = [&](const auto& checks) {
-        for (const auto& sup : checks) {
-            std::vector<std::uint32_t> remaining(sup.begin(), sup.end());
-            int at = emb.checkCell[check];
-            while (!remaining.empty()) {
-                std::size_t best = 0;
-                int best_d = 1 << 30;
-                for (std::size_t i = 0; i < remaining.size(); ++i) {
-                    const int d = manhattan(side, at,
-                                            emb.dataCell[remaining[i]]);
-                    if (d < best_d) {
-                        best_d = d;
-                        best = i;
-                    }
-                }
-                // Walk to a neighbouring cell (d-1 hops) + the CNOT.
-                gates += static_cast<std::size_t>(
-                    std::max(0, best_d - 1) + 1);
-                at = emb.dataCell[remaining[best]];
-                remaining.erase(remaining.begin() +
-                                static_cast<std::ptrdiff_t>(best));
-            }
-            ++check;
-        }
-    };
-    count_gates(code.zChecks);
-    count_gates(code.xChecks);
-    emb.routedGatesPerRound = gates;
     return emb;
 }
 
@@ -234,9 +200,7 @@ latticeMemoryZ(const qec::CssCode& code, const LatticeEmbedding& emb,
     // walking ancilla is always addressed by the cell it currently
     // stands on.
     stab::Circuit circ(cells);
-
-    const std::size_t n_checks = code.zChecks.size() + code.xChecks.size();
-    std::vector<std::size_t> prev_meas(n_checks, SIZE_MAX);
+    qec::MemoryZRecord record(circ, code);
 
     // Cells holding data qubits are never walked through.
     std::vector<bool> blocked(cells, false);
@@ -409,19 +373,7 @@ latticeMemoryZ(const qec::CssCode& code, const LatticeEmbedding& emb,
                 t += noise.tMeas;
                 idle_to(anc, t);
                 circ.xError(anc, noise.pMeasFlip);
-                const auto m = circ.measureReset(anc);
-                if (info.isX) {
-                    if (round > 0)
-                        circ.detector({prev_meas[info.index], m},
-                                      qec::kTagX);
-                } else {
-                    if (round == 0)
-                        circ.detector({m}, qec::kTagZ);
-                    else
-                        circ.detector({prev_meas[info.index], m},
-                                      qec::kTagZ);
-                }
-                prev_meas[info.index] = m;
+                record.measureCheck(anc, info.index);
                 layer_end = std::max(layer_end, t);
             }
             t_now = layer_end;
@@ -432,22 +384,7 @@ latticeMemoryZ(const qec::CssCode& code, const LatticeEmbedding& emb,
     }
 
     // Transversal data readout.
-    std::vector<std::size_t> data_meas(code.n);
-    for (std::uint32_t q = 0; q < code.n; ++q) {
-        data_meas[q] = circ.measure(
-            static_cast<std::uint32_t>(emb.dataCell[q]));
-    }
-    for (std::size_t c = 0; c < code.zChecks.size(); ++c) {
-        std::vector<std::size_t> refs;
-        for (auto q : code.zChecks[c])
-            refs.push_back(data_meas[q]);
-        refs.push_back(prev_meas[c]);
-        circ.detector(refs, qec::kTagZ);
-    }
-    std::vector<std::size_t> logical;
-    for (auto q : code.logicalZ)
-        logical.push_back(data_meas[q]);
-    circ.observableInclude(0, logical);
+    record.close(emb.dataCell);
 #ifndef NDEBUG
     lint::assertClean(circ, "latticeMemoryZ");
 #endif

@@ -34,8 +34,6 @@ struct LatticeEmbedding
     int side = 0;                           ///< lattice is side x side
     std::vector<int> dataCell;              ///< data qubit -> cell id
     std::vector<int> checkCell;             ///< check -> ancilla cell
-    /** Total routed two-qubit gate count for one round (cost metric). */
-    std::size_t routedGatesPerRound = 0;
 };
 
 /**

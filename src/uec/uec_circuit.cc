@@ -4,26 +4,22 @@
 
 #include "core/logging.hh"
 #include "lint/lint.hh"
+#include "qec/css_circuit.hh"
 #include "qec/noise_model.hh"
-#include "qec/surface_circuit.hh"
 
 namespace hetarch {
 namespace uec {
 
-namespace {
-
-/**
- * Emit the noisy circuit for @p rounds repetitions of a round
- * schedule.  Ancilla lane k occupies circuit qubit n + k.
- */
 stab::Circuit
-emitFromSchedule(const qec::CssCode& code, const RoundSchedule& sched,
-                 int num_ancillas, std::size_t rounds,
-                 const UecNoise& noise)
+uecMemoryZ(const qec::CssCode& code, const Assignment& assignment,
+           std::size_t rounds, const UecNoise& noise, const UecTimes& times)
 {
     HETARCH_ASSERT(rounds >= 1, "need at least one round");
+    const auto sched = buildRoundSchedule(code, assignment, times);
+    const int num_ancillas = assignment.chain.numAncillas();
     const auto n = static_cast<std::uint32_t>(code.n);
     stab::Circuit circ(code.n + static_cast<std::size_t>(num_ancillas));
+    qec::MemoryZRecord record(circ, code);
 
     // Per-qubit clock for idle-noise accounting.  Data qubits idle at
     // the storage rate except while checked out; ancillas idle at the
@@ -42,9 +38,6 @@ emitFromSchedule(const qec::CssCode& code, const RoundSchedule& sched,
     auto idle_compute = [&](std::uint32_t q, double t) {
         idle_to(q, t, noise.tc, noise.tc);
     };
-
-    const std::size_t n_checks = code.zChecks.size() + code.xChecks.size();
-    std::vector<std::size_t> prev_meas(n_checks, SIZE_MAX);
 
     for (int a = 0; a < num_ancillas; ++a)
         circ.reset(n + static_cast<std::uint32_t>(a));
@@ -88,26 +81,14 @@ emitFromSchedule(const qec::CssCode& code, const RoundSchedule& sched,
                 if (op.isXCheck)
                     circ.h(anc);
                 break;
-              case TimedOp::Kind::AncMeasure: {
+              case TimedOp::Kind::AncMeasure:
                 idle_compute(anc, end);
                 if (op.isXCheck)
                     circ.h(anc);
                 circ.xError(anc, noise.pMeasFlip);
-                const auto m = circ.measureReset(anc);
-                const auto check =
-                    static_cast<std::size_t>(op.checkIndex);
-                if (op.isXCheck) {
-                    if (round > 0)
-                        circ.detector({prev_meas[check], m}, qec::kTagX);
-                } else {
-                    if (round == 0)
-                        circ.detector({m}, qec::kTagZ);
-                    else
-                        circ.detector({prev_meas[check], m}, qec::kTagZ);
-                }
-                prev_meas[check] = m;
+                record.measureCheck(anc,
+                                    static_cast<std::size_t>(op.checkIndex));
                 break;
-              }
             }
         }
         // Close out the round: every data qubit idles in storage to
@@ -120,45 +101,11 @@ emitFromSchedule(const qec::CssCode& code, const RoundSchedule& sched,
     }
 
     // Transversal data readout (error-free, as in the paper).
-    std::vector<std::size_t> data_meas(code.n);
-    for (std::uint32_t q = 0; q < n; ++q)
-        data_meas[q] = circ.measure(q);
-    for (std::size_t c = 0; c < code.zChecks.size(); ++c) {
-        std::vector<std::size_t> refs;
-        for (auto q : code.zChecks[c])
-            refs.push_back(data_meas[q]);
-        refs.push_back(prev_meas[c]);
-        circ.detector(refs, qec::kTagZ);
-    }
-    std::vector<std::size_t> logical;
-    for (auto q : code.logicalZ)
-        logical.push_back(data_meas[q]);
-    circ.observableInclude(0, logical);
+    record.close();
 #ifndef NDEBUG
-    lint::assertClean(circ, "emitFromSchedule");
+    lint::assertClean(circ, "uecMemoryZ");
 #endif
     return circ;
-}
-
-} // namespace
-
-stab::Circuit
-uecMemoryZ(const qec::CssCode& code, const Assignment& assignment,
-           std::size_t rounds, const UecNoise& noise, const UecTimes& times)
-{
-    const auto sched = buildRoundSchedule(code, assignment, times);
-    return emitFromSchedule(code, sched, 1, rounds, noise);
-}
-
-stab::Circuit
-uecChainedMemoryZ(const qec::CssCode& code, const Assignment& assignment,
-                  const UecChain& chain, std::size_t rounds,
-                  const UecNoise& noise, const UecTimes& times)
-{
-    const auto sched =
-        buildChainedSchedule(code, assignment, chain, times);
-    return emitFromSchedule(code, sched, chain.numAncillas(), rounds,
-                            noise);
 }
 
 } // namespace uec

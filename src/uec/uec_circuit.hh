@@ -3,9 +3,9 @@
  * Device-level circuit generation for the Universal Error Correction
  * module: serialized stabilizer checks of an arbitrary CSS code
  * executed on a USC (three 10-mode Registers around a readout
- * ancilla), with storage-rate idling for stored qubits and
- * compute-rate idling plus 1% two-qubit gate noise during checks
- * (paper Section 4.2.2).
+ * ancilla) or a chain of a USC and USC-EXT cells (Fig. 8), with
+ * storage-rate idling for stored qubits and compute-rate idling plus
+ * 1% two-qubit gate noise during checks (paper Section 4.2.2).
  *
  * Storage SWAPs are coherence limited (paper Section 3.1: resonator
  * load/store fidelity is expected to be limited by SWAP time and
@@ -33,25 +33,15 @@ struct UecNoise
 };
 
 /**
- * Build a memory-Z experiment: @p rounds serialized rounds of all Z
- * then all X checks, followed by a transversal data readout.
- * Detectors are tagged qec::kTagZ / qec::kTagX.
+ * Build a memory-Z experiment on the assignment's chain: @p rounds
+ * serialized rounds of all Z then all X checks (buildRoundSchedule),
+ * followed by a transversal data readout.  Ancilla lane k is circuit
+ * qubit n + k; inter-cell routing hops add SWAP noise on the routed
+ * data qubit.  Detectors are tagged qec::kTagZ / qec::kTagX.
  */
 stab::Circuit uecMemoryZ(const qec::CssCode& code,
                          const Assignment& assignment, std::size_t rounds,
                          const UecNoise& noise, const UecTimes& times = {});
-
-/**
- * Memory-Z experiment on a *chained* UEC (USC + USC-EXTs, Fig. 8):
- * multiple ancilla lanes run checks concurrently, and inter-cell
- * routing hops add SWAP noise on the routed data qubit.  Supports
- * codes beyond the single-USC 30-qubit limit.
- */
-stab::Circuit uecChainedMemoryZ(const qec::CssCode& code,
-                                const Assignment& assignment,
-                                const UecChain& chain, std::size_t rounds,
-                                const UecNoise& noise,
-                                const UecTimes& times = {});
 
 } // namespace uec
 } // namespace hetarch

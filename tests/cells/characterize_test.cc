@@ -64,18 +64,6 @@ TEST(Characterize, ParCheckTimesAndErrors)
     EXPECT_GT(ch.op("parity-check").errorRate, ch.op("cnot").errorRate);
 }
 
-TEST(Characterize, ExtraGateErrorRaisesCnotError)
-{
-    const auto cell = makeParCheck(devices::fixedFrequencyTransmon());
-    CharacterizeOptions noisy;
-    noisy.extraGateError2q = 1e-2;
-    const auto base = characterizeParCheck(cell);
-    const auto worse = characterizeParCheck(cell, noisy);
-    EXPECT_GT(worse.op("cnot").errorRate, base.op("cnot").errorRate);
-    // Depolarizing(p) has average gate error 1 - ((4*(1-p)+... ~ 0.8 p.
-    EXPECT_NEAR(worse.op("cnot").errorRate, 0.8 * 1e-2, 2e-3);
-}
-
 TEST(Characterize, SeqOpStoredCnot)
 {
     const auto cell = makeSeqOp(devices::multimodeResonator3D(),

@@ -63,7 +63,7 @@ surface-x-d3,-,0,0.00,0,0.00,0,4.33e-01
 css-rep3,-,0,0.00,0,0.00,0,1.73e-03
 css-steane,-,0,0.00,0,0.00,0,2.37e-02
 uec-steane,-,0,0.00,0,0.00,0,6.21e-01
-uec-chained-steane,-,0,0.00,0,0.00,0,8.09e-01
+uec-chained-steane,-,0,0.00,0,0.00,0,8.12e-01
 lattice-steane,-,72,7.20,0,0.00,0,1.00e+00
 dejmps,-,0,0.00,0,0.00,0,0.00e+00
 parked-rep-d3,3d-quantum-memory,2,2.00,1,0.00,0,1.00e-03

@@ -397,9 +397,8 @@ TEST(LintBuilders, UecMemoryCircuits)
 
     uec::UecChain chain;
     chain.numUscExt = 1;
-    const auto chained = uec::uecChainedMemoryZ(
-        code, uec::roundRobinAssignment(code, chain.numRegisters()),
-        chain, 2, noise);
+    const auto chained = uec::uecMemoryZ(
+        code, uec::roundRobinAssignment(code, chain), 2, noise);
     const auto chained_report = lintCircuit(chained);
     EXPECT_TRUE(chained_report.cleanStrict())
         << chained_report.toString();

@@ -76,10 +76,8 @@ builderCircuits()
         chain.numUscExt = 1;
         out.emplace_back(
             "uec-chained-steane",
-            uec::uecChainedMemoryZ(
-                code, uec::roundRobinAssignment(code,
-                                                chain.numRegisters()),
-                chain, 2, uec::UecNoise{}));
+            uec::uecMemoryZ(code, uec::roundRobinAssignment(code, chain),
+                            2, uec::UecNoise{}));
     }
     {
         const auto code = qec::makeSteane();

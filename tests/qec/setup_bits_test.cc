@@ -136,9 +136,9 @@ TEST(SetupBits, DemAndGraphsMatchGoldens)
         {"uec-steane", 0xc0100dda677b8156,
          {0x586ce8efdc56c88e, 0xfbf5826cb4f23d26, 0x224ae4d3f1d43aa2,
           0x7148fa9c04e952e3}},
-        {"uec-chained-steane", 0x081c71855f42cb42,
-         {0xdea85d8c430158ed, 0x5655c51280c75119, 0x4c4ee7d9ebd43ce3,
-          0xad4400f120db4152}},
+        {"uec-chained-steane", 0x28a29a517450d413,
+         {0x320f662f8dfac396, 0x92478d1e56be83ea, 0x6fe8662e1cc20eab,
+          0xf60dc47c7a458da7}},
         {"lattice-steane", 0xeb4f99e37bda714f,
          {0x0dcaea49c98d0776, 0xa0d94c2c254a4c42, 0x53b9212be651ec1d,
           0xa9d54313f58455ec}},

@@ -112,7 +112,7 @@ TEST(Assignment, OptimizedNotWorseThanRoundRobin)
 TEST(Assignment, RespectsCapacity)
 {
     const auto code = qec::makeColorCode(5); // 19 qubits
-    const auto opt = optimizeAssignment(code, 3, 10);
+    const auto opt = optimizeAssignment(code);
     std::vector<int> load(3, 0);
     for (auto r : opt.registerOf)
         ++load[static_cast<std::size_t>(r)];

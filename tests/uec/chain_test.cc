@@ -41,12 +41,9 @@ TEST(UecChain, ScheduleParallelizesAcrossAncillas)
     const auto code = qec::makeRotatedSurface(5); // 25 qubits
     UecChain chain;
     chain.numUscExt = 1;
-    const auto a_chain =
-        roundRobinAssignment(code, chain.numRegisters(), 10);
-    const auto chained = buildChainedSchedule(code, a_chain, chain);
-
-    const auto a_single = roundRobinAssignment(code, 3, 10);
-    const auto single = buildRoundSchedule(code, a_single);
+    const auto chained =
+        buildRoundSchedule(code, roundRobinAssignment(code, chain));
+    const auto single = buildRoundSchedule(code, roundRobinAssignment(code));
     EXPECT_LT(chained.duration, single.duration);
 }
 
@@ -55,8 +52,8 @@ TEST(UecChain, AncillaLanesNeverOverlap)
     const auto code = qec::makeColorCode(5);
     UecChain chain;
     chain.numUscExt = 1;
-    const auto a = roundRobinAssignment(code, chain.numRegisters(), 10);
-    const auto sched = buildChainedSchedule(code, a, chain);
+    const auto sched =
+        buildRoundSchedule(code, roundRobinAssignment(code, chain));
     std::vector<std::vector<std::pair<double, double>>> busy(
         static_cast<std::size_t>(chain.numAncillas()));
     for (const auto& op : sched.ops) {
@@ -82,9 +79,9 @@ TEST(UecChain, SupportsCodesBeyondThirtyQubits)
     const auto code = qec::makeRotatedSurface(6);
     UecChain chain;
     chain.numUscExt = 1;
-    const auto a = roundRobinAssignment(code, chain.numRegisters(), 10);
+    const auto a = roundRobinAssignment(code, chain);
     UecNoise noise;
-    const auto circ = uecChainedMemoryZ(code, a, chain, 2, noise);
+    const auto circ = uecMemoryZ(code, a, 2, noise);
     EXPECT_TRUE(stab::findNondeterminism(circ).empty());
     // The sampled oracle misses a single coin with odds 2^-31 at 32 runs.
     EXPECT_TRUE(
@@ -94,21 +91,6 @@ TEST(UecChain, SupportsCodesBeyondThirtyQubits)
     const auto res = qec::runMemoryExperiment(
         circ, 800, 2, qec::DecoderKind::GreedyDem, rng);
     EXPECT_LT(res.perShot(), 0.5);
-}
-
-TEST(UecChain, ChainedMatchesSingleForSmallCode)
-{
-    // With zero USC-EXTs the chained path must reproduce the original
-    // schedule exactly.
-    const auto code = qec::makeSteane();
-    const auto a = roundRobinAssignment(code, 3, 10);
-    UecChain chain; // numUscExt = 0
-    const auto chained = buildChainedSchedule(code, a, chain);
-    const auto single = buildRoundSchedule(code, a);
-    // Same serial structure: identical duration up to the interleaving
-    // order heuristic of the single-ancilla scheduler.
-    EXPECT_NEAR(chained.duration, single.duration,
-                0.2 * single.duration);
 }
 
 TEST(UecChain, RoutingHopsDegradeFidelity)
@@ -121,7 +103,7 @@ TEST(UecChain, RoutingHopsDegradeFidelity)
     UecNoise noise;
 
     Assignment local;
-    local.numRegisters = chain.numRegisters();
+    local.chain = chain;
     local.registerOf.assign(code.n, 0);
     for (std::size_t q = 0; q < code.n; ++q)
         local.registerOf[q] = static_cast<int>(q % 3); // all in cell 0
@@ -132,7 +114,7 @@ TEST(UecChain, RoutingHopsDegradeFidelity)
             static_cast<int>(q % chain.numRegisters());
 
     auto run = [&](const Assignment& a, std::uint64_t seed) {
-        const auto circ = uecChainedMemoryZ(code, a, chain, 2, noise);
+        const auto circ = uecMemoryZ(code, a, 2, noise);
         Rng rng(seed);
         return qec::runMemoryExperiment(circ, 2500, 2,
                                         qec::DecoderKind::GreedyDem, rng)

@@ -109,7 +109,6 @@ TEST(Lattice, EmbeddingIsValid)
             EXPECT_GE(c, 0);
             EXPECT_LT(c, emb.side * emb.side);
         }
-        EXPECT_GT(emb.routedGatesPerRound, 0u);
     }
 }
 

@@ -10,9 +10,9 @@
  *   submit --kind=KIND [--name=S] [--priority=N] [--seed=N]
  *          [--param key=value ...] [--circuit-file=PATH]
  *            kinds: memory stream sweep-point distill analysis
- *            --param values that parse as numbers travel as numbers,
- *            anything else as strings; --circuit-file reads PATH into
- *            the "circuit" param for analysis jobs
+ *            --param values that are whole number tokens travel as
+ *            numbers, anything else as strings; --circuit-file reads
+ *            PATH into the "circuit" param for analysis jobs
  *   status --id=N
  *   cancel --id=N
  *   wait
@@ -64,41 +64,18 @@ usage()
     return 1;
 }
 
-/** A whole unsigned decimal token: no sign, no blanks, no overflow. */
+/**
+ * A whole std::from_chars token, as the wire parser reads numbers: no
+ * '+', no blanks, no hex prefix, no overflow, and no sign on an
+ * unsigned value.
+ */
+template <typename T>
 bool
-parseU64(const std::string& text, std::uint64_t& out)
+parseToken(const std::string& text, T& out)
 {
     const char* end = text.data() + text.size();
     const auto res = std::from_chars(text.data(), end, out);
     return res.ec == std::errc{} && res.ptr == end;
-}
-
-bool
-parseI64(const std::string& text, std::int64_t& out)
-{
-    if (text.empty())
-        return false;
-    std::size_t consumed = 0;
-    try {
-        out = std::stoll(text, &consumed);
-    } catch (...) {
-        return false;
-    }
-    return consumed == text.size();
-}
-
-bool
-parseNumber(const std::string& text, double& out)
-{
-    if (text.empty())
-        return false;
-    std::size_t consumed = 0;
-    try {
-        out = std::stod(text, &consumed);
-    } catch (...) {
-        return false;
-    }
-    return consumed == text.size();
 }
 
 int
@@ -120,10 +97,10 @@ cmdSubmit(const std::vector<std::string>& args)
         } else if (arg.rfind("--name=", 0) == 0) {
             request.job.name = arg.substr(7);
         } else if (arg.rfind("--priority=", 0) == 0) {
-            if (!parseI64(arg.substr(11), request.job.priority))
+            if (!parseToken(arg.substr(11), request.job.priority))
                 return usage();
         } else if (arg.rfind("--seed=", 0) == 0) {
-            if (!parseU64(arg.substr(7), request.job.seed))
+            if (!parseToken(arg.substr(7), request.job.seed))
                 return usage();
         } else if (arg == "--param") {
             if (i + 1 >= args.size())
@@ -135,7 +112,7 @@ cmdSubmit(const std::vector<std::string>& args)
             const std::string key = kv.substr(0, eq);
             const std::string value = kv.substr(eq + 1);
             double number = 0.0;
-            if (parseNumber(value, number))
+            if (parseToken(value, number))
                 request.job.add(key, service::ParamValue::num(number));
             else
                 request.job.add(key, service::ParamValue::str(value));
@@ -169,7 +146,7 @@ cmdWithId(service::RequestType type, const std::vector<std::string>& args)
     bool have_id = false;
     for (const std::string& arg : args) {
         if (arg.rfind("--id=", 0) == 0) {
-            if (!parseU64(arg.substr(5), request.id) ||
+            if (!parseToken(arg.substr(5), request.id) ||
                 request.id == service::kInvalidJobId)
                 return usage();
             have_id = true;
@@ -212,7 +189,7 @@ parseExpectations(const std::string& text,
             return false;
         CounterExpectation expectation;
         expectation.key = item.substr(0, eq);
-        if (!parseU64(item.substr(eq + 1), expectation.value))
+        if (!parseToken(item.substr(eq + 1), expectation.value))
             return false;
         out.push_back(expectation);
     }
